@@ -7,11 +7,11 @@ GO ?= go
 RACE_PKGS := ./internal/server/... ./internal/core/... ./internal/corpus/... ./internal/slo/... \
 	./internal/obs/... ./internal/metrics/... ./internal/cache/... \
 	./internal/join/... ./internal/index/... ./internal/ingest/... ./internal/remote/... \
-	./internal/httpmw/... ./cmd/lotusx-server/...
+	./internal/httpmw/... ./internal/trie/... ./internal/fanout/... ./cmd/lotusx-server/...
 
-.PHONY: check build vet test race api-check bench profile clean
+.PHONY: check build vet test race api-check bench-check bench profile clean
 
-check: build vet test race api-check
+check: build vet test race api-check bench-check
 
 # The API contract gate: the served route table and response envelopes must
 # match internal/server/testdata/api_contract.golden.  After an intentional
@@ -19,6 +19,11 @@ check: build vet test race api-check
 #   go test ./internal/server/ -run TestAPIContract -update
 api-check:
 	$(GO) test ./internal/server/ -run TestAPIContract
+
+# benchmark/ is its own module, out of reach of the ./... recipes above: vet
+# it and run its smoke tests (-short skips the ones that start live servers).
+bench-check:
+	cd benchmark && $(GO) vet . && $(GO) test -short .
 
 build:
 	$(GO) build ./...

@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -31,6 +32,7 @@ import (
 	"lotusx/internal/corpus"
 	"lotusx/internal/dataset"
 	"lotusx/internal/doc"
+	"lotusx/internal/fanout"
 	"lotusx/internal/metrics"
 	"lotusx/internal/obs"
 	"lotusx/internal/remote"
@@ -39,6 +41,7 @@ import (
 )
 
 func main() {
+	started := time.Now()
 	in := flag.String("in", "", "input XML file")
 	indexFile := flag.String("index", "", "persisted index file")
 	kind := flag.String("dataset", "", "serve a synthetic dataset: dblp, xmark, treebank, or \"all\" for a catalog")
@@ -204,6 +207,9 @@ func main() {
 		st := engine.Stats()
 		srv := server.NewConfig(engine, cfg)
 		startDebug(*debugAddr, srv)
+		if !*quiet {
+			fmt.Printf("built %s in %v%s\n", st.Document, time.Since(started).Round(time.Millisecond), phaseNote(engine.BuildTiming()))
+		}
 		fmt.Printf("serving %s (%d nodes, %d tags) on %s%s\n", st.Document, st.Nodes, st.Tags, *addr, servingNote(cfg))
 		if err := serveUntilSignal(*addr, srv, *drainTimeout, nil); err != nil {
 			fatal(err)
@@ -219,39 +225,27 @@ func main() {
 		}
 	}
 
+	var sources []source
 	switch {
 	case *kind == "all":
 		// The demo setup: every synthetic dataset in one catalog, selected
 		// per request with ?dataset=.
 		for _, k := range dataset.Kinds {
-			d, err := dataset.Build(k, *scale, *seed)
-			if err != nil {
-				fatal(err)
-			}
-			if err := addDataset(catalog, string(k), d, *shards, *corpusDir, reg, tuning, *compressIndex); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("loaded %s (%d nodes, %d shards)\n", k, d.Len(), *shards)
+			sources = append(sources, source{name: string(k), kind: string(k), scale: *scale, seed: *seed})
 		}
 	case *in != "" || *indexFile != "" || *kind != "":
-		engine, err := buildEngine(*in, *indexFile, *kind, *scale, *seed, *compressIndex)
-		if err != nil {
-			fatal(err)
-		}
-		d := engine.Document()
-		if *shards > 1 {
-			if err := addDataset(catalog, d.Name(), d, *shards, *corpusDir, reg, tuning, *compressIndex); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("loaded %s (%d nodes, %d shards)\n", d.Name(), d.Len(), *shards)
-		} else {
-			catalog.Add(d.Name(), engine)
-			fmt.Printf("loaded %s (%d nodes)\n", d.Name(), d.Len())
-		}
+		sources = []source{{in: *in, indexFile: *indexFile, kind: *kind, scale: *scale, seed: *seed}}
 	default:
 		if catalog.Len() == 0 && !*admin {
 			fatal(fmt.Errorf("one of -in, -index or -dataset is required (or -admin to ingest over HTTP)"))
 		}
+	}
+	lc := loadConfig{shards: *shards, corpusDir: *corpusDir, reg: reg, tuning: tuning, compress: *compressIndex}
+	if err := loadDatasets(catalog, sources, lc, !*quiet, os.Stdout); err != nil {
+		fatal(err)
+	}
+	if !*quiet {
+		fmt.Printf("start-up took %v\n", time.Since(started).Round(time.Millisecond))
 	}
 
 	note := servingNote(cfg)
@@ -312,23 +306,115 @@ func buildSLO(searchP99 time.Duration, availability float64) (*slo.Tracker, erro
 	return slo.New(slo.Config{Objectives: objectives})
 }
 
-// addDataset registers d, split into parts shards when parts > 1, with
-// persistence under corpusDir when set.
-func addDataset(catalog *core.Catalog, name string, d *doc.Document, parts int, corpusDir string, reg *metrics.Registry, tuning corpus.Tuning, compress bool) error {
-	if parts == 1 {
-		catalog.Add(name, core.FromDocumentOpts(d, core.BuildOptions{Compress: compress}))
-		return nil
-	}
-	ccfg := corpus.Config{Metrics: reg.Corpus(name), Tuning: tuning, Compress: compress}
-	if corpusDir != "" {
-		ccfg.Dir = filepath.Join(corpusDir, name)
-	}
-	c, err := corpus.FromDocument(name, d, parts, ccfg)
+// source names where one served dataset comes from — an XML file, a
+// persisted index or a synthetic generator — and the catalog name it is
+// served under ("" means the document's own name).
+type source struct {
+	name                string
+	in, indexFile, kind string
+	scale               int
+	seed                int64
+}
+
+// loadConfig is how sources become catalog backends: whole-document engines
+// when shards is 1, corpora of shards parts (persisted under corpusDir when
+// set) otherwise.
+type loadConfig struct {
+	shards    int
+	corpusDir string
+	reg       *metrics.Registry
+	tuning    corpus.Tuning
+	compress  bool
+}
+
+// builtDataset is one source's backend, built and waiting for its turn to
+// be registered.
+type builtDataset struct {
+	name    string
+	backend core.Backend
+	took    time.Duration    // the whole build
+	load    time.Duration    // reading, generating and parsing the document
+	work    core.BuildTiming // index and guide time, summed over the engines
+}
+
+// loadDatasets builds every source — concurrently, one dataset per core —
+// and then registers the backends and prints their banner lines to out in
+// source order, whatever order the builds finished in: the first dataset
+// registered is the catalog's default.  verbose adds where each build's
+// time went.
+func loadDatasets(catalog *core.Catalog, sources []source, lc loadConfig, verbose bool, out io.Writer) error {
+	built := make([]*builtDataset, len(sources))
+	err := fanout.Do(len(sources), func(i int) error {
+		var err error
+		built[i], err = lc.build(sources[i])
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	catalog.AddBackend(name, c)
+	for _, b := range built {
+		catalog.AddBackend(b.name, b.backend)
+		info := b.backend.Info()
+		line := fmt.Sprintf("loaded %s (%d nodes)", b.name, info.Nodes)
+		if info.Shards > 1 {
+			line = fmt.Sprintf("loaded %s (%d nodes, %d shards)", b.name, info.Nodes, info.Shards)
+		}
+		if verbose {
+			line += fmt.Sprintf(" in %v: load %v%s", b.took.Round(time.Millisecond), b.load.Round(time.Millisecond), phaseNote(b.work))
+		}
+		fmt.Fprintln(out, line)
+	}
 	return nil
+}
+
+// phaseNote renders an engine's (or a corpus's summed) build phases for the
+// start-up banner.
+func phaseNote(t core.BuildTiming) string {
+	return fmt.Sprintf(", index %v, guide %v", t.Index.Round(time.Millisecond), t.Guide.Round(time.Millisecond))
+}
+
+// build turns one source into its backend.  A sharded dataset loads only
+// the document — the whole-document engine would never be served.
+func (lc loadConfig) build(src source) (*builtDataset, error) {
+	start := time.Now()
+	b := &builtDataset{name: src.name}
+	if lc.shards == 1 {
+		engine, err := buildEngine(src.in, src.indexFile, src.kind, src.scale, src.seed, lc.compress)
+		if err != nil {
+			return nil, err
+		}
+		if b.name == "" {
+			b.name = engine.Document().Name()
+		}
+		b.backend, b.work = engine, engine.BuildTiming()
+		b.took = time.Since(start)
+		b.load = b.took - b.work.Index - b.work.Guide
+		return b, nil
+	}
+	d, err := loadDocument(src.in, src.indexFile, src.kind, src.scale, src.seed)
+	if err != nil {
+		return nil, err
+	}
+	b.load = time.Since(start)
+	if b.name == "" {
+		b.name = d.Name()
+	}
+	ccfg := corpus.Config{Metrics: lc.reg.Corpus(b.name), Tuning: lc.tuning, Compress: lc.compress}
+	if lc.corpusDir != "" {
+		ccfg.Dir = filepath.Join(lc.corpusDir, b.name)
+	}
+	c, err := corpus.FromDocument(b.name, d, lc.shards, ccfg)
+	if err != nil {
+		return nil, err
+	}
+	b.backend = c
+	for _, ne := range c.Engines() {
+		t := ne.Engine.BuildTiming()
+		b.work.Index += t.Index
+		b.work.Guide += t.Guide
+	}
+	b.took = time.Since(start)
+	return b, nil
 }
 
 // reloadCorpora reopens every persisted corpus under dir (one subdirectory
@@ -373,34 +459,46 @@ func servingNote(cfg server.Config) string {
 	return s
 }
 
+// buildEngine builds the whole-document engine of the input the flags name,
+// once, on the substrate compress asks for.
 func buildEngine(in, indexFile, kind string, scale int, seed int64, compress bool) (*core.Engine, error) {
-	opts := core.BuildOptions{Compress: compress}
+	if indexFile != "" && in == "" && !compress {
+		// The file's own substrate is the one to serve: a full-index file
+		// brings its postings along, so nothing is tokenized again.
+		f, err := os.Open(indexFile)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return core.Open(f)
+	}
+	d, err := loadDocument(in, indexFile, kind, scale, seed)
+	if err != nil {
+		return nil, err
+	}
+	return core.FromDocumentOpts(d, core.BuildOptions{Compress: compress}), nil
+}
+
+// loadDocument reads, or generates and parses, the document the flags name
+// without indexing it.
+func loadDocument(in, indexFile, kind string, scale int, seed int64) (*doc.Document, error) {
 	switch {
 	case in != "":
-		e, err := core.FromFile(in)
-		if err != nil || !compress {
-			return e, err
+		f, err := os.Open(in)
+		if err != nil {
+			return nil, err
 		}
-		return core.FromDocumentOpts(e.Document(), opts), nil
+		defer f.Close()
+		return doc.FromReader(in, f)
 	case indexFile != "":
 		f, err := os.Open(indexFile)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
-		e, err := core.Open(f)
-		if err != nil || !compress || e.Compressed() {
-			return e, err
-		}
-		// A raw persisted index under -compress-index: rebuild on the
-		// compressed substrate from the loaded document.
-		return core.FromDocumentOpts(e.Document(), opts), nil
+		return core.LoadDocument(f)
 	case kind != "":
-		d, err := dataset.Build(dataset.Kind(kind), scale, seed)
-		if err != nil {
-			return nil, err
-		}
-		return core.FromDocumentOpts(d, opts), nil
+		return dataset.Build(dataset.Kind(kind), scale, seed)
 	default:
 		return nil, fmt.Errorf("one of -in, -index or -dataset is required")
 	}
@@ -431,19 +529,9 @@ func runShard(cfg server.Config, a shardArgs) {
 	if err != nil {
 		fatal(err)
 	}
-	engine, err := buildEngine(a.in, a.indexFile, a.kind, a.scale, a.seed, cfg.CompressIndex)
+	engine, err := buildSlice(a, idx, parts, cfg.CompressIndex)
 	if err != nil {
 		fatal(err)
-	}
-	if parts > 1 {
-		docs, err := corpus.SplitDocument(engine.Document(), parts)
-		if err != nil {
-			fatal(err)
-		}
-		if idx >= len(docs) {
-			fatal(fmt.Errorf("slice %d/%d: document only splits into %d part(s)", idx, parts, len(docs)))
-		}
-		engine = core.FromDocumentOpts(docs[idx], core.BuildOptions{Compress: cfg.CompressIndex})
 	}
 	st := engine.Stats()
 	srv := server.NewConfig(engine, cfg)
@@ -453,6 +541,26 @@ func runShard(cfg server.Config, a shardArgs) {
 	if err := serveUntilSignal(a.addr, srv, a.drainTimeout, nil); err != nil {
 		fatal(err)
 	}
+}
+
+// buildSlice builds the engine of slice idx of parts: the whole document's
+// for 0/1, else the slice's alone — the whole document is only parsed.
+func buildSlice(a shardArgs, idx, parts int, compress bool) (*core.Engine, error) {
+	if parts == 1 {
+		return buildEngine(a.in, a.indexFile, a.kind, a.scale, a.seed, compress)
+	}
+	d, err := loadDocument(a.in, a.indexFile, a.kind, a.scale, a.seed)
+	if err != nil {
+		return nil, err
+	}
+	docs, err := corpus.SplitDocument(d, parts)
+	if err != nil {
+		return nil, err
+	}
+	if idx >= len(docs) {
+		return nil, fmt.Errorf("slice %d/%d: document only splits into %d part(s)", idx, parts, len(docs))
+	}
+	return core.FromDocumentOpts(docs[idx], core.BuildOptions{Compress: compress}), nil
 }
 
 // parseSlice parses "i/n" with 0 <= i < n.

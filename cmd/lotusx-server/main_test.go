@@ -1,10 +1,14 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"lotusx/internal/corpus"
 )
 
 func TestBuildEngineFromFile(t *testing.T) {
@@ -48,6 +52,101 @@ func TestBuildEngineFromIndexFile(t *testing.T) {
 	}
 	if e2.Stats().Nodes != 2 {
 		t.Fatalf("reloaded nodes = %d", e2.Stats().Nodes)
+	}
+}
+
+// TestBuildEngineOnceOnTheFinalSubstrate: with -compress-index every kind of
+// input — XML, a document-only index file, a raw full-index file — builds
+// straight onto the compressed substrate, and without the flag a full-index
+// file keeps the substrate it was saved with.
+func TestBuildEngineOnceOnTheFinalSubstrate(t *testing.T) {
+	dir := t.TempDir()
+	xmlPath := filepath.Join(dir, "rep.xml")
+	var body strings.Builder
+	body.WriteString("<dblp>")
+	for i := 0; i < 400; i++ {
+		body.WriteString(`<article key="a1"><author>Jiaheng Lu</author><title>Holistic Twig Joins</title><year>2005</year></article>`)
+	}
+	body.WriteString("</dblp>")
+	if err := os.WriteFile(xmlPath, []byte(body.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := buildEngine(xmlPath, "", "", 1, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw.Compressed() {
+		t.Fatal("raw build came out compressed")
+	}
+	save := func(name string, write func(io.Writer) error) string {
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	docOnly := save("doc.ltx", raw.Save)
+	full := save("full.ltx", raw.SaveFull)
+
+	for _, in := range []struct{ xml, index string }{{xml: xmlPath}, {index: docOnly}, {index: full}} {
+		e, err := buildEngine(in.xml, in.index, "", 1, 1, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !e.Compressed() || e.Stats() != raw.Stats() {
+			t.Errorf("%+v with -compress-index: compressed=%v stats=%+v, want compressed with %+v", in, e.Compressed(), e.Stats(), raw.Stats())
+		}
+		d, err := loadDocument(in.xml, in.index, "", 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Len() != raw.Stats().Nodes {
+			t.Errorf("%+v: loadDocument has %d nodes, want %d", in, d.Len(), raw.Stats().Nodes)
+		}
+	}
+	if e, err := buildEngine("", full, "", 1, 1, false); err != nil || e.Compressed() {
+		t.Errorf("raw full-index file without the flag: compressed=%v err=%v", e.Compressed(), err)
+	}
+	compressed, err := buildEngine(xmlPath, "", "", 1, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfull := save("cfull.ltx", compressed.SaveFull)
+	if e, err := buildEngine("", cfull, "", 1, 1, false); err != nil || !e.Compressed() {
+		t.Errorf("compressed full-index file without the flag: compressed=%v err=%v", e.Compressed(), err)
+	}
+}
+
+// TestBuildSliceIndexesOnlyItsSlice: -mode=shard -slice i/n serves exactly
+// shard i of the local -shards n partition, and 0/1 the whole document.
+func TestBuildSliceIndexesOnlyItsSlice(t *testing.T) {
+	a := shardArgs{kind: "dblp", scale: 1, seed: 7}
+	whole, err := buildSlice(a, 0, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, err := corpus.SplitDocument(whole.Document(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range docs {
+		e, err := buildSlice(a, i, 3, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.Document(); got.Name() != want.Name() || got.Len() != want.Len() {
+			t.Errorf("slice %d/3 serves %s (%d nodes), want %s (%d nodes)", i, got.Name(), got.Len(), want.Name(), want.Len())
+		}
+	}
+	if _, err := buildSlice(shardArgs{in: "", kind: "bogus"}, 0, 2, false); err == nil {
+		t.Error("unknown dataset should fail")
 	}
 }
 

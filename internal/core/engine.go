@@ -31,7 +31,21 @@ type Engine struct {
 	completer *complete.Engine
 	ranker    *rank.Ranker
 	rewriter  *rewrite.Engine
+	timing    BuildTiming
 }
+
+// BuildTiming is where an engine's construction time went — what a start-up
+// banner shows so that a slow start can be placed without a profiler.
+type BuildTiming struct {
+	// Index is the index build (or, for Open, the load): streams, postings,
+	// exact map and completion tries.
+	Index time.Duration
+	// Guide is the DataGuide build and warm-up.
+	Guide time.Duration
+}
+
+// BuildTiming reports how long the engine's constructor spent per phase.
+func (e *Engine) BuildTiming() BuildTiming { return e.timing }
 
 // BuildOptions tunes engine construction.
 type BuildOptions struct {
@@ -43,13 +57,14 @@ type BuildOptions struct {
 
 // FromDocument builds an Engine over an already-parsed document.
 func FromDocument(d *doc.Document) *Engine {
-	return fromIndex(index.Build(d))
+	return FromDocumentOpts(d, BuildOptions{})
 }
 
 // FromDocumentOpts builds an Engine over an already-parsed document with
 // build options.
 func FromDocumentOpts(d *doc.Document, opts BuildOptions) *Engine {
-	return fromIndex(index.BuildWith(d, index.BuildOptions{Compress: opts.Compress}))
+	start := time.Now()
+	return fromIndex(index.BuildWith(d, index.BuildOptions{Compress: opts.Compress}), start)
 }
 
 // Compressed reports whether the engine's index runs on the DAG-compressed
@@ -90,17 +105,17 @@ func (e *Engine) SaveFull(w io.Writer) error { return e.ix.SaveFull(w) }
 // Open loads an engine written by Save or SaveFull, detecting the format
 // from the file magic.
 func Open(r io.Reader) (*Engine, error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(4)
+	start := time.Now()
+	br, full, err := sniffFull(r)
 	if err != nil {
-		return nil, fmt.Errorf("core: reading magic: %w", err)
+		return nil, err
 	}
-	if string(magic) == "LTXI" {
+	if full {
 		ix, err := index.LoadFull(br)
 		if err != nil {
 			return nil, err
 		}
-		return fromIndex(ix), nil
+		return fromIndex(ix, start), nil
 	}
 	d, err := doc.Load(br)
 	if err != nil {
@@ -109,16 +124,44 @@ func Open(r io.Reader) (*Engine, error) {
 	return FromDocument(d), nil
 }
 
-// fromIndex assembles an engine around an already-built index.
-func fromIndex(ix *index.Index) *Engine {
+// LoadDocument reads only the document of a file written by Save or
+// SaveFull, building no engine — for a caller that serves the document
+// split into shards, or indexed on another substrate than the file's.
+func LoadDocument(r io.Reader) (*doc.Document, error) {
+	br, full, err := sniffFull(r)
+	if err != nil {
+		return nil, err
+	}
+	if full {
+		return index.LoadFullDocument(br)
+	}
+	return doc.Load(br)
+}
+
+// sniffFull reports whether r holds a SaveFull file (by its magic) rather
+// than a Save file, returning the buffered reader to decode it from.
+func sniffFull(r io.Reader) (*bufio.Reader, bool, error) {
+	br := bufio.NewReader(r)
+	magic, err := br.Peek(4)
+	if err != nil {
+		return nil, false, fmt.Errorf("core: reading magic: %w", err)
+	}
+	return br, string(magic) == "LTXI", nil
+}
+
+// fromIndex assembles an engine around an index whose build began at start.
+func fromIndex(ix *index.Index, start time.Time) *Engine {
+	indexed := time.Now()
 	guide := dataguide.Build(ix.Document())
 	guide.Warm()
+	timing := BuildTiming{Index: indexed.Sub(start), Guide: time.Since(indexed)}
 	return &Engine{
 		ix:        ix,
 		guide:     guide,
 		completer: complete.New(ix, guide),
 		ranker:    rank.New(ix),
 		rewriter:  rewrite.New(ix, guide),
+		timing:    timing,
 	}
 }
 

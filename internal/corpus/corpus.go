@@ -31,6 +31,7 @@ import (
 
 	"lotusx/internal/core"
 	"lotusx/internal/doc"
+	"lotusx/internal/fanout"
 	"lotusx/internal/faults"
 	"lotusx/internal/metrics"
 )
@@ -463,19 +464,26 @@ func (c *Corpus) addSplit(name string, d *doc.Document, parts int, delta bool) e
 
 // buildShards splits d and indexes each part (the expensive work, done
 // before the caller takes the mutation lock): one shard named name for an
-// unsplit document, or a "name/NNN" group.
+// unsplit document, or a "name/NNN" group.  Parts are independent from the
+// split plan on — render, re-parse, index, guide — so they build on every
+// core; names and order depend only on the plan.
 func buildShards(name string, d *doc.Document, parts int, delta, compress bool) ([]*shard, error) {
-	docs, err := SplitDocument(d, parts)
+	opts := core.BuildOptions{Compress: compress}
+	plan := planSplit(d, parts)
+	if plan == nil {
+		return []*shard{{name: name, engine: core.FromDocumentOpts(d, opts), delta: delta}}, nil
+	}
+	out := make([]*shard, len(plan.groups))
+	err := fanout.Do(len(out), func(i int) error {
+		sd, err := plan.part(i)
+		if err != nil {
+			return err
+		}
+		out[i] = &shard{name: fmt.Sprintf("%s/%03d", name, i), engine: core.FromDocumentOpts(sd, opts), delta: delta}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	opts := core.BuildOptions{Compress: compress}
-	if len(docs) == 1 {
-		return []*shard{{name: name, engine: core.FromDocumentOpts(docs[0], opts), delta: delta}}, nil
-	}
-	out := make([]*shard, len(docs))
-	for i, sd := range docs {
-		out[i] = &shard{name: fmt.Sprintf("%s/%03d", name, i), engine: core.FromDocumentOpts(sd, opts), delta: delta}
 	}
 	return out, nil
 }
@@ -546,20 +554,22 @@ func (c *Corpus) Remove(name string) error {
 // files, which is how a version-skewed corpus heals after an upgrade.
 func (c *Corpus) Reindex(name string) error {
 	return c.publish(func(shards []*shard) ([]*shard, error) {
-		next := make([]*shard, len(shards))
-		hit := false
+		var hits []int
 		for i, sh := range shards {
 			if name == "" || sh.name == name || strings.HasPrefix(sh.name, name+"/") {
-				hit = true
-				next[i] = &shard{name: sh.name, engine: core.FromDocumentOpts(sh.engine.Document(), core.BuildOptions{Compress: c.compress}), delta: sh.delta}
-			} else {
-				next[i] = sh
+				hits = append(hits, i)
 			}
 		}
-		if !hit && name != "" {
+		if len(hits) == 0 && name != "" {
 			return nil, fmt.Errorf("corpus: no shard %q in %s", name, c.name)
 		}
-		return next, nil
+		opts := core.BuildOptions{Compress: c.compress}
+		err := fanout.Do(len(hits), func(h int) error {
+			old := shards[hits[h]]
+			shards[hits[h]] = &shard{name: old.name, engine: core.FromDocumentOpts(old.engine.Document(), opts), delta: old.delta}
+			return nil
+		})
+		return shards, err
 	})
 }
 
@@ -634,15 +644,25 @@ func (c *Corpus) persist(ns *Snapshot) error {
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		return err
 	}
-	m := &manifest{Version: manifestVersion, Name: c.name, Seq: ns.seq}
+	var unsaved []int
 	for i, sh := range ns.shards {
 		if sh.file == "" {
-			file, err := writeShardFile(c.dir, ns.seq, i, sh.engine)
-			if err != nil {
-				return err
-			}
-			sh.file = file
+			unsaved = append(unsaved, i)
 		}
+	}
+	// Each file is encoded, written and fsynced on its own, so fresh shards
+	// overlap their disk waits as well as their encoding.
+	err := fanout.Do(len(unsaved), func(u int) error {
+		i := unsaved[u]
+		file, err := writeShardFile(c.dir, ns.seq, i, ns.shards[i].engine)
+		ns.shards[i].file = file
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	m := &manifest{Version: manifestVersion, Name: c.name, Seq: ns.seq}
+	for _, sh := range ns.shards {
 		m.Shards = append(m.Shards, manifestShard{
 			Name:       sh.name,
 			File:       sh.file,

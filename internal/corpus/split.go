@@ -42,13 +42,40 @@ type record struct {
 // than parts documents when there are fewer records.  parts <= 1, or a
 // document with a single record, returns d itself unsplit.
 func SplitDocument(d *doc.Document, parts int) ([]*doc.Document, error) {
-	if parts <= 1 {
+	plan := planSplit(d, parts)
+	if plan == nil {
 		return []*doc.Document{d}, nil
+	}
+	out := make([]*doc.Document, len(plan.groups))
+	for i := range out {
+		sd, err := plan.part(i)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = sd
+	}
+	return out, nil
+}
+
+// splitPlan is the cheap half of a split — which records go to which part.
+// Rendering and re-parsing a part (the expensive half) reads only the
+// immutable source document, so parts may be produced concurrently.
+type splitPlan struct {
+	d      *doc.Document
+	attrs  []doc.NodeID // root attribute children, replicated on every part
+	groups [][]record   // the records of each part, in document order
+}
+
+// planSplit partitions d's records as SplitDocument describes; nil means d
+// stays unsplit.
+func planSplit(d *doc.Document, parts int) *splitPlan {
+	if parts <= 1 {
+		return nil
 	}
 	root := d.Root()
 
 	var level1 []doc.NodeID // element children of the root, document order
-	var attrs []doc.NodeID  // root attribute children, replicated on every part
+	var attrs []doc.NodeID
 	for c := d.FirstChild(root); c != doc.None; c = d.NextSibling(c) {
 		if d.Kind(c) == doc.Attribute {
 			attrs = append(attrs, c)
@@ -82,7 +109,7 @@ func SplitDocument(d *doc.Document, parts int) ([]*doc.Document, error) {
 		records = expanded
 	}
 	if len(records) <= 1 {
-		return []*doc.Document{d}, nil
+		return nil
 	}
 	if parts > len(records) {
 		parts = len(records)
@@ -98,13 +125,12 @@ func SplitDocument(d *doc.Document, parts int) ([]*doc.Document, error) {
 	}
 	target := float64(total) / float64(parts)
 
-	var out []*doc.Document
+	plan := &splitPlan{d: d, attrs: attrs}
 	start := 0
 	acc := 0
-	part := 0
 	for i := range records {
 		acc += sizes[i]
-		remainingParts := parts - part - 1
+		remainingParts := parts - len(plan.groups) - 1
 		if remainingParts == 0 {
 			break // the last part takes everything left
 		}
@@ -115,22 +141,13 @@ func SplitDocument(d *doc.Document, parts int) ([]*doc.Document, error) {
 			cut = true
 		}
 		if cut {
-			sd, err := wrapRecords(d, part, attrs, records[start:i+1])
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, sd)
+			plan.groups = append(plan.groups, records[start:i+1])
 			start = i + 1
 			acc = 0
-			part++
 		}
 	}
-	sd, err := wrapRecords(d, part, attrs, records[start:])
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, sd)
-	return out, nil
+	plan.groups = append(plan.groups, records[start:])
+	return plan
 }
 
 // SplitReader parses XML from r and splits it into parts shard documents;
@@ -161,10 +178,11 @@ func openTag(d *doc.Document, b *strings.Builder, n doc.NodeID) {
 	b.WriteByte('\n')
 }
 
-// wrapRecords renders the records — re-opening their containers as the
-// group crosses container boundaries — under a copy of the root element and
-// re-parses the fragment into a standalone document.
-func wrapRecords(d *doc.Document, part int, attrs []doc.NodeID, records []record) (*doc.Document, error) {
+// part renders the records of part number part — re-opening their
+// containers as the group crosses container boundaries — under a copy of the
+// root element and re-parses the fragment into a standalone document.
+func (p *splitPlan) part(part int) (*doc.Document, error) {
+	d, attrs, records := p.d, p.attrs, p.groups[part]
 	if len(records) == 0 {
 		return nil, fmt.Errorf("corpus: split produced an empty part %d", part)
 	}

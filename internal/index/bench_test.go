@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"lotusx/internal/dataset"
 	"lotusx/internal/doc"
 )
 
@@ -93,4 +94,22 @@ func BenchmarkBuildCompressed(b *testing.B) {
 			BuildCompressed(d)
 		}
 	})
+}
+
+// BenchmarkBuild measures the raw index build — streams, postings, exact
+// map and the per-tag value tries — over each synthetic dataset at the scale
+// the live-server benchmark serves (docs/PERFORMANCE.md, "Start-up").
+func BenchmarkBuild(b *testing.B) {
+	for _, k := range dataset.Kinds {
+		d, err := dataset.Build(k, 20, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(string(k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Build(d)
+			}
+		})
+	}
 }

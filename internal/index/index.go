@@ -77,49 +77,82 @@ func (ix *Index) ExtDewey() (*xlabel.Transducer, *xlabel.Arena) {
 	return ix.xlabelTrans, ix.xlabelLabels
 }
 
-// Build constructs the index for d.
+// Build constructs the index for d.  It runs on the calling goroutine only:
+// an ingest or compaction job that builds beside live readers takes one
+// core, and whole-dataset builds parallelize across documents instead
+// (internal/fanout).
 func Build(d *doc.Document) *Index {
+	ix := newRaw(d)
+	ix.postings = make(map[string][]doc.NodeID)
+	ix.scanValues(func(n doc.NodeID, v string) {
+		ix.valued++
+		eachToken(v, func(tok string, _, _ int) {
+			// Postings are in document order, so a token repeated inside
+			// one value is a duplicate exactly when its list already ends
+			// in n.
+			list := ix.postings[tok]
+			if len(list) == 0 || list[len(list)-1] != n {
+				ix.postings[tok] = append(list, n)
+			}
+		})
+	})
+	return ix
+}
+
+// newRaw starts a raw index over d with its tag streams and tag trie — the
+// structures that need only the tag of every node.  A counting pass sizes
+// the streams exactly, carved out of one backing array.
+func newRaw(d *doc.Document) *Index {
+	ntags := d.Tags().Len()
 	ix := &Index{
 		document:   d,
-		streams:    make([][]doc.NodeID, d.Tags().Len()),
-		postings:   make(map[string][]doc.NodeID),
+		streams:    make([][]doc.NodeID, ntags),
 		exact:      make(map[string][]doc.NodeID),
 		tagTrie:    trie.New(),
 		valueTries: make(map[doc.TagID]*trie.Trie),
+	}
+	counts := make([]int, ntags)
+	for i := 0; i < d.Len(); i++ {
+		counts[d.Tag(doc.NodeID(i))]++
+	}
+	backing := make([]doc.NodeID, d.Len())
+	off := 0
+	for tag, c := range counts {
+		ix.streams[tag] = backing[off : off : off+c]
+		off += c
 	}
 	for i := 0; i < d.Len(); i++ {
 		n := doc.NodeID(i)
 		tag := d.Tag(n)
 		ix.streams[tag] = append(ix.streams[tag], n)
+	}
+	for id := doc.TagID(0); int(id) < ntags; id++ {
+		ix.tagTrie.Insert(d.Tags().Name(id), int64(counts[id]), int32(id))
+	}
+	return ix
+}
 
+// scanValues fills the exact map and the per-tag value tries from every
+// valued node in document order, handing each to visit as well.
+func (ix *Index) scanValues(visit func(n doc.NodeID, v string)) {
+	d := ix.document
+	for i := 0; i < d.Len(); i++ {
+		n := doc.NodeID(i)
 		v := d.Value(n)
 		if v == "" {
 			continue
 		}
-		ix.valued++
 		lower := foldValue(v)
 		ix.exact[lower] = append(ix.exact[lower], n)
-
-		seen := make(map[string]struct{})
-		for _, tok := range Tokenize(v) {
-			if _, dup := seen[tok]; dup {
-				continue
-			}
-			seen[tok] = struct{}{}
-			ix.postings[tok] = append(ix.postings[tok], n)
-		}
-
+		tag := d.Tag(n)
 		vt := ix.valueTries[tag]
 		if vt == nil {
 			vt = trie.New()
 			ix.valueTries[tag] = vt
 		}
 		vt.Insert(lower, 1, int32(n))
+		visit(n, v)
 	}
-	for id := doc.TagID(0); int(id) < d.Tags().Len(); id++ {
-		ix.tagTrie.Insert(d.Tags().Name(id), int64(len(ix.streams[id])), int32(id))
-	}
-	return ix
 }
 
 // Document returns the indexed document.

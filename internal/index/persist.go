@@ -10,7 +10,6 @@ import (
 	"io"
 
 	"lotusx/internal/doc"
-	"lotusx/internal/trie"
 )
 
 // Typed load failures.  Callers (the corpus manifest loader, the server's
@@ -148,49 +147,7 @@ func (ix *Index) saveFullCompressed(w io.Writer) error {
 
 // LoadFull reads an index written by SaveFull, verifying the checksum.
 func LoadFull(r io.Reader) (*Index, error) {
-	magic := make([]byte, len(fullMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, fmt.Errorf("index: reading magic: %w", err)
-	}
-	if string(magic) != fullMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic)
-	}
-	var hdr [16]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: reading header: %v", ErrCorrupt, err)
-	}
-	version := binary.LittleEndian.Uint32(hdr[0:4])
-	if version != fullVersion && version != fullVersionFlags {
-		return nil, fmt.Errorf("%w: got %d, want %d or %d", ErrBadVersion, version, fullVersion, fullVersionFlags)
-	}
-	plen := binary.LittleEndian.Uint64(hdr[4:12])
-	if plen > 1<<34 {
-		return nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, plen)
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: truncated payload: %v", ErrCorrupt, err)
-	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(hdr[12:16]); got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-
-	var flags uint32
-	if version == fullVersionFlags {
-		if len(payload) < 4 {
-			return nil, fmt.Errorf("%w: payload too short", ErrCorrupt)
-		}
-		flags = binary.LittleEndian.Uint32(payload[:4])
-		payload = payload[4:]
-	}
-	if len(payload) < 8 {
-		return nil, fmt.Errorf("%w: payload too short", ErrCorrupt)
-	}
-	docLen := binary.LittleEndian.Uint64(payload[:8])
-	if docLen > uint64(len(payload)-8) {
-		return nil, fmt.Errorf("%w: document length %d", ErrCorrupt, docLen)
-	}
-	d, err := doc.Load(bytes.NewReader(payload[8 : 8+docLen]))
+	d, flags, rest, err := readFull(r)
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +157,72 @@ func LoadFull(r io.Reader) (*Index, error) {
 		// view of the shard in agreement even for borderline documents.
 		return BuildWith(d, BuildOptions{ForceCompress: true}), nil
 	}
-	br := bytes.NewReader(payload[8+docLen:])
+	return loadPostings(d, rest)
+}
+
+// LoadFullDocument reads only the document of a file written by SaveFull,
+// verifying the checksum — for callers that will index it differently (as
+// shards, or on another substrate) and so have no use for the stored one.
+func LoadFullDocument(r io.Reader) (*doc.Document, error) {
+	d, _, _, err := readFull(r)
+	return d, err
+}
+
+// readFull verifies a SaveFull file and decodes its document, returning the
+// payload flags and the postings section that follows the document.
+func readFull(r io.Reader) (d *doc.Document, flags uint32, rest []byte, err error) {
+	magic := make([]byte, len(fullMagic))
+	if _, err := io.ReadFull(r, magic); err != nil {
+		return nil, 0, nil, fmt.Errorf("index: reading magic: %w", err)
+	}
+	if string(magic) != fullMagic {
+		return nil, 0, nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic)
+	}
+	var hdr [16]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, 0, nil, fmt.Errorf("%w: reading header: %v", ErrCorrupt, err)
+	}
+	version := binary.LittleEndian.Uint32(hdr[0:4])
+	if version != fullVersion && version != fullVersionFlags {
+		return nil, 0, nil, fmt.Errorf("%w: got %d, want %d or %d", ErrBadVersion, version, fullVersion, fullVersionFlags)
+	}
+	plen := binary.LittleEndian.Uint64(hdr[4:12])
+	if plen > 1<<34 {
+		return nil, 0, nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, plen)
+	}
+	payload := make([]byte, plen)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, 0, nil, fmt.Errorf("%w: truncated payload: %v", ErrCorrupt, err)
+	}
+	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(hdr[12:16]); got != want {
+		return nil, 0, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+
+	if version == fullVersionFlags {
+		if len(payload) < 4 {
+			return nil, 0, nil, fmt.Errorf("%w: payload too short", ErrCorrupt)
+		}
+		flags = binary.LittleEndian.Uint32(payload[:4])
+		payload = payload[4:]
+	}
+	if len(payload) < 8 {
+		return nil, 0, nil, fmt.Errorf("%w: payload too short", ErrCorrupt)
+	}
+	docLen := binary.LittleEndian.Uint64(payload[:8])
+	if docLen > uint64(len(payload)-8) {
+		return nil, 0, nil, fmt.Errorf("%w: document length %d", ErrCorrupt, docLen)
+	}
+	d, err = doc.Load(bytes.NewReader(payload[8 : 8+docLen]))
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return d, flags, payload[8+docLen:], nil
+}
+
+// loadPostings decodes the postings section of a raw SaveFull payload and
+// assembles the index around it.
+func loadPostings(d *doc.Document, section []byte) (*Index, error) {
+	br := bytes.NewReader(section)
 	var scratch [4]byte
 	u32 := func() (uint32, error) {
 		if _, err := io.ReadFull(br, scratch[:]); err != nil {
@@ -265,34 +287,9 @@ func LoadFull(r io.Reader) (*Index, error) {
 // exact map, tries) from the document, reusing the persisted postings so no
 // value is re-tokenized.
 func rebuildFromParts(d *doc.Document, postings map[string][]doc.NodeID, valued int) *Index {
-	ix := &Index{
-		document:   d,
-		streams:    make([][]doc.NodeID, d.Tags().Len()),
-		postings:   postings,
-		exact:      make(map[string][]doc.NodeID),
-		tagTrie:    trie.New(),
-		valueTries: make(map[doc.TagID]*trie.Trie),
-		valued:     valued,
-	}
-	for i := 0; i < d.Len(); i++ {
-		n := doc.NodeID(i)
-		tag := d.Tag(n)
-		ix.streams[tag] = append(ix.streams[tag], n)
-		v := d.Value(n)
-		if v == "" {
-			continue
-		}
-		lower := foldValue(v)
-		ix.exact[lower] = append(ix.exact[lower], n)
-		vt := ix.valueTries[tag]
-		if vt == nil {
-			vt = trie.New()
-			ix.valueTries[tag] = vt
-		}
-		vt.Insert(lower, 1, int32(n))
-	}
-	for id := doc.TagID(0); int(id) < d.Tags().Len(); id++ {
-		ix.tagTrie.Insert(d.Tags().Name(id), int64(len(ix.streams[id])), int32(id))
-	}
+	ix := newRaw(d)
+	ix.postings = postings
+	ix.valued = valued
+	ix.scanValues(func(doc.NodeID, string) {})
 	return ix
 }

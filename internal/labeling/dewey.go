@@ -79,6 +79,18 @@ func (a *DeweyArena) Append(label Dewey) int32 {
 	return int32(len(a.offs) - 2)
 }
 
+// Fit releases capacity that NewDeweyArena's hints reserved well beyond the
+// labels appended (a text-heavy document has far fewer nodes than its size
+// suggests); slack within what append growth leaves anyway stays.
+func (a *DeweyArena) Fit() {
+	if cap(a.offs)-len(a.offs) > len(a.offs)/4 {
+		a.offs = append(make([]int32, 0, len(a.offs)), a.offs...)
+	}
+	if cap(a.digits)-len(a.digits) > len(a.digits)/4 {
+		a.digits = append(make([]int32, 0, len(a.digits)), a.digits...)
+	}
+}
+
 // At returns the label of node i.  The result aliases the arena; callers
 // must not modify it.
 func (a *DeweyArena) At(i int32) Dewey {

@@ -17,6 +17,9 @@ type Entry struct {
 }
 
 type node struct {
+	// children is nil until the first child arrives: most nodes of a value
+	// trie sit on an unshared tail and the last one never has a child, so
+	// readers must treat a nil map as empty (lookups and range both do).
 	children map[rune]*node
 	// entry payload; present iff terminal.
 	terminal bool
@@ -27,7 +30,7 @@ type node struct {
 	maxWeight int64
 }
 
-func newNode() *node { return &node{children: make(map[rune]*node), datum: -1} }
+func newNode() *node { return &node{datum: -1} }
 
 // Trie is a weighted prefix tree.  It is not safe for concurrent mutation;
 // after the last Insert it is safe for concurrent readers.
@@ -42,17 +45,24 @@ func New() *Trie { return &Trie{root: newNode()} }
 // Len returns the number of distinct words stored.
 func (t *Trie) Len() int { return t.size }
 
+// insertPathHint sizes Insert's on-stack root path; longer words spill to
+// the heap.
+const insertPathHint = 64
+
 // Insert adds word with the given weight and payload.  Inserting an existing
 // word adds the weight to the stored weight (and keeps the existing payload),
 // so repeated insertions accumulate occurrence counts.
 func (t *Trie) Insert(word string, weight int64, datum int32) {
 	cur := t.root
-	var path []*node
-	path = append(path, cur)
+	var buf [insertPathHint]*node
+	path := append(buf[:0], cur)
 	for _, r := range word {
 		next, ok := cur.children[r]
 		if !ok {
 			next = newNode()
+			if cur.children == nil {
+				cur.children = make(map[rune]*node)
+			}
 			cur.children[r] = next
 		}
 		cur = next

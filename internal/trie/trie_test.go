@@ -3,6 +3,7 @@ package trie
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -251,5 +252,40 @@ func TestUnicodeWords(t *testing.T) {
 	}
 	if !tr.Contains("日本語") {
 		t.Fatal("unicode word missing")
+	}
+}
+
+// TestLeafAllocatesNoChildrenMap pins the lazy children maps: a node gets
+// its map with its first child, so the last node of every word — most of a
+// value trie's nodes sit on unshared tails — carries none, and every reader
+// still works on the nil map.
+func TestLeafAllocatesNoChildrenMap(t *testing.T) {
+	tr := New()
+	tr.Insert("ab", 2, 7)
+	leaf := tr.descend("ab")
+	if leaf == nil || leaf.children != nil {
+		t.Fatalf("leaf = %+v, want a node with a nil children map", leaf)
+	}
+	if tr.descend("a").children == nil {
+		t.Fatal("inner node lost its children map")
+	}
+	want := []Entry{{Word: "ab", Weight: 2, Datum: 7}}
+	if got := tr.Complete("ab", 5); !reflect.DeepEqual(got, want) {
+		t.Errorf("Complete at the leaf = %v, want %v", got, want)
+	}
+	if got := tr.FuzzyComplete("abx", 1, 5); !reflect.DeepEqual(got, want) {
+		t.Errorf("FuzzyComplete past the leaf = %v, want %v", got, want)
+	}
+	if tr.Contains("abc") || tr.Weight("abc") != 0 {
+		t.Error("lookup below the leaf found a word")
+	}
+	var walked []Entry
+	tr.Walk(func(e Entry) bool { walked = append(walked, e); return true })
+	if !reflect.DeepEqual(walked, want) {
+		t.Errorf("Walk = %v, want %v", walked, want)
+	}
+	tr.Insert("abc", 1, 8) // growing below a former leaf allocates its map
+	if got := tr.Complete("abc", 5); len(got) != 1 || got[0].Word != "abc" {
+		t.Errorf("Complete after extending the leaf = %v", got)
 	}
 }
