@@ -9,7 +9,7 @@ RACE_PKGS := ./internal/server/... ./internal/core/... ./internal/corpus/... ./i
 	./internal/join/... ./internal/index/... ./internal/ingest/... ./internal/remote/... \
 	./internal/httpmw/... ./internal/trie/... ./internal/fanout/... ./cmd/lotusx-server/...
 
-.PHONY: check build vet test race api-check bench-check bench profile clean
+.PHONY: check build vet test race api-check bench-check loc bench profile clean
 
 check: build vet test race api-check bench-check
 
@@ -24,6 +24,18 @@ api-check:
 # it and run its smoke tests (-short skips the ones that start live servers).
 bench-check:
 	cd benchmark && $(GO) vet . && $(GO) test -short .
+
+# Non-test Go lines outside benchmark/, per top-level package and in total:
+# the number ROADMAP item 5 ("down by >= 10 %") is measured with.  CI prints
+# it on every PR.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 wc -l \
+		| awk '$$2 != "total" { n = split($$2, p, "/"); \
+			pkg = n <= 2 ? "." : (n == 3 ? p[2] : p[2] "/" p[3]); \
+			lines[pkg] += $$1; total += $$1 } \
+			END { for (pkg in lines) printf "%7d %s\n", lines[pkg], pkg | "sort -k2"; \
+			close("sort -k2"); printf "%7d total\n", total }'
 
 build:
 	$(GO) build ./...

@@ -93,8 +93,6 @@ func main() {
 		"delta shards per dataset before a background compaction is scheduled; 0 means the default (4), negative disables auto-compaction")
 	maxIngestBytes := flag.Int64("max-ingest-bytes", 0,
 		"largest accepted ingest body; 0 means the default (256 MiB)")
-	legacyRoutes := flag.String("legacy-routes", "on",
-		"serve unversioned /api/... aliases: on (with Sunset headers) or off (410 Gone)")
 	mode := flag.String("mode", "serve",
 		"role: \"serve\" (standalone), \"shard\" (serve one document slice to a router), \"router\" (fan out over -shard-servers)")
 	slice := flag.String("slice", "0/1",
@@ -136,11 +134,6 @@ func main() {
 		BreakerThreshold: *breakerFailures,
 		BreakerCooldown:  *breakerCooldown,
 	}
-	switch *legacyRoutes {
-	case "on", "off":
-	default:
-		fatal(fmt.Errorf("bad -legacy-routes %q: want on or off", *legacyRoutes))
-	}
 	tracker, err := buildSLO(*sloSearchP99, *sloAvailability)
 	if err != nil {
 		fatal(err)
@@ -164,7 +157,6 @@ func main() {
 		IngestQueue:            *ingestQueue,
 		CompactThreshold:       *compactThreshold,
 		MaxIngestBytes:         *maxIngestBytes,
-		DisableLegacyRoutes:    *legacyRoutes == "off",
 		TraceCapacity:          *traceCapacity,
 		TraceSampleEvery:       *traceSampleEvery,
 		SLO:                    tracker,

@@ -147,7 +147,7 @@ func (w *backend) SearchHits(ctx context.Context, q *twig.Query, opts core.Searc
 // prefix-extension fast path.
 func (w *backend) CompleteTags(ctx context.Context, q *twig.Query, anchor int, axis twig.Axis, prefix string, k int) ([]complete.Candidate, error) {
 	return w.completions(ctx, 'T', complete.AnchorChain(q, anchor), axis, prefix, k,
-		func() ([]complete.Candidate, error) {
+		func(ctx context.Context) ([]complete.Candidate, error) {
 			return w.Backend.CompleteTags(ctx, q, anchor, axis, prefix, k)
 		})
 }
@@ -156,7 +156,7 @@ func (w *backend) CompleteTags(ctx context.Context, q *twig.Query, anchor int, a
 // prefix-extension fast path.
 func (w *backend) CompleteValues(ctx context.Context, q *twig.Query, focus int, prefix string, k int) ([]complete.Candidate, error) {
 	return w.completions(ctx, 'V', complete.AnchorChain(q, focus), 0, prefix, k,
-		func() ([]complete.Candidate, error) {
+		func(ctx context.Context) ([]complete.Candidate, error) {
 			return w.Backend.CompleteValues(ctx, q, focus, prefix, k)
 		})
 }
@@ -164,9 +164,9 @@ func (w *backend) CompleteValues(ctx context.Context, q *twig.Query, focus int, 
 // completions is the shared cache path of CompleteTags/CompleteValues:
 // exact-key hit, then prefix-extension from a complete shorter-prefix
 // entry, then the real computation under singleflight.
-func (w *backend) completions(ctx context.Context, kind byte, chain string, axis twig.Axis, prefix string, k int, ask func() ([]complete.Candidate, error)) ([]complete.Candidate, error) {
+func (w *backend) completions(ctx context.Context, kind byte, chain string, axis twig.Axis, prefix string, k int, ask func(context.Context) ([]complete.Candidate, error)) ([]complete.Candidate, error) {
 	if w.set.completions == nil || Bypassed(ctx) || k <= 0 {
-		return ask()
+		return ask(ctx)
 	}
 	// Both completion filters compare against the lowercased prefix, so two
 	// prefixes differing only in case are the same request.
@@ -202,12 +202,16 @@ func (w *backend) completions(ctx context.Context, kind byte, chain string, axis
 	}
 
 	e, computed, err := w.set.completions.Do(ctx, key, func() (completionEntry, int64, bool, error) {
-		cands, err := ask()
+		actx, degraded := core.WithDegradedCell(ctx)
+		cands, err := ask(actx)
 		if err != nil {
 			return completionEntry{}, 0, false, err
 		}
 		ent := completionEntry{cands: cands, complete: isComplete(cands, k)}
-		cacheable := ctx.Err() == nil && w.Backend.Generation() == gen
+		// Never cache a list merged without some of its shards (the backend
+		// marks the cell), one cut short by a dying context, or one that
+		// raced a snapshot publish.
+		cacheable := !degraded.Load() && ctx.Err() == nil && w.Backend.Generation() == gen
 		return ent, candsCost(cands), cacheable, nil
 	})
 	if err != nil {

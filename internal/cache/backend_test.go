@@ -411,6 +411,75 @@ func TestPartialResultsNeverCached(t *testing.T) {
 	}
 }
 
+// TestDegradedCompletionsNeverCached quarantines one of four shards: while
+// its breaker is open every completion is merged from the three survivors
+// and must be recomputed — never stored, never the parent of a prefix
+// extension — and once the breaker is reset the whole answer is computed
+// fresh and only then cached.
+func TestDegradedCompletionsNeverCached(t *testing.T) {
+	reg := faults.New()
+	d := mustDoc(t, "bib", bibXML)
+	raw, err := corpus.FromDocument("bib", d, 4, corpus.Config{
+		Faults: reg,
+		Tuning: corpus.Tuning{BreakerThreshold: 1, BreakerCooldown: time.Hour},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := raw.Snapshot().Len(); n != 4 {
+		t.Fatalf("shards = %d, want 4", n)
+	}
+	set := newSet(t)
+	counted, wrapped := wrapCounting(raw, set)
+	ctx := context.Background()
+	anchorQ := mustParse(t, "//dblp")
+	anchor := anchorQ.OutputNode().ID
+	tags := func(b core.Backend, prefix string) string {
+		t.Helper()
+		cands, err := b.CompleteTags(ctx, anchorQ.Clone(), anchor, twig.Child, prefix, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, _ := json.Marshal(cands)
+		return string(j)
+	}
+	whole := tags(raw, "")
+
+	// Trip the victim's breaker through the search fault site.
+	victim := raw.Snapshot().Names()[0]
+	reg.Enable(faults.Injection{Site: corpus.FaultShardSearch, Keys: []string{victim}, Err: errors.New("injected shard failure")})
+	if res, err := raw.SearchHits(ctx, mustParse(t, "//article/title"), core.SearchOptions{K: 10}); err != nil || !res.Partial {
+		t.Fatalf("tripping search: partial=%v err=%v", res != nil && res.Partial, err)
+	}
+	reg.Disable(corpus.FaultShardSearch)
+	if q := raw.QuarantinedShards(); len(q) != 1 || q[0] != victim {
+		t.Fatalf("quarantined = %v, want [%s]", q, victim)
+	}
+
+	for i := 0; i < 2; i++ {
+		if got := tags(wrapped, ""); got == whole {
+			t.Fatalf("call %d: answer %s counts the quarantined shard", i, got)
+		}
+	}
+	tags(wrapped, "a") // a degraded "" entry must not answer this by filtering
+	if n := counted.completes.Load(); n != 3 {
+		t.Fatalf("backend completed %d times; want 3 (degraded answers must not be cached)", n)
+	}
+
+	if err := raw.ResetShardHealth(victim); err != nil {
+		t.Fatal(err)
+	}
+	if got := tags(wrapped, ""); got != whole {
+		t.Fatalf("after reset: %s, want the four-shard answer %s", got, whole)
+	}
+	if got := tags(wrapped, ""); got != whole {
+		t.Fatalf("warm after reset: %s, want %s", got, whole)
+	}
+	if n := counted.completes.Load(); n != 4 {
+		t.Fatalf("backend completed %d times; want 4 (whole answer cached after reset)", n)
+	}
+}
+
 // TestBypassSkipsCache: a bypassed context must neither read nor write.
 func TestBypassSkipsCache(t *testing.T) {
 	d := mustDoc(t, "bib", bibXML)

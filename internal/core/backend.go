@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync/atomic"
 	"time"
 
 	"lotusx/internal/complete"
@@ -235,4 +236,24 @@ func (e *Engine) CompleteValues(ctx context.Context, q *twig.Query, focus int, p
 // ExplainTags implements Backend.
 func (e *Engine) ExplainTags(ctx context.Context, q *twig.Query, anchor int, axis twig.Axis, tag string, max int) ([]complete.Occurrence, error) {
 	return e.completer.ExplainTagContext(ctx, q, anchor, axis, tag, max)
+}
+
+// degradedKey carries the cell a Backend marks when the answer it is
+// computing is degraded — merged without some of its shards.  It travels on
+// the context because the completion methods above have no result field to
+// say so (search has HitResult.Partial); the completion cache installs a
+// cell before asking and does not store an answer that marked it.
+type degradedKey struct{}
+
+// WithDegradedCell returns a context carrying a fresh, unset cell.
+func WithDegradedCell(ctx context.Context) (context.Context, *atomic.Bool) {
+	cell := new(atomic.Bool)
+	return context.WithValue(ctx, degradedKey{}, cell), cell
+}
+
+// MarkDegraded sets the context's cell, if a caller installed one.
+func MarkDegraded(ctx context.Context) {
+	if cell, ok := ctx.Value(degradedKey{}).(*atomic.Bool); ok {
+		cell.Store(true)
+	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // ShardBackend is one evaluatable shard of a corpus — the seam between the
-// fan-out machinery (worker pool, retries, budgets, breakers, merge) and
+// fan-out machinery (scatter: retries, budgets, breakers; the merges) and
 // where a shard actually lives.  The in-process engine shard (localShard) is
 // the first implementation; internal/remote.Shard speaks the same interface
 // over HTTP to a shard server, which is how one corpus fans out across

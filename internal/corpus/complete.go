@@ -2,7 +2,6 @@ package corpus
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"lotusx/internal/complete"
@@ -11,7 +10,8 @@ import (
 )
 
 // Completion across shards: every shard proposes candidates from its own
-// DataGuide and tries, then the corpus merges them by summed weight.  A
+// DataGuide and tries — called under the shard call discipline (scatter.go),
+// like a search — then the corpus merges them by summed weight.  A
 // merged count sums the shards where the candidate surfaced; to keep the
 // merged top k faithful to the whole-document ranking, each shard is asked
 // for k×shards candidates (see mergeAskK) — a candidate would have to fall
@@ -22,16 +22,16 @@ import (
 
 // CompleteTags implements core.Backend.
 func (c *Corpus) CompleteTags(ctx context.Context, q *twig.Query, anchor int, axis twig.Axis, prefix string, k int) ([]complete.Candidate, error) {
-	return c.mergeCandidates(ctx, k, func(be ShardBackend, sq *twig.Query, askK int) ([]complete.Candidate, error) {
-		return be.CompleteTags(ctx, sq, anchor, axis, prefix, askK)
-	}, q)
+	return c.mergeCandidates(ctx, k, func(ctx context.Context, be ShardBackend, askK int) ([]complete.Candidate, error) {
+		return be.CompleteTags(ctx, cloneQuery(q), anchor, axis, prefix, askK)
+	})
 }
 
 // CompleteValues implements core.Backend.
 func (c *Corpus) CompleteValues(ctx context.Context, q *twig.Query, focus int, prefix string, k int) ([]complete.Candidate, error) {
-	return c.mergeCandidates(ctx, k, func(be ShardBackend, sq *twig.Query, askK int) ([]complete.Candidate, error) {
-		return be.CompleteValues(ctx, sq, focus, prefix, askK)
-	}, q)
+	return c.mergeCandidates(ctx, k, func(ctx context.Context, be ShardBackend, askK int) ([]complete.Candidate, error) {
+		return be.CompleteValues(ctx, cloneQuery(q), focus, prefix, askK)
+	})
 }
 
 // mergeAskKCap bounds the widened per-shard ask so a large k over a wide
@@ -53,87 +53,38 @@ func mergeAskK(k, shards int) int {
 	return askK
 }
 
-// forEachShard applies ask to every shard of the pinned snapshot under the
-// same breaker discipline as the search fan-out: a quarantined shard is
-// skipped (under failfast the request fails with its QuarantineError), a
-// failed ask advances the shard's breaker and the merge degrades to the
-// survivors, and when no shard answered the request fails — preferring the
-// quarantine error when breakers caused it — never an empty success.  A
-// context casualty with the caller's context dead is no verdict on a shard.
-func (c *Corpus) forEachShard(ctx context.Context, snap *Snapshot, ask func(sh *shard) error) error {
-	failfast := c.tuning.Policy == PolicyFailFast
-	var (
-		answered int
-		lastErr  error
-		quarErr  error
-	)
-	for _, sh := range snap.shards {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		name := sh.name
-		if !c.health.allow(name) {
-			qe := &QuarantineError{Shard: name, RetryAfter: c.health.retryIn(name)}
-			if failfast {
-				return qe
-			}
-			if quarErr == nil {
-				quarErr = qe
-			}
-			continue
-		}
-		if err := ask(sh); err != nil {
-			if isCtxErr(err) && ctx.Err() != nil {
-				c.health.release(name)
-				return err
-			}
-			c.health.failure(name, err)
-			wrapped := error(&ShardError{Shard: name, Err: err})
-			if failfast {
-				return wrapped
-			}
-			lastErr = wrapped
-			continue
-		}
-		c.health.success(name)
-		answered++
+// cloneQuery hands each shard call its own copy of the (possibly nil)
+// position query: Normalize mutates the tree.
+func cloneQuery(q *twig.Query) *twig.Query {
+	if q == nil {
+		return nil
 	}
-	if answered == 0 && len(snap.shards) > 0 {
-		switch {
-		case lastErr != nil:
-			return fmt.Errorf("corpus: all %d shard(s) of %s failed: %w", len(snap.shards), c.name, lastErr)
-		case quarErr != nil:
-			return quarErr
-		}
-	}
-	return nil
+	return q.Clone()
 }
 
-// mergeCandidates runs ask on every shard backend of the pinned snapshot
-// (sequentially — completion is sub-millisecond per local shard, and remote
-// backends answer their own k-widened ask in one round trip each) and merges
-// by (Text, Kind) with summed counts.
-func (c *Corpus) mergeCandidates(ctx context.Context, k int, ask func(ShardBackend, *twig.Query, int) ([]complete.Candidate, error), q *twig.Query) ([]complete.Candidate, error) {
+// mergeCandidates scatters ask over the pinned snapshot's shards — wide only
+// when they are remote, each answering its k-widened ask in one round trip;
+// a local shard's answer costs less than a second goroutine — and merges by
+// (Text, Kind) with summed counts.
+func (c *Corpus) mergeCandidates(ctx context.Context, k int, ask func(context.Context, ShardBackend, int) ([]complete.Candidate, error)) ([]complete.Candidate, error) {
 	snap := c.Snapshot()
 	sp, ctx := obs.Start(ctx, "complete:merge")
-	sp.SetInt("shards", len(snap.shards))
 	defer sp.End()
 	askK := mergeAskK(k, len(snap.shards))
+	parts, _, err := scatter(ctx, c, snap, FaultShardComplete, c.remote, func(ctx context.Context, be ShardBackend) ([]complete.Candidate, error) {
+		return ask(ctx, be, askK)
+	})
+	if err != nil {
+		sp.SetErr(err)
+		return nil, err
+	}
 	type key struct {
 		text string
 		kind complete.Kind
 	}
 	acc := make(map[key]*complete.Candidate)
-	err := c.forEachShard(ctx, snap, func(sh *shard) error {
-		sq := q
-		if sq != nil {
-			sq = sq.Clone() // per-shard clone: Normalize mutates the tree
-		}
-		cands, err := ask(sh.be(), sq, askK)
-		if err != nil {
-			return err
-		}
-		for _, cand := range cands {
+	for _, g := range parts {
+		for _, cand := range g.val {
 			kk := key{cand.Text, cand.Kind}
 			if got := acc[kk]; got != nil {
 				got.Count += cand.Count
@@ -144,10 +95,6 @@ func (c *Corpus) mergeCandidates(ctx context.Context, k int, ask func(ShardBacke
 				acc[kk] = &cc
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 
 	exactSeen := false
@@ -180,23 +127,20 @@ func (c *Corpus) mergeCandidates(ctx context.Context, k int, ask func(ShardBacke
 // path with summed counts, most frequent path first.
 func (c *Corpus) ExplainTags(ctx context.Context, q *twig.Query, anchor int, axis twig.Axis, tag string, max int) ([]complete.Occurrence, error) {
 	snap := c.Snapshot()
-	acc := make(map[string]int)
-	err := c.forEachShard(ctx, snap, func(sh *shard) error {
-		sq := q
-		if sq != nil {
-			sq = sq.Clone()
-		}
-		occs, err := sh.be().ExplainTags(ctx, sq, anchor, axis, tag, 0)
-		if err != nil {
-			return err
-		}
-		for _, o := range occs {
-			acc[o.Path] += o.Count
-		}
-		return nil
+	sp, ctx := obs.Start(ctx, "explain:merge")
+	defer sp.End()
+	parts, _, err := scatter(ctx, c, snap, FaultShardComplete, c.remote, func(ctx context.Context, be ShardBackend) ([]complete.Occurrence, error) {
+		return be.ExplainTags(ctx, cloneQuery(q), anchor, axis, tag, 0)
 	})
 	if err != nil {
+		sp.SetErr(err)
 		return nil, err
+	}
+	acc := make(map[string]int)
+	for _, g := range parts {
+		for _, o := range g.val {
+			acc[o.Path] += o.Count
+		}
 	}
 	out := make([]complete.Occurrence, 0, len(acc))
 	for p, n := range acc {

@@ -1,7 +1,7 @@
 // Package corpus manages a dataset as a set of shards — each shard an
 // independent document + index + engine — behind one queryable façade.
-// Query evaluation fans out across shards on a bounded worker pool and
-// merges per-shard ranked matches into a single globally ranked page;
+// Every read fans out across shards under one call discipline (scatter.go):
+// search merges per-shard ranked matches into a single globally ranked page,
 // completion merges candidates by summed weight.
 //
 // The shard set is mutable while serving: Add/Remove/Reindex build new
@@ -22,7 +22,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -150,8 +149,6 @@ type Tuning struct {
 
 // Config tunes a Corpus.
 type Config struct {
-	// Workers bounds the fan-out worker pool; 0 means GOMAXPROCS.
-	Workers int
 	// Dir, when non-empty, persists the corpus there (manifest + per-shard
 	// full-index files) on every publish.
 	Dir string
@@ -178,14 +175,13 @@ type Config struct {
 
 // Corpus is a mutable, concurrently queryable shard set.
 type Corpus struct {
-	name    string
-	dir     string
-	workers int
-	met     *metrics.CorpusMetrics
-	tuning  Tuning
-	health  *health // nil when breakers are disabled
-	faults  *faults.Registry
-	log     *slog.Logger
+	name   string
+	dir    string
+	met    *metrics.CorpusMetrics
+	tuning Tuning
+	health *health // nil when breakers are disabled
+	faults *faults.Registry
+	log    *slog.Logger
 	// compress opts shard builds into the DAG-compressed index substrate.
 	compress bool
 	// loadQuarantined names manifest shards Open quarantined at startup
@@ -213,7 +209,6 @@ func New(name string, cfg Config) *Corpus {
 	c := &Corpus{
 		name:     name,
 		dir:      cfg.Dir,
-		workers:  cfg.Workers,
 		met:      cfg.Metrics,
 		tuning:   cfg.Tuning,
 		faults:   cfg.Faults,
@@ -222,9 +217,6 @@ func New(name string, cfg Config) *Corpus {
 	}
 	if c.tuning.Policy == "" {
 		c.tuning.Policy = PolicyDegrade
-	}
-	if c.workers <= 0 {
-		c.workers = runtime.GOMAXPROCS(0)
 	}
 	if c.log == nil {
 		c.log = slog.Default()

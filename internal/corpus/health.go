@@ -269,16 +269,7 @@ func (h *health) quarantined(names []string) []string {
 // ShardHealth reports the breaker state of every shard in the current
 // snapshot, keyed by shard name.
 func (c *Corpus) ShardHealth() map[string]metrics.ShardHealth {
-	snap := c.Snapshot()
-	names := snap.Names()
-	if c.health == nil {
-		out := make(map[string]metrics.ShardHealth, len(names))
-		for _, n := range names {
-			out[n] = metrics.ShardHealth{State: breakerClosed}
-		}
-		return out
-	}
-	return c.health.snapshot(names)
+	return c.health.snapshot(c.Snapshot().Names())
 }
 
 // ShardHealthOf reports the named shard's breaker state, erroring when the

@@ -35,7 +35,7 @@ func mkGenDoc(t testing.TB, gen int) *doc.Document {
 // a request observing a half-applied mutation would break that.
 func TestConcurrentIngestAndQuery(t *testing.T) {
 	t.Parallel()
-	c := New("race", Config{Workers: 2})
+	c := New("race", Config{})
 	if err := c.Add("base", mkGenDoc(t, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 func TestConcurrentPersistedSwaps(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	c := New("race", Config{Dir: dir, Workers: 2})
+	c := New("race", Config{Dir: dir})
 	if err := c.Add("base", mkGenDoc(t, 0)); err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,9 @@ package corpus
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"lotusx/internal/core"
@@ -16,26 +13,13 @@ import (
 	"lotusx/internal/twig"
 )
 
-// Parallel twig fan-out and global merge.
+// Twig search across shards: fan-out and global merge.
 //
-// SearchHits pins one snapshot, clones the query per shard (twig evaluation
-// mutates stack state keyed by node IDs; Clone yields an identical
-// normalized tree, so per-shard answers speak the same ID space), and runs
-// the per-shard searches on a bounded worker pool.  What a shard failure
-// does depends on the corpus's shard policy:
-//
-//   - PolicyDegrade (default): the shard is marked failed — after one
-//     transparent retry with a jittered backoff — and the merge proceeds
-//     over the survivors; the result carries Partial plus the failed shard
-//     names.  Only when every shard fails does the request error.
-//   - PolicyFailFast: the first shard error cancels the shared context so
-//     sibling evaluations stop mid-join (the twig algorithms poll the
-//     context cooperatively) and the request fails with that error.
-//
-// Each evaluation attempt runs under a per-shard time budget (Tuning
-// .ShardTimeout, or 4/5 of the remaining request deadline when unset), and
-// each shard is gated by its circuit breaker (health.go): a quarantined
-// shard is skipped — counted failed — without burning a worker on it.
+// SearchHits pins one snapshot and scatters the normalized query over its
+// shards under the shard call discipline (scatter.go); each local shard
+// evaluates its own clone (twig evaluation mutates stack state keyed by node
+// IDs; Clone yields an identical normalized tree, so per-shard answers speak
+// the same ID space).
 //
 // Per-shard results then merge into one globally ranked page: every exact
 // answer outranks every rewrite answer (matching single-engine semantics),
@@ -43,17 +27,6 @@ import (
 // deterministic tie-breaks.  The paging contract (Total/Exact/nextOffset)
 // is computed over surviving shards only, so it holds verbatim for partial
 // answers.
-
-// FaultShardSearch names the injection site at the head of every per-shard
-// evaluation attempt; the key is the shard name.  A firing injection fails
-// (or delays) the attempt as if the shard's engine had.
-const FaultShardSearch = "corpus/shard-search"
-
-// ErrShardQuarantined marks a shard skipped because its circuit breaker is
-// open (see health.go); under the degrade policy it counts the shard among
-// the failed without spending a worker on it.  Skips wrap it in a
-// *QuarantineError carrying the cooldown remaining (see backend.go).
-var ErrShardQuarantined = errors.New("shard quarantined by circuit breaker")
 
 // SearchHits implements core.Backend over the pinned snapshot.
 func (c *Corpus) SearchHits(ctx context.Context, q *twig.Query, opts core.SearchOptions) (*core.HitResult, error) {
@@ -71,11 +44,47 @@ func (c *Corpus) SearchHits(ctx context.Context, q *twig.Query, opts core.Search
 	// Every shard materializes the full global page prefix: the merged
 	// page's contents can come from any single shard in the worst case.
 	want := opts.K + opts.Offset
+	shardOpts := opts
+	shardOpts.K = want
+	shardOpts.Offset = 0 // paging happens after the global merge
 
 	fanSpan, fanCtx := obs.Start(ctx, "fanout")
-	fanSpan.SetInt("shards", len(snap.shards))
-	pages, failed, err := c.fanout(fanCtx, fanSpan, snap, q, opts, want)
-	if err == nil && len(failed) > 0 {
+	got, failed, err := scatter(fanCtx, c, snap, FaultShardSearch, true, func(ctx context.Context, be ShardBackend) (*ShardPage, error) {
+		page, err := be.SearchShard(ctx, q, shardOpts)
+		if err == nil {
+			ssp := obs.FromContext(ctx)
+			ssp.SetInt("hits", len(page.Answers))
+			if len(page.PartialShards) > 0 {
+				ssp.Set("partialShards", strings.Join(page.PartialShards, ","))
+			}
+		}
+		return page, err
+	})
+	direct := len(failed)
+	pages := make([]*ShardPage, len(got))
+	for i, g := range got {
+		name := snap.shards[i].name
+		// The always-on twin of the shard span: one latency observation per
+		// shard called, whether or not anyone asked for a trace.
+		if c.met != nil && g.took > 0 {
+			c.met.Shard(name).Observe(g.took)
+		}
+		pages[i] = g.val
+		if g.val == nil {
+			continue
+		}
+		// A remote shard server may itself have answered degraded; surface its
+		// failed sub-shards (prefixed with the shard's name) so the router's
+		// clients see exactly how partial the merged page is.
+		for _, sub := range g.val.PartialShards {
+			failed = append(failed, name+"/"+sub)
+		}
+	}
+	if c.met != nil {
+		c.met.ShardFailures.Add(int64(direct))
+	}
+	if len(failed) > direct {
+		sort.Strings(failed)
 		fanSpan.Set("partial", "true")
 		fanSpan.Set("failedShards", strings.Join(failed, ","))
 	}
@@ -104,250 +113,6 @@ func (c *Corpus) SearchHits(ctx context.Context, q *twig.Query, opts core.Search
 		c.met.Merge.Observe(time.Since(fanoutDone))
 	}
 	return out, nil
-}
-
-// fanout evaluates q on every shard of snap with a pool of at most
-// c.workers goroutines and returns the per-shard results plus the names of
-// shards that failed (degrade policy; always empty under failfast, which
-// errors instead).  fanSpan (nil when untraced) receives one child span per
-// shard and, on a failfast cancellation, a cancelCause attribute naming the
-// shard error that cancelled the siblings.
-func (c *Corpus) fanout(ctx context.Context, fanSpan *obs.Span, snap *Snapshot, q *twig.Query, opts core.SearchOptions, want int) ([]*ShardPage, []string, error) {
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	failfast := c.tuning.Policy == PolicyFailFast
-
-	shardOpts := opts
-	shardOpts.K = want
-	shardOpts.Offset = 0 // paging happens after the global merge
-
-	n := len(snap.shards)
-	workers := c.workers
-	if workers > n {
-		workers = n
-	}
-
-	results := make([]*ShardPage, n)
-	errs := make([]error, n) // per-index: race-free without a lock
-	jobs := make(chan int)
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) { // failfast only
-		errOnce.Do(func() {
-			firstErr = err
-			// Record why the siblings are about to stop before cancelling, so
-			// a traced request shows the cause alongside the cut-short spans.
-			fanSpan.Set("cancelCause", err.Error())
-			cancel() // stop sibling shard evaluations mid-join
-		})
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if fctx.Err() != nil {
-					continue // drain after cancellation
-				}
-				sh := snap.shards[i]
-				name := sh.name
-				// One span and one always-on latency observation per shard:
-				// the span feeds the per-request trace, the histogram feeds
-				// GET /metrics whether or not anyone asked for a trace.
-				ssp := fanSpan.Child("shard")
-				ssp.Set("shard", name)
-				if !c.health.allow(name) {
-					err := error(&QuarantineError{Shard: name, RetryAfter: c.health.retryIn(name)})
-					ssp.Set("skipped", "breaker-open")
-					ssp.SetErr(err)
-					ssp.End()
-					errs[i] = err
-					if failfast {
-						fail(err)
-					}
-					continue
-				}
-				shardStart := time.Now()
-				page, attempts, err := c.evalShard(fctx, ssp, sh, q, shardOpts)
-				if c.met != nil {
-					c.met.Shard(name).Observe(time.Since(shardStart))
-				}
-				if attempts > 1 {
-					ssp.SetInt("attempts", attempts)
-				}
-				if err != nil {
-					ssp.SetErr(err)
-					ssp.End()
-					errs[i] = &ShardError{Shard: name, Err: err}
-					// A context casualty with the fan-out context already dead
-					// is no verdict on the shard (a failfast sibling or the
-					// caller cancelled it mid-join) — release any probe instead
-					// of advancing the breaker.
-					if isCtxErr(err) && fctx.Err() != nil {
-						c.health.release(name)
-					} else {
-						c.health.failure(name, err)
-					}
-					if failfast {
-						fail(errs[i])
-					}
-					continue
-				}
-				c.health.success(name)
-				ssp.SetInt("hits", len(page.Answers))
-				if len(page.PartialShards) > 0 {
-					ssp.Set("partialShards", strings.Join(page.PartialShards, ","))
-				}
-				ssp.End()
-				results[i] = page
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if failfast && firstErr != nil {
-		return nil, nil, firstErr
-	}
-	// The caller's context may have died before (or while) workers touched
-	// the shards; a degraded answer must never paper over that.
-	if err := fctx.Err(); err != nil {
-		fanSpan.Set("cancelCause", err.Error())
-		return nil, nil, err
-	}
-	var failed []string
-	var firstFail error
-	for i := range errs {
-		if errs[i] != nil {
-			failed = append(failed, snap.shards[i].name)
-			if firstFail == nil {
-				firstFail = errs[i]
-			}
-		}
-	}
-	if c.met != nil && len(failed) > 0 {
-		c.met.ShardFailures.Add(int64(len(failed)))
-	}
-	if len(failed) == n {
-		// Nothing survived: a degraded answer needs at least one shard, so
-		// this is an error, not an empty page.
-		return nil, nil, fmt.Errorf("corpus: all %d shard(s) of %s failed: %w", n, c.name, firstFail)
-	}
-	// A remote shard server may itself have answered degraded; surface its
-	// failed sub-shards (prefixed with the shard's name) so the router's
-	// clients see exactly how partial the merged page is.
-	for i, page := range results {
-		if page == nil {
-			continue
-		}
-		for _, sub := range page.PartialShards {
-			failed = append(failed, snap.shards[i].name+"/"+sub)
-		}
-	}
-	sort.Strings(failed)
-	return results, failed, nil
-}
-
-// evalShard runs one shard's evaluation: up to two attempts (one transparent
-// retry after a jittered backoff, so a transient failure never surfaces),
-// each under the per-shard time budget, each preceded by the
-// FaultShardSearch injection site.  Returns the shard's page and the attempt
-// count.  The budget is resolved per attempt, so the retry of a
-// deadline-derived budget only gets what actually remains of the request.
-func (c *Corpus) evalShard(fctx context.Context, ssp *obs.Span, sh *shard, q *twig.Query, shardOpts core.SearchOptions) (*ShardPage, int, error) {
-	be := sh.be()
-	var lastErr error
-	attempt := 1
-	for ; attempt <= 2; attempt++ {
-		budget := c.shardBudget(fctx)
-		actx := fctx
-		acancel := func() {}
-		if budget > 0 {
-			actx, acancel = context.WithTimeout(fctx, budget)
-		}
-		sctx := obs.ContextWith(actx, ssp)
-		err := c.faults.Fire(sctx, FaultShardSearch, sh.name)
-		var page *ShardPage
-		if err == nil {
-			page, err = be.SearchShard(sctx, q, shardOpts)
-		}
-		acancel()
-		if err == nil {
-			return page, attempt, nil
-		}
-		lastErr = err
-		if fctx.Err() != nil {
-			break // the fan-out itself is dying; retrying can't help
-		}
-		if attempt == 1 && !sleepJittered(fctx, retryBackoff) {
-			break
-		}
-	}
-	if attempt > 2 {
-		attempt = 2
-	}
-	return nil, attempt, lastErr
-}
-
-// shardNetAllowance is the slice of the remaining request deadline reserved
-// for everything a shard attempt is not: the merge, response encoding, and —
-// for remote shards — the network hop back.  Deducting it from the per-hop
-// budget keeps router retries and hedges from overrunning the caller.
-const shardNetAllowance = 20 * time.Millisecond
-
-// shardBudget resolves the per-attempt time budget.  A negative configured
-// ShardTimeout disables budgets.  When the request carries a deadline, a
-// budget is derived from what remains of it — 4/5 of the remainder, further
-// capped at remainder-minus-allowance — and a configured positive
-// ShardTimeout is clamped by that derivation, so a per-hop timeout can never
-// promise a shard more time than the caller has left.
-func (c *Corpus) shardBudget(ctx context.Context) time.Duration {
-	t := c.tuning.ShardTimeout
-	if t < 0 {
-		return 0
-	}
-	var derived time.Duration
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem > 0 {
-			derived = rem * 4 / 5
-			if a := rem - shardNetAllowance; a > 0 && a < derived {
-				derived = a
-			}
-		}
-	}
-	switch {
-	case t == 0:
-		return derived
-	case derived > 0 && derived < t:
-		return derived
-	default:
-		return t
-	}
-}
-
-// sleepJittered pauses for base/2 plus up to base of jitter (so concurrent
-// retries against one struggling shard don't land in lockstep), returning
-// false if ctx died first.
-func sleepJittered(ctx context.Context, base time.Duration) bool {
-	d := base/2 + time.Duration(rand.Int63n(int64(base)))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// isCtxErr reports whether err is a context cancellation or deadline.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // mergedAnswer pairs a per-shard answer with its origin for global ranking.

@@ -3,6 +3,7 @@ package corpus
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -20,15 +21,14 @@ import (
 // spans in the finished trace), and the fanout span records the cancellation
 // cause.
 func TestFanoutCancellationClosesSpans(t *testing.T) {
-	t.Parallel()
+	// Not parallel: the fan-out's width is GOMAXPROCS, and both shards must
+	// evaluate concurrently — the barrier below would deadlock at width 1.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	d := mustDoc(t, "bib", bibXML)
 	reg := faults.New()
-	// Workers: 2 so both shards evaluate concurrently — the barrier below
-	// would deadlock a single-worker pool.
 	c, err := FromDocument("bib", d, 2, Config{
-		Workers: 2,
-		Faults:  reg,
-		Tuning:  Tuning{Policy: PolicyFailFast},
+		Faults: reg,
+		Tuning: Tuning{Policy: PolicyFailFast},
 	})
 	if err != nil {
 		t.Fatal(err)

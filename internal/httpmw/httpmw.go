@@ -51,7 +51,6 @@ const (
 	CodeTooLarge         = "too_large"          // request body exceeded the ingest bound
 	CodeTimeout          = "timeout"            // the per-request deadline expired mid-work
 	CodeOverloaded       = "overloaded"         // the concurrency limiter or job queue shed the request
-	CodeGone             = "gone"               // a sunset legacy route with aliases disabled
 	CodeUpstream         = "upstream_failed"    // a shard or replica could not answer (failfast fan-out)
 	CodeInternal         = "internal"           // a bug: panic or unexpected failure
 )
@@ -101,8 +100,6 @@ func CodeForStatus(status int) string {
 		return CodeTimeout
 	case status == http.StatusTooManyRequests:
 		return CodeOverloaded
-	case status == http.StatusGone:
-		return CodeGone
 	case status == http.StatusBadGateway:
 		return CodeUpstream
 	case status >= 400 && status < 500:

@@ -185,17 +185,7 @@ type Registry struct {
 	// nil until Cluster() is first called.
 	cluster *ClusterMetrics
 	start   time.Time
-
-	// legacyHits counts requests served via deprecated pre-v1 route aliases
-	// (see internal/server: the Sunset-headered /api/... paths).
-	legacyHits atomic.Int64
 }
-
-// LegacyHit tallies one request served through a deprecated route alias.
-func (r *Registry) LegacyHit() { r.legacyHits.Add(1) }
-
-// LegacyHits returns the deprecated-alias request count.
-func (r *Registry) LegacyHits() int64 { return r.legacyHits.Load() }
 
 // New returns an empty Registry.
 func New() *Registry {
@@ -329,9 +319,6 @@ type Snapshot struct {
 	// opaque value here so the metrics package needs no slo import; see
 	// internal/server and internal/slo).
 	SLO any `json:"slo,omitempty"`
-	// LegacyRequests counts requests served via deprecated pre-v1 route
-	// aliases; absent until the first such request.
-	LegacyRequests int64 `json:"legacyRequests,omitempty"`
 }
 
 // Snapshot materializes a view of every endpoint, algorithm, stage and
@@ -393,6 +380,5 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Admission = &snap
 	}
 	s.Process = processSnapshot()
-	s.LegacyRequests = r.legacyHits.Load()
 	return s
 }

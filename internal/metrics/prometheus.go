@@ -253,8 +253,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP lotusx_build_info Build identity of the serving binary; the value is always 1.\n")
 	fmt.Fprintf(w, "# TYPE lotusx_build_info gauge\n")
 	fmt.Fprintf(w, "lotusx_build_info{version=%q,goversion=%q,module=%q} 1\n", version, goVersion, module)
-
-	scalarCounter(w, "lotusx_http_legacy_requests_total", "Requests served via deprecated pre-v1 route aliases.", r.legacyHits.Load())
 }
 
 // writeClusterRows renders the lotusx_cluster_* federation families — the

@@ -393,7 +393,6 @@ func TestEnvelopeDecode(t *testing.T) {
 		{http.StatusRequestEntityTooLarge, httpmw.CodeTooLarge},
 		{http.StatusGatewayTimeout, httpmw.CodeTimeout},
 		{http.StatusTooManyRequests, httpmw.CodeOverloaded},
-		{http.StatusGone, httpmw.CodeGone},
 		{http.StatusInternalServerError, httpmw.CodeInternal},
 	}
 	for _, tc := range cases {

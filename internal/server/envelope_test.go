@@ -2,10 +2,12 @@ package server
 
 import (
 	"net/http"
-
-	"lotusx/internal/metrics"
 	"strings"
 	"testing"
+	"time"
+
+	"lotusx/internal/corpus"
+	"lotusx/internal/faults"
 )
 
 // TestAdminErrorEnvelopes is the satellite contract check: every admin-route
@@ -94,45 +96,64 @@ func TestAdminErrorEnvelopes(t *testing.T) {
 	}
 }
 
-// TestLegacyAliasHeaders: the un-versioned aliases answer identically but
-// carry the RFC 8594 deprecation trio, and flipping DisableLegacyRoutes
-// turns them into 410 Gone envelopes.
-func TestLegacyAliasHeaders(t *testing.T) {
-	reg := metrics.New()
-	ts, _ := adminServer(t, Config{Metrics: reg})
-
-	res, code := doFull(t, "GET", ts.URL+"/api/stats", "", nil)
-	if code != http.StatusOK {
-		t.Fatalf("legacy stats: status %d", code)
+// TestShardOutageErrorEnvelopes: query, completion and explain meet a shard
+// outage under one rule — every shard failing (or one, under failfast) is
+// 502 upstream_failed, every shard quarantined is 503 overloaded with a
+// Retry-After — because all three cross the fan-out through one discipline
+// and answer through writeBackendError.
+func TestShardOutageErrorEnvelopes(t *testing.T) {
+	endpoints := []struct{ name, method, path, body string }{
+		{"query", "POST", "/api/v1/query?dataset=bib", `{"query":"//article/title","k":10}`},
+		{"complete tag", "GET", "/api/v1/complete?dataset=bib&kind=tag&path=%2F%2Farticle&axis=child", ""},
+		{"complete value", "GET", "/api/v1/complete?dataset=bib&kind=value&path=%2F%2Farticle%2Ftitle", ""},
+		{"explain", "GET", "/api/v1/explain?dataset=bib&path=%2F%2Farticle&tag=title", ""},
 	}
-	if res.Header.Get("Sunset") != sunsetDate {
-		t.Fatalf("Sunset header %q", res.Header.Get("Sunset"))
+	failAll := func(reg *faults.Registry, keys ...string) {
+		reg.Enable(faults.Injection{Site: corpus.FaultShardSearch, Keys: keys, Err: errShardDown})
+		reg.Enable(faults.Injection{Site: corpus.FaultShardComplete, Keys: keys, Err: errShardDown})
 	}
-	if res.Header.Get("Deprecation") == "" {
-		t.Fatal("legacy alias without Deprecation header")
+	scenarios := []struct {
+		name   string
+		tuning corpus.Tuning
+		arm    func(t *testing.T, ts string, reg *faults.Registry)
+		status int
+		code   string
+	}{
+		{name: "every shard failing", tuning: corpus.Tuning{BreakerThreshold: -1},
+			arm:    func(_ *testing.T, _ string, reg *faults.Registry) { failAll(reg) },
+			status: http.StatusBadGateway, code: "upstream_failed"},
+		{name: "failfast one shard failing", tuning: corpus.Tuning{Policy: corpus.PolicyFailFast, BreakerThreshold: -1},
+			arm:    func(_ *testing.T, _ string, reg *faults.Registry) { failAll(reg, "bib/002") },
+			status: http.StatusBadGateway, code: "upstream_failed"},
+		{name: "every shard quarantined", tuning: corpus.Tuning{BreakerThreshold: 1, BreakerCooldown: time.Hour},
+			arm: func(t *testing.T, ts string, reg *faults.Registry) {
+				// One failing query trips all four breakers; the fault is then
+				// disarmed, so what answers below is the quarantine alone.
+				failAll(reg)
+				if code := do(t, "POST", ts+"/api/v1/query?dataset=bib", `{"query":"//article/title"}`, nil); code != http.StatusBadGateway {
+					t.Fatalf("tripping query: status %d, want 502", code)
+				}
+				reg.Reset()
+			},
+			status: http.StatusServiceUnavailable, code: "overloaded"},
 	}
-	if link := res.Header.Get("Link"); !strings.Contains(link, "/api/v1/stats") {
-		t.Fatalf("Link header %q does not point at the v1 route", link)
-	}
-	// The v1 twin carries none of them.
-	res, code = doFull(t, "GET", ts.URL+"/api/v1/stats", "", nil)
-	if code != http.StatusOK || res.Header.Get("Sunset") != "" || res.Header.Get("Deprecation") != "" {
-		t.Fatalf("v1 route leaked deprecation headers (status %d)", code)
-	}
-	if n := reg.LegacyHits(); n != 1 {
-		t.Fatalf("lotusx_http_legacy_requests_total = %d, want 1", n)
-	}
-
-	off, _ := adminServer(t, Config{DisableLegacyRoutes: true})
-	var env errEnvelope
-	res, code = doFull(t, "GET", off.URL+"/api/stats", "", &env)
-	if code != http.StatusGone || env.Error.Code != "gone" {
-		t.Fatalf("disabled legacy route: status %d code %q, want 410 gone", code, env.Error.Code)
-	}
-	if res.Header.Get("Sunset") != sunsetDate {
-		t.Fatal("410 legacy answer dropped the Sunset header")
-	}
-	if code := getJSON(t, off.URL+"/api/v1/stats", &struct{}{}); code != http.StatusOK {
-		t.Fatalf("v1 route broken with legacy disabled: %d", code)
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			ts, _, reg, _ := faultServer(t, sc.tuning)
+			sc.arm(t, ts.URL, reg)
+			for _, ep := range endpoints {
+				var env errEnvelope
+				res, code := doFull(t, ep.method, ts.URL+ep.path, ep.body, &env)
+				if code != sc.status || env.Error.Code != sc.code {
+					t.Errorf("%s: status %d code %q, want %d %q (%s)", ep.name, code, env.Error.Code, sc.status, sc.code, env.Error.Message)
+				}
+				if env.Error.RequestID == "" {
+					t.Errorf("%s: missing requestId in error envelope", ep.name)
+				}
+				if sc.status == http.StatusServiceUnavailable && res.Header.Get("Retry-After") == "" {
+					t.Errorf("%s: 503 without Retry-After", ep.name)
+				}
+			}
+		})
 	}
 }

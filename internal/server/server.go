@@ -5,9 +5,8 @@
 // with ranking and rewriting, and answer snippets.  Every request runs under
 // a configurable deadline with cooperative mid-join cancellation, behind a
 // middleware stack (request IDs, structured logging, panic recovery, load
-// shedding) with per-endpoint metrics at /api/v1/metrics.  The legacy
-// un-versioned /api/... paths remain as deprecated aliases.  See README.md
-// in this directory for the full v1 surface.
+// shedding) with per-endpoint metrics at /api/v1/metrics.  See README.md in
+// this directory for the full v1 surface.
 package server
 
 import (
@@ -121,10 +120,6 @@ type Config struct {
 	// MaxIngestBytes bounds admin ingest bodies; larger uploads answer 413
 	// (0 means the default of 256 MiB).
 	MaxIngestBytes int64
-	// DisableLegacyRoutes turns the deprecated un-versioned /api/... aliases
-	// into 410 Gone answers (they still carry the Sunset header), the
-	// rollout lever for retiring the legacy surface.
-	DisableLegacyRoutes bool
 	// Faults, when non-nil, arms deterministic fault-injection sites in the
 	// ingest pipeline and in admin-created corpora (tests and fault drills).
 	Faults *faults.Registry
@@ -356,15 +351,14 @@ func NewCatalogConfig(catalog *core.Catalog, cfg Config) *Server {
 
 // route is one row of the server's route table — the single source of truth
 // for the HTTP surface.  Everything derives from it: the mux registrations,
-// the legacy aliases, the per-path 405 fallbacks with their Allow headers,
-// the load-shedding exemptions, and the API contract dump (contract.go).
+// the per-path 405 fallbacks with their Allow headers, the load-shedding
+// exemptions, and the API contract dump (contract.go).
 type route struct {
 	method string // HTTP method
 	path   string // Go 1.22 ServeMux pattern
 	name   string // metrics endpoint name
 	h      http.HandlerFunc
 	admin  bool // mounted only with Config.EnableAdmin
-	legacy bool // also aliased under un-versioned /api/ with Deprecation+Sunset
 	exempt bool // bypasses the load limiter
 	router bool // mounted only with Config.ClusterStatus (router mode)
 }
@@ -372,14 +366,14 @@ type route struct {
 // routeTable declares every route the server can serve.
 func routeTable(s *Server) []route {
 	return []route{
-		// The read surface, aliased under the legacy un-versioned prefix.
-		{method: "GET", path: "/api/v1/stats", name: "stats", h: s.handleStats, legacy: true},
-		{method: "GET", path: "/api/v1/datasets", name: "datasets", h: s.handleDatasets, legacy: true},
-		{method: "GET", path: "/api/v1/complete", name: "complete", h: s.handleComplete, legacy: true},
-		{method: "GET", path: "/api/v1/explain", name: "explain", h: s.handleExplain, legacy: true},
-		{method: "POST", path: "/api/v1/query", name: "query", h: s.handleQuery, legacy: true},
-		{method: "GET", path: "/api/v1/node/{id}", name: "node", h: s.handleNode, legacy: true},
-		{method: "GET", path: "/api/v1/guide", name: "guide", h: s.handleGuide, legacy: true},
+		// The read surface.
+		{method: "GET", path: "/api/v1/stats", name: "stats", h: s.handleStats},
+		{method: "GET", path: "/api/v1/datasets", name: "datasets", h: s.handleDatasets},
+		{method: "GET", path: "/api/v1/complete", name: "complete", h: s.handleComplete},
+		{method: "GET", path: "/api/v1/explain", name: "explain", h: s.handleExplain},
+		{method: "POST", path: "/api/v1/query", name: "query", h: s.handleQuery},
+		{method: "GET", path: "/api/v1/node/{id}", name: "node", h: s.handleNode},
+		{method: "GET", path: "/api/v1/guide", name: "guide", h: s.handleGuide},
 		// Observability; exempt from load shedding.
 		{method: "GET", path: "/api/v1/cluster", name: "cluster", h: s.handleCluster, router: true, exempt: true},
 		{method: "GET", path: "/api/v1/cluster/metrics", name: "cluster", h: s.handleClusterMetrics, router: true, exempt: true},
@@ -403,18 +397,14 @@ func routeTable(s *Server) []route {
 	}
 }
 
-// sunsetDate is the RFC 8594 Sunset value advertised on every legacy alias:
-// the date after which the un-versioned /api/... surface may be removed.
-const sunsetDate = "Wed, 01 Sep 2027 00:00:00 GMT"
-
 // fallbackMethods is the method set considered when generating per-path 405
 // fallbacks; HEAD is omitted for paths that serve GET (the mux routes HEAD
 // through GET patterns).
 var fallbackMethods = []string{"GET", "HEAD", "POST", "PUT", "DELETE", "PATCH", "OPTIONS"}
 
 // mount derives the full mux from the route table: instrumented method
-// registrations, legacy aliases, and 405+Allow fallbacks for every known
-// path under each unregistered method.
+// registrations and 405+Allow fallbacks for every known path under each
+// unregistered method.
 func (s *Server) mount(cfg Config) {
 	// methodsByPath collects, per mounted path, the methods it serves — the
 	// source of both the Allow headers and the fallback registrations.
@@ -434,11 +424,6 @@ func (s *Server) mount(cfg Config) {
 		}
 		s.mux.Handle(rt.method+" "+rt.path, h)
 		methodsByPath[rt.path] = append(methodsByPath[rt.path], rt.method)
-		if rt.legacy {
-			alias := legacyAlias(rt.path)
-			s.mux.Handle(rt.method+" "+alias, s.deprecated(rt.path, cfg.DisableLegacyRoutes, h))
-			methodsByPath[alias] = append(methodsByPath[alias], rt.method)
-		}
 	}
 	for path, methods := range methodsByPath {
 		sort.Strings(methods)
@@ -458,11 +443,6 @@ func (s *Server) mount(cfg Config) {
 		httpmw.Instrument(s.reg.Endpoint("page"))))
 }
 
-// legacyAlias maps a v1 path to its deprecated un-versioned twin.
-func legacyAlias(path string) string {
-	return strings.Replace(path, "/api/v1/", "/api/", 1)
-}
-
 // methodNotAllowed answers 405 with the Allow header and the v1 envelope —
 // a known path, an unsupported method.
 func methodNotAllowed(allow string) http.Handler {
@@ -471,24 +451,6 @@ func methodNotAllowed(allow string) http.Handler {
 		httpmw.WriteErrorCtx(r.Context(), w, http.StatusMethodNotAllowed,
 			httpmw.CodeMethodNotAllowed,
 			fmt.Sprintf("method %s not allowed here; allowed: %s", r.Method, allow))
-	})
-}
-
-// deprecated wraps a legacy alias: RFC 8594 Deprecation/Sunset headers
-// pointing at the v1 successor, a hit counter, then the normal handler — or
-// 410 Gone when the legacy surface has been turned off.
-func (s *Server) deprecated(successor string, disabled bool, h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.reg.LegacyHit()
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Sunset", sunsetDate)
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		if disabled {
-			httpmw.WriteErrorCtx(r.Context(), w, http.StatusGone, httpmw.CodeGone,
-				"legacy route disabled: use "+successor)
-			return
-		}
-		h.ServeHTTP(w, r)
 	})
 }
 
@@ -663,31 +625,32 @@ func overloaded(w http.ResponseWriter, r *http.Request, err error) {
 	httpmw.WriteErrorCtx(r.Context(), w, http.StatusServiceUnavailable, httpmw.CodeOverloaded, err.Error())
 }
 
-// quarantined answers 503 for a search that failed on open shard circuit
-// breakers, with Retry-After set to the breaker cooldown remaining (rounded
-// up) so well-behaved clients back off until the next half-open probe.
-func quarantined(w http.ResponseWriter, r *http.Request, err error) {
-	secs := 1
-	var qe *corpus.QuarantineError
-	if errors.As(err, &qe) && qe.RetryAfter > 0 {
-		secs = int((qe.RetryAfter + time.Second - 1) / time.Second)
+// writeBackendError maps a failed search, completion or explain to its
+// status.  A dead context is 504.  Shards skipped on open circuit breakers
+// are 503, with Retry-After set to the cooldown remaining (rounded up) so
+// well-behaved clients back off until the next half-open probe.  A shard
+// failure (failfast policy, or every shard down) is 502 — availability
+// objectives and clients must see shard outages as server-side failures,
+// never as their own malformed input.  Anything else is the endpoint's own
+// fallback: a query the engine rejected is the client's fault, a failed
+// completion the server's.
+func writeBackendError(w http.ResponseWriter, r *http.Request, err error, fallback func(http.ResponseWriter, *http.Request, error)) {
+	var (
+		qe *corpus.QuarantineError
+		se *corpus.ShardError
+	)
+	switch {
+	case isCtxError(err):
+		writeCtxError(w, r, err)
+	case errors.As(err, &qe):
+		secs := max(1, int((qe.RetryAfter+time.Second-1)/time.Second))
+		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		httpmw.WriteErrorCtx(r.Context(), w, http.StatusServiceUnavailable, httpmw.CodeOverloaded, err.Error())
+	case errors.As(err, &se):
+		httpmw.WriteErrorCtx(r.Context(), w, http.StatusBadGateway, httpmw.CodeUpstream, err.Error())
+	default:
+		fallback(w, r, err)
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	httpmw.WriteErrorCtx(r.Context(), w, http.StatusServiceUnavailable, httpmw.CodeOverloaded, err.Error())
-}
-
-// upstreamFailed answers 502 for a search the corpus could not complete
-// because a shard failed (failfast policy, or every shard down).  Distinct
-// from badQuery so availability objectives and clients see shard outages
-// as server-side failures, never as their own malformed input.
-func upstreamFailed(w http.ResponseWriter, r *http.Request, err error) {
-	httpmw.WriteErrorCtx(r.Context(), w, http.StatusBadGateway, httpmw.CodeUpstream, err.Error())
-}
-
-// isShardError reports whether err is (or wraps) a shard upstream failure.
-func isShardError(err error) bool {
-	var se *corpus.ShardError
-	return errors.As(err, &se)
 }
 
 // writeCtxError answers a request whose context died mid-evaluation: 504
@@ -796,16 +759,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	httpmw.Annotate(r.Context(), "candidates", len(cands))
 	trace := s.finishTrace(r, tr, q)
 	if err != nil {
-		switch {
-		case isCtxError(err):
-			writeCtxError(w, r, err)
-		case errors.Is(err, corpus.ErrShardQuarantined):
-			quarantined(w, r, err)
-		case isShardError(err):
-			upstreamFailed(w, r, err)
-		default:
-			internalError(w, r, err)
-		}
+		writeBackendError(w, r, err, internalError)
 		return
 	}
 	writeJSON(w, http.StatusOK, completeResponse{Candidates: cands, Trace: trace})
@@ -854,14 +808,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	occs, err := b.ExplainTags(r.Context(), q, focus, axis, tag, max)
 	if err != nil {
-		switch {
-		case isCtxError(err):
-			writeCtxError(w, r, err)
-		case errors.Is(err, corpus.ErrShardQuarantined):
-			quarantined(w, r, err)
-		default:
-			internalError(w, r, err)
-		}
+		writeBackendError(w, r, err, internalError)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"tag": tag, "occurrences": occs})
@@ -995,16 +942,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		annotateTraceError(r, err)
 		s.finishTrace(r, tr, q)
-		switch {
-		case isCtxError(err):
-			writeCtxError(w, r, err)
-		case errors.Is(err, corpus.ErrShardQuarantined):
-			quarantined(w, r, err)
-		case isShardError(err):
-			upstreamFailed(w, r, err)
-		default:
-			badQuery(w, r, err)
-		}
+		writeBackendError(w, r, err, badQuery)
 		return
 	}
 	s.reg.Algorithm(string(res.Algorithm)).Observe(res.Elapsed)

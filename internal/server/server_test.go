@@ -72,7 +72,7 @@ func postJSON(t *testing.T, url, body string, out any) int {
 func TestStatsEndpoint(t *testing.T) {
 	ts := testServer(t)
 	var stats map[string]any
-	if code := getJSON(t, ts.URL+"/api/stats", &stats); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/stats", &stats); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if stats["Document"] != "bib" {
@@ -88,7 +88,7 @@ func TestCompleteTagEndpoint(t *testing.T) {
 			Count int64
 		} `json:"candidates"`
 	}
-	url := ts.URL + "/api/complete?kind=tag&path=" + escape("//article") + "&axis=child&prefix=a&k=5"
+	url := ts.URL + "/api/v1/complete?kind=tag&path=" + escape("//article") + "&axis=child&prefix=a&k=5"
 	if code := getJSON(t, url, &resp); code != 200 {
 		t.Fatalf("status %d", code)
 	}
@@ -102,7 +102,7 @@ func TestCompleteRootEndpoint(t *testing.T) {
 	var resp struct {
 		Candidates []struct{ Text string } `json:"candidates"`
 	}
-	url := ts.URL + "/api/complete?kind=tag&axis=descendant&prefix=art"
+	url := ts.URL + "/api/v1/complete?kind=tag&axis=descendant&prefix=art"
 	if code := getJSON(t, url, &resp); code != 200 {
 		t.Fatalf("status %d", code)
 	}
@@ -116,7 +116,7 @@ func TestCompleteValueEndpoint(t *testing.T) {
 	var resp struct {
 		Candidates []struct{ Text string } `json:"candidates"`
 	}
-	url := ts.URL + "/api/complete?kind=value&path=" + escape("//article/author") + "&prefix=ji"
+	url := ts.URL + "/api/v1/complete?kind=value&path=" + escape("//article/author") + "&prefix=ji"
 	if code := getJSON(t, url, &resp); code != 200 {
 		t.Fatalf("status %d", code)
 	}
@@ -128,16 +128,16 @@ func TestCompleteValueEndpoint(t *testing.T) {
 func TestCompleteErrors(t *testing.T) {
 	ts := testServer(t)
 	var e errEnvelope
-	if code := getJSON(t, ts.URL+"/api/complete?kind=value", &e); code != 400 {
+	if code := getJSON(t, ts.URL+"/api/v1/complete?kind=value", &e); code != 400 {
 		t.Errorf("value without path: status %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/api/complete?kind=bogus", &e); code != 400 {
+	if code := getJSON(t, ts.URL+"/api/v1/complete?kind=bogus", &e); code != 400 {
 		t.Errorf("bad kind: status %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/api/complete?path=%5B%5B", &e); code != 400 {
+	if code := getJSON(t, ts.URL+"/api/v1/complete?path=%5B%5B", &e); code != 400 {
 		t.Errorf("bad path: status %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/api/complete?k=-1", &e); code != 400 {
+	if code := getJSON(t, ts.URL+"/api/v1/complete?k=-1", &e); code != 400 {
 		t.Errorf("bad k: status %d", code)
 	}
 }
@@ -153,7 +153,7 @@ func TestQueryEndpoint(t *testing.T) {
 		Exact  int    `json:"exact"`
 		XQuery string `json:"xquery"`
 	}
-	code := postJSON(t, ts.URL+"/api/query",
+	code := postJSON(t, ts.URL+"/api/v1/query",
 		`{"query": "//article[author = \"Jiaheng Lu\"]/title", "k": 5}`, &resp)
 	if code != 200 {
 		t.Fatalf("status %d", code)
@@ -182,7 +182,7 @@ func TestQueryEndpointRewrite(t *testing.T) {
 		Exact    int `json:"exact"`
 		Rewrites int `json:"rewritesTried"`
 	}
-	code := postJSON(t, ts.URL+"/api/query",
+	code := postJSON(t, ts.URL+"/api/v1/query",
 		`{"query": "//article/autor", "k": 3, "rewrite": true}`, &resp)
 	if code != 200 {
 		t.Fatalf("status %d", code)
@@ -198,13 +198,13 @@ func TestQueryEndpointRewrite(t *testing.T) {
 func TestQueryEndpointErrors(t *testing.T) {
 	ts := testServer(t)
 	var e map[string]any
-	if code := postJSON(t, ts.URL+"/api/query", `{"query": "]bad["}`, &e); code != 400 {
+	if code := postJSON(t, ts.URL+"/api/v1/query", `{"query": "]bad["}`, &e); code != 400 {
 		t.Errorf("bad query: status %d", code)
 	}
-	if code := postJSON(t, ts.URL+"/api/query", `not json`, &e); code != 400 {
+	if code := postJSON(t, ts.URL+"/api/v1/query", `not json`, &e); code != 400 {
 		t.Errorf("bad body: status %d", code)
 	}
-	if code := postJSON(t, ts.URL+"/api/query", `{"query": "//a", "algorithm": "bogus"}`, &e); code != 400 {
+	if code := postJSON(t, ts.URL+"/api/v1/query", `{"query": "//a", "algorithm": "bogus"}`, &e); code != 400 {
 		t.Errorf("bad algorithm: status %d", code)
 	}
 }
@@ -216,17 +216,17 @@ func TestNodeEndpoint(t *testing.T) {
 		Path string `json:"path"`
 		XML  string `json:"xml"`
 	}
-	if code := getJSON(t, ts.URL+"/api/node/0", &resp); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/node/0", &resp); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if resp.Tag != "dblp" || resp.Path != "/dblp" {
 		t.Fatalf("resp = %+v", resp)
 	}
 	var e errEnvelope
-	if code := getJSON(t, ts.URL+"/api/node/99999", &e); code != 404 {
+	if code := getJSON(t, ts.URL+"/api/v1/node/99999", &e); code != 404 {
 		t.Errorf("overflow id: status %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/api/node/xyz", &e); code != 404 {
+	if code := getJSON(t, ts.URL+"/api/v1/node/xyz", &e); code != 404 {
 		t.Errorf("bad id: status %d", code)
 	}
 }
@@ -271,7 +271,7 @@ func TestGuideEndpoint(t *testing.T) {
 			Values []string `json:"values"`
 		} `json:"children"`
 	}
-	if code := getJSON(t, ts.URL+"/api/guide?values=2", &root); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/guide?values=2", &root); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if root.Tag != "dblp" || root.Path != "/dblp" || root.Count != 1 {
@@ -281,7 +281,7 @@ func TestGuideEndpoint(t *testing.T) {
 		t.Fatalf("children = %+v", root.Children)
 	}
 	// Without values= the sample is omitted.
-	if code := getJSON(t, ts.URL+"/api/guide", &root); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/guide", &root); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if len(root.Children[0].Values) != 0 {
@@ -307,7 +307,7 @@ func TestMultiDatasetCatalog(t *testing.T) {
 	var list struct {
 		Datasets []string `json:"datasets"`
 	}
-	if code := getJSON(t, ts.URL+"/api/datasets", &list); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/datasets", &list); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if len(list.Datasets) != 2 || list.Datasets[0] != "bib" {
@@ -315,26 +315,26 @@ func TestMultiDatasetCatalog(t *testing.T) {
 	}
 
 	var stats map[string]any
-	if code := getJSON(t, ts.URL+"/api/stats?dataset=tiny", &stats); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/stats?dataset=tiny", &stats); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if stats["Document"] != "tiny" {
 		t.Fatalf("stats = %v", stats)
 	}
 	// Default is the first added.
-	getJSON(t, ts.URL+"/api/stats", &stats)
+	getJSON(t, ts.URL+"/api/v1/stats", &stats)
 	if stats["Document"] != "bib" {
 		t.Fatalf("default stats = %v", stats)
 	}
 	// Unknown dataset is a 404 on every endpoint.
 	var e errEnvelope
-	if code := getJSON(t, ts.URL+"/api/stats?dataset=nope", &e); code != 404 {
+	if code := getJSON(t, ts.URL+"/api/v1/stats?dataset=nope", &e); code != 404 {
 		t.Errorf("unknown dataset: status %d", code)
 	}
 	if e.Error.Code != "not_found" {
 		t.Errorf("unknown dataset code = %q", e.Error.Code)
 	}
-	if code := getJSON(t, ts.URL+"/api/guide?dataset=nope", &e); code != 404 {
+	if code := getJSON(t, ts.URL+"/api/v1/guide?dataset=nope", &e); code != 404 {
 		t.Errorf("unknown dataset guide: status %d", code)
 	}
 
@@ -344,7 +344,7 @@ func TestMultiDatasetCatalog(t *testing.T) {
 			Path string `json:"path"`
 		} `json:"answers"`
 	}
-	res, err := http.Post(ts.URL+"/api/query?dataset=tiny", "application/json",
+	res, err := http.Post(ts.URL+"/api/v1/query?dataset=tiny", "application/json",
 		strings.NewReader(`{"query": "//item", "k": 5}`))
 	if err != nil {
 		t.Fatal(err)
@@ -367,7 +367,7 @@ func TestExplainEndpoint(t *testing.T) {
 			Count int
 		} `json:"occurrences"`
 	}
-	url := ts.URL + "/api/explain?path=" + escape("//article") + "&axis=child&tag=author"
+	url := ts.URL + "/api/v1/explain?path=" + escape("//article") + "&axis=child&tag=author"
 	if code := getJSON(t, url, &resp); code != 200 {
 		t.Fatalf("status %d", code)
 	}
@@ -378,20 +378,20 @@ func TestExplainEndpoint(t *testing.T) {
 		t.Fatalf("count = %d, want 2", resp.Occurrences[0].Count)
 	}
 	// Root-level explain without a path.
-	if code := getJSON(t, ts.URL+"/api/explain?axis=descendant&tag=year", &resp); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/explain?axis=descendant&tag=year", &resp); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if len(resp.Occurrences) != 1 {
 		t.Fatalf("root explain = %+v", resp)
 	}
 	var e map[string]any
-	if code := getJSON(t, ts.URL+"/api/explain", &e); code != 400 {
+	if code := getJSON(t, ts.URL+"/api/v1/explain", &e); code != 400 {
 		t.Errorf("missing tag: status %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/api/explain?tag=a&max=9999", &e); code != 400 {
+	if code := getJSON(t, ts.URL+"/api/v1/explain?tag=a&max=9999", &e); code != 400 {
 		t.Errorf("bad max: status %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/api/explain?tag=a&path=%5B", &e); code != 400 {
+	if code := getJSON(t, ts.URL+"/api/v1/explain?tag=a&path=%5B", &e); code != 400 {
 		t.Errorf("bad path: status %d", code)
 	}
 }
@@ -410,7 +410,7 @@ func TestQueryEndpointHighlights(t *testing.T) {
 			} `json:"highlights"`
 		} `json:"answers"`
 	}
-	code := postJSON(t, ts.URL+"/api/query",
+	code := postJSON(t, ts.URL+"/api/v1/query",
 		`{"query": "//article[title contains \"twig\"]", "k": 5}`, &resp)
 	if code != 200 || len(resp.Answers) != 1 {
 		t.Fatalf("status %d answers %d", code, len(resp.Answers))

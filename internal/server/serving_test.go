@@ -40,7 +40,9 @@ func slowEngine(t *testing.T) *core.Engine {
 	return e
 }
 
-func TestVersionedRoutesAndLegacyAliases(t *testing.T) {
+// TestVersionedRoutesOnly: the API lives under /api/v1 and nowhere else —
+// the un-versioned /api/... twins of earlier releases are not found.
+func TestVersionedRoutesOnly(t *testing.T) {
 	e, err := core.FromReader("bib", strings.NewReader(bibXML))
 	if err != nil {
 		t.Fatal(err)
@@ -48,46 +50,27 @@ func TestVersionedRoutesAndLegacyAliases(t *testing.T) {
 	ts := httptest.NewServer(New(e))
 	t.Cleanup(ts.Close)
 
-	// The v1 route answers without deprecation marks.
 	res, err := http.Get(ts.URL + "/api/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	res.Body.Close()
-	if res.StatusCode != 200 || res.Header.Get("Deprecation") != "" {
-		t.Fatalf("v1: status %d, Deprecation %q", res.StatusCode, res.Header.Get("Deprecation"))
+	if res.StatusCode != 200 {
+		t.Fatalf("v1: status %d", res.StatusCode)
 	}
 	if res.Header.Get("X-Request-Id") == "" {
 		t.Error("v1: X-Request-Id missing")
 	}
 
-	// The legacy alias still answers, flagged deprecated and pointing at
-	// its successor.
-	res, err = http.Get(ts.URL + "/api/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Body.Close()
-	if res.StatusCode != 200 {
-		t.Fatalf("legacy: status %d", res.StatusCode)
-	}
-	if res.Header.Get("Deprecation") != "true" {
-		t.Errorf("legacy: Deprecation = %q, want true", res.Header.Get("Deprecation"))
-	}
-	if link := res.Header.Get("Link"); !strings.Contains(link, "/api/v1/stats") {
-		t.Errorf("legacy: Link = %q", link)
-	}
-
-	// Every legacy GET endpoint has a working alias.
-	for _, path := range []string{"/api/datasets", "/api/guide", "/api/node/0",
+	for _, path := range []string{"/api/stats", "/api/datasets", "/api/guide", "/api/node/0",
 		"/api/complete?kind=tag", "/api/explain?tag=author"} {
 		res, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res.Body.Close()
-		if res.StatusCode != 200 || res.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s: status %d, Deprecation %q", path, res.StatusCode, res.Header.Get("Deprecation"))
+		if res.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404", path, res.StatusCode)
 		}
 	}
 }
