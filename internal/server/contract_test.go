@@ -10,7 +10,7 @@ import (
 	"lotusx/internal/core"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/api_contract.golden from the live route table")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden files from the live server")
 
 // TestAPIContract diffs the served API surface — route table + envelope
 // shapes — against the checked-in golden.  A mismatch means the HTTP
@@ -20,13 +20,14 @@ func TestAPIContract(t *testing.T) {
 	// Admin on so the full surface (jobs API included) is in the table.
 	s := NewCatalogConfig(core.NewCatalog(), Config{EnableAdmin: true})
 	t.Cleanup(s.Close)
-	got := s.ContractDump()
+	checkGolden(t, filepath.Join("testdata", "api_contract.golden"), s.ContractDump())
+}
 
-	path := filepath.Join("testdata", "api_contract.golden")
+// checkGolden diffs got against the golden file at path, rewriting the file
+// instead under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +39,7 @@ func TestAPIContract(t *testing.T) {
 		t.Fatalf("missing golden (generate with -update): %v", err)
 	}
 	if got != string(want) {
-		t.Fatalf("API contract drifted from %s.\nIf the change is intentional, regenerate with:\n  go test ./internal/server/ -run TestAPIContract -update\n\n%s", path, contractDiff(string(want), got))
+		t.Fatalf("%s drifted; if the change is intentional, regenerate with:\n  go test ./internal/server/ -run '%s' -update\n\n%s", path, t.Name(), contractDiff(string(want), got))
 	}
 }
 
