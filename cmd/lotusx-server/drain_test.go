@@ -284,7 +284,7 @@ func TestDrainFinishesQueuedIngest(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(corpusDir, "lib", "MANIFEST.json")); err != nil {
 		t.Fatalf("dataset not persisted through drain: %v", err)
 	}
-	if n := reg.Lifecycle().JournalPending(); n != 0 {
+	if n := reg.Snapshot().Lifecycle.JournalPending; n != 0 {
 		t.Fatalf("journal pending after drain = %d", n)
 	}
 }
@@ -326,7 +326,7 @@ func TestDrainBudgetExpiryReportsError(t *testing.T) {
 	}
 	// The interrupted job wrote no terminal record: it stays pending for the
 	// next start's replay.
-	if n := reg.Lifecycle().JournalPending(); n != 1 {
+	if n := reg.Snapshot().Lifecycle.JournalPending; n != 1 {
 		t.Fatalf("journal pending after expired drain = %d, want 1", n)
 	}
 }

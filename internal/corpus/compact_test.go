@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
 	"lotusx/internal/core"
 	"lotusx/internal/faults"
+	"lotusx/internal/metrics"
 	"lotusx/internal/twig"
 )
 
@@ -123,6 +125,41 @@ func TestCompactDeltasMaxBatch(t *testing.T) {
 	}
 	if n := c.DeltaShards(); n != 2 {
 		t.Fatalf("%d deltas left, want 2", n)
+	}
+}
+
+// TestShardLatencyFollowsSnapshot: per-shard latency is reported for the
+// live snapshot's shards only, so ingest and compaction cannot grow the
+// series without bound — compacted-away deltas take their series with them.
+func TestShardLatencyFollowsSnapshot(t *testing.T) {
+	reg := metrics.New()
+	c, err := FromDocument("bib", mustDoc(t, "bib", bibXML), 2, Config{Metrics: reg.Corpus("bib")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		var records strings.Builder
+		records.WriteString("<dblp>")
+		for i := 0; i < 4; i++ {
+			fmt.Fprintf(&records, "<article><title>Delta %d.%d</title></article>", round, i)
+		}
+		records.WriteString("</dblp>")
+		if err := c.AddDeltaSplit(fmt.Sprintf("delta%d", round), mustDoc(t, "d", records.String()), 4); err != nil {
+			t.Fatal(err)
+		}
+		searchTitles(t, c)
+		if _, err := c.CompactDeltas(context.Background(), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	searchTitles(t, c)
+	var got []string
+	for name := range reg.Snapshot().Corpora["bib"].ShardLatency {
+		got = append(got, name)
+	}
+	sort.Strings(got)
+	if want := c.Snapshot().Names(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("shardLatency reports %d shards %v, want the snapshot's %d: %v", len(got), got, len(want), want)
 	}
 }
 

@@ -44,8 +44,8 @@ func TestCorpusCompressedEndToEnd(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	met := metrics.New().Corpus("lib")
-	comp := New("lib", Config{Dir: dir, Compress: true, Metrics: met})
+	reg := metrics.New()
+	comp := New("lib", Config{Dir: dir, Compress: true, Metrics: reg.Corpus("lib")})
 	if err := comp.AddSplit("bib", mustDoc(t, "bib", xml), 3); err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +85,12 @@ func TestCorpusCompressedEndToEnd(t *testing.T) {
 	}
 
 	// The metrics snapshot carries the size accounting the gauges export.
-	if met.ResidentBytes() <= 0 {
-		t.Fatalf("metrics: residentBytes=%d, want > 0", met.ResidentBytes())
+	met := reg.Snapshot().Corpora["lib"]
+	if met.ResidentBytes <= 0 {
+		t.Fatalf("metrics: residentBytes=%d, want > 0", met.ResidentBytes)
 	}
-	if met.CompressedShards() != 3 {
-		t.Fatalf("metrics: compressedShards=%d, want 3", met.CompressedShards())
+	if met.CompressedShards != 3 {
+		t.Fatalf("metrics: compressedShards=%d, want 3", met.CompressedShards)
 	}
 
 	search := func(c *Corpus, text string) []string {

@@ -51,6 +51,10 @@ type shard struct {
 	// compactor may merge into a base shard (see compact.go).  Base shards
 	// are never rewritten by compaction.
 	delta bool
+	// latency observes this shard's evaluations in every fan-out, so
+	// cross-shard skew (the straggler problem) shows in always-on
+	// aggregates; it lives and dies with the shard.
+	latency metrics.Histogram
 }
 
 // Snapshot is an immutable shard set.  Every query pins one Snapshot and
@@ -223,9 +227,9 @@ func New(name string, cfg Config) *Corpus {
 	}
 	c.health = newHealth(c.tuning, c.met)
 	if c.met != nil {
-		// The metrics registry renders breaker states without importing
-		// corpus; hand it a closure over this corpus's health map.
-		c.met.SetHealthProvider(c.ShardHealth)
+		// The metrics registry renders per-shard state without importing
+		// corpus; hand it a reader over this corpus's live shards.
+		c.met.SetShardProvider(c.shardMetrics)
 	}
 	c.snap.Store(&Snapshot{})
 	return c

@@ -531,16 +531,16 @@ func TestCorpusInfoAggregates(t *testing.T) {
 
 func TestCorpusPersistenceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	met := metrics.New().Corpus("lib")
-	c := New("lib", Config{Dir: dir, Metrics: met})
+	reg := metrics.New()
+	c := New("lib", Config{Dir: dir, Metrics: reg.Corpus("lib")})
 	if err := c.AddSplit("bib", mustDoc(t, "bib", bibXML), 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Add("tiny", mustDoc(t, "tiny", "<dblp><article><title>Extra</title></article></dblp>")); err != nil {
 		t.Fatal(err)
 	}
-	if met.Shards() != 3 || met.Swaps.Load() != 2 {
-		t.Fatalf("metrics: shards=%d swaps=%d", met.Shards(), met.Swaps.Load())
+	if met := reg.Snapshot().Corpora["lib"]; met.Shards != 3 || met.Swaps != 2 {
+		t.Fatalf("metrics: shards=%d swaps=%d", met.Shards, met.Swaps)
 	}
 
 	// Reopen from disk and compare search results.

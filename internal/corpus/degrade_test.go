@@ -313,7 +313,8 @@ func TestBreakerQuarantinesAndResets(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := faults.New()
-	met := &metrics.CorpusMetrics{}
+	mreg := metrics.New()
+	met := mreg.Corpus("xmark")
 	c, err := FromDocument("xmark", d, 4, Config{
 		Faults:  reg,
 		Metrics: met,
@@ -370,8 +371,8 @@ func TestBreakerQuarantinesAndResets(t *testing.T) {
 	if met.ShardFailures.Load() < 3 {
 		t.Fatalf("ShardFailures = %d, want >= 3", met.ShardFailures.Load())
 	}
-	if met.Quarantined() != 1 {
-		t.Fatalf("Quarantined() = %d, want 1", met.Quarantined())
+	if q := mreg.Snapshot().Corpora["xmark"].QuarantinedShards; q != 1 {
+		t.Fatalf("QuarantinedShards = %d, want 1", q)
 	}
 
 	// The admin reset closes the breaker; the healed shard serves again.

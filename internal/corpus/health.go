@@ -266,10 +266,19 @@ func (h *health) quarantined(names []string) []string {
 
 // ---------------------------------------------------------------- accessors
 
-// ShardHealth reports the breaker state of every shard in the current
-// snapshot, keyed by shard name.
-func (c *Corpus) ShardHealth() map[string]metrics.ShardHealth {
-	return c.health.snapshot(c.Snapshot().Names())
+// shardMetrics is the corpus's metrics.CorpusMetrics shard provider: the
+// breaker state of every shard in the current snapshot, and the latency of
+// those a fan-out has reached.  Shards that leave the snapshot leave both
+// maps with it.
+func (c *Corpus) shardMetrics() (map[string]metrics.ShardHealth, map[string]metrics.LatencySnapshot) {
+	snap := c.Snapshot()
+	latency := make(map[string]metrics.LatencySnapshot, len(snap.shards))
+	for _, sh := range snap.shards {
+		if l := sh.latency.Snapshot(); l.Count > 0 {
+			latency[sh.name] = l
+		}
+	}
+	return c.health.snapshot(snap.Names()), latency
 }
 
 // ShardHealthOf reports the named shard's breaker state, erroring when the

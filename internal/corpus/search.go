@@ -67,7 +67,7 @@ func (c *Corpus) SearchHits(ctx context.Context, q *twig.Query, opts core.Search
 		// The always-on twin of the shard span: one latency observation per
 		// shard called, whether or not anyone asked for a trace.
 		if c.met != nil && g.took > 0 {
-			c.met.Shard(name).Observe(g.took)
+			snap.shards[i].latency.Observe(g.took)
 		}
 		pages[i] = g.val
 		if g.val == nil {

@@ -205,7 +205,8 @@ func TestDrainGateRefusesWhileDraining(t *testing.T) {
 
 func TestRateLimitPerClientBuckets(t *testing.T) {
 	clock := time.Unix(1000, 0)
-	am := metrics.New().Admission()
+	reg := metrics.New()
+	am := reg.Admission()
 	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}),
 		RateLimit(RateLimitOptions{
 			QPS: 10, Burst: 2, Metrics: am,
@@ -251,8 +252,8 @@ func TestRateLimitPerClientBuckets(t *testing.T) {
 	if am.Allowed.Load() != 4 || am.Limited.Load() != 1 {
 		t.Fatalf("admission counters: allowed=%d limited=%d", am.Allowed.Load(), am.Limited.Load())
 	}
-	if am.Clients() != 2 {
-		t.Fatalf("client gauge = %d, want 2", am.Clients())
+	if n := reg.Snapshot().Admission.Clients; n != 2 {
+		t.Fatalf("client gauge = %d, want 2", n)
 	}
 }
 
@@ -286,7 +287,8 @@ func TestRateLimitExemptAndDisabled(t *testing.T) {
 
 func TestRateLimitEvictsIdleBuckets(t *testing.T) {
 	clock := time.Unix(1000, 0)
-	am := metrics.New().Admission()
+	reg := metrics.New()
+	am := reg.Admission()
 	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}),
 		RateLimit(RateLimitOptions{
 			QPS: 10, Burst: 2, MaxClients: 2, Metrics: am,
@@ -304,8 +306,8 @@ func TestRateLimitEvictsIdleBuckets(t *testing.T) {
 	if am.Evicted.Load() == 0 {
 		t.Fatal("no eviction at the client-table bound")
 	}
-	if am.Clients() > 2 {
-		t.Fatalf("client gauge = %d, want <= 2", am.Clients())
+	if n := reg.Snapshot().Admission.Clients; n > 2 {
+		t.Fatalf("client gauge = %d, want <= 2", n)
 	}
 }
 

@@ -317,8 +317,8 @@ func TestQueueMetrics(t *testing.T) {
 	if im.Done.Load() != 1 || im.Failed.Load() != 1 {
 		t.Fatalf("done=%d failed=%d, want 1/1", im.Done.Load(), im.Failed.Load())
 	}
-	if im.Run.Count() != 2 {
-		t.Fatalf("run histogram count %d, want 2", im.Run.Count())
+	if n := reg.Snapshot().Ingest.Run.Count; n != 2 {
+		t.Fatalf("run histogram count %d, want 2", n)
 	}
 }
 

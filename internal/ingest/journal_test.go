@@ -209,7 +209,8 @@ func TestJournalTerminalFaultKeepsPendingAndSpool(t *testing.T) {
 }
 
 func TestJournalMetrics(t *testing.T) {
-	lc := metrics.New().Lifecycle()
+	reg := metrics.New()
+	lc := reg.Lifecycle()
 	dir := t.TempDir()
 	j := openTestJournal(t, filepath.Join(dir, "_journal"), JournalConfig{Metrics: lc})
 	ctx := context.Background()
@@ -218,14 +219,14 @@ func TestJournalMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lc.JournalAccepted.Load() != 1 || lc.JournalPending() != 1 {
-		t.Fatalf("after accept: accepted=%d pending=%d", lc.JournalAccepted.Load(), lc.JournalPending())
+	if pending := reg.Snapshot().Lifecycle.JournalPending; lc.JournalAccepted.Load() != 1 || pending != 1 {
+		t.Fatalf("after accept: accepted=%d pending=%d", lc.JournalAccepted.Load(), pending)
 	}
 	if err := j.Terminal(ctx, id, OpDone, nil); err != nil {
 		t.Fatal(err)
 	}
-	if lc.JournalCompleted.Load() != 1 || lc.JournalPending() != 0 {
-		t.Fatalf("after terminal: completed=%d pending=%d", lc.JournalCompleted.Load(), lc.JournalPending())
+	if pending := reg.Snapshot().Lifecycle.JournalPending; lc.JournalCompleted.Load() != 1 || pending != 0 {
+		t.Fatalf("after terminal: completed=%d pending=%d", lc.JournalCompleted.Load(), pending)
 	}
 }
 

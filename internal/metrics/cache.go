@@ -22,66 +22,37 @@ type CacheMetrics struct {
 }
 
 // SetSizeProvider installs the callback that reports the cache's live entry
-// and byte counts for snapshots and the Prometheus exposition.
+// and byte counts for snapshots.
 func (c *CacheMetrics) SetSizeProvider(fn func() (entries, bytes int64)) {
 	c.sizeMu.Lock()
 	c.sizeFn = fn
 	c.sizeMu.Unlock()
 }
 
-// size reads the live entry and byte counts, zero without a provider.
-func (c *CacheMetrics) size() (int64, int64) {
-	c.sizeMu.RLock()
-	fn := c.sizeFn
-	c.sizeMu.RUnlock()
-	if fn == nil {
-		return 0, 0
-	}
-	return fn()
-}
-
-// Entries returns the cache's live entry count.
-func (c *CacheMetrics) Entries() int64 { e, _ := c.size(); return e }
-
-// Bytes returns the cache's live byte cost.
-func (c *CacheMetrics) Bytes() int64 { _, b := c.size(); return b }
-
-// Cache returns (creating on first use) the metrics of the named cache.
-func (r *Registry) Cache(name string) *CacheMetrics {
-	r.mu.RLock()
-	c := r.caches[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.caches[name]; c == nil {
-		c = &CacheMetrics{}
-		r.caches[name] = c
-	}
-	return c
-}
-
 // CacheSnapshot is the JSON shape of one cache's metrics.
 type CacheSnapshot struct {
-	Hits              int64 `json:"hits"`
-	Misses            int64 `json:"misses"`
-	Evictions         int64 `json:"evictions,omitempty"`
-	SingleflightWaits int64 `json:"singleflightWaits,omitempty"`
-	Entries           int64 `json:"entries"`
-	Bytes             int64 `json:"bytes"`
+	Hits              int64 `json:"hits" prom:"lotusx_cache_hits_total,counter" help:"Cache lookups answered from a stored entry."`
+	Misses            int64 `json:"misses" prom:"lotusx_cache_misses_total,counter" help:"Cache lookups that ran the computation."`
+	Evictions         int64 `json:"evictions,omitempty" prom:"lotusx_cache_evictions_total,counter" help:"Cache entries dropped to stay within the byte budget."`
+	SingleflightWaits int64 `json:"singleflightWaits,omitempty" prom:"lotusx_cache_singleflight_waits_total,counter" help:"Cache lookups that waited on an identical in-flight computation."`
+	Entries           int64 `json:"entries" prom:"lotusx_cache_entries,gauge" help:"Live entries stored in the cache."`
+	Bytes             int64 `json:"bytes" prom:"lotusx_cache_bytes,gauge" help:"Byte cost of the entries stored in the cache."`
 }
 
-// snapshot materializes the cache's JSON view.
+// snapshot materializes the cache's JSON view; the sizes read zero without a
+// provider.
 func (c *CacheMetrics) snapshot() CacheSnapshot {
-	entries, bytes := c.size()
-	return CacheSnapshot{
+	s := CacheSnapshot{
 		Hits:              c.Hits.Load(),
 		Misses:            c.Misses.Load(),
 		Evictions:         c.Evictions.Load(),
 		SingleflightWaits: c.SingleflightWaits.Load(),
-		Entries:           entries,
-		Bytes:             bytes,
 	}
+	c.sizeMu.RLock()
+	fn := c.sizeFn
+	c.sizeMu.RUnlock()
+	if fn != nil {
+		s.Entries, s.Bytes = fn()
+	}
+	return s
 }

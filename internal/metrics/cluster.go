@@ -28,37 +28,11 @@ type serverStats struct {
 	has      bool      // a snapshot has landed at least once
 }
 
-func newClusterMetrics() *ClusterMetrics {
-	return &ClusterMetrics{servers: make(map[string]*serverStats)}
-}
-
-// Cluster returns the registry's federation aggregate, creating it on first
-// use (routers only; a registry that never calls this exports no
-// lotusx_cluster_* families).
-func (r *Registry) Cluster() *ClusterMetrics {
-	r.mu.RLock()
-	c := r.cluster
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.cluster == nil {
-		r.cluster = newClusterMetrics()
-	}
-	return r.cluster
-}
-
 // Update lands one successful poll of the named shard server.
 func (c *ClusterMetrics) Update(server string, snap Snapshot) {
+	st := lazy(&c.mu, &c.servers, server)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := c.servers[server]
-	if st == nil {
-		st = &serverStats{}
-		c.servers[server] = st
-	}
 	st.up, st.err = true, ""
 	st.polled = time.Now()
 	st.snapshot, st.has = snap, true
@@ -67,13 +41,9 @@ func (c *ClusterMetrics) Update(server string, snap Snapshot) {
 // MarkDown records a failed poll.  The last successful snapshot is kept so
 // the rollup still answers "what was it doing before it went away".
 func (c *ClusterMetrics) MarkDown(server string, err error) {
+	st := lazy(&c.mu, &c.servers, server)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := c.servers[server]
-	if st == nil {
-		st = &serverStats{}
-		c.servers[server] = st
-	}
 	st.up = false
 	if err != nil {
 		st.err = err.Error()
@@ -117,40 +87,42 @@ func (c *ClusterMetrics) Snapshot() ClusterSnapshot {
 	return out
 }
 
-// exportRow is the flattened per-server view the Prometheus renderer uses.
+// clusterRow is one shard server's line of the rollup /metrics exports: the
+// requests/errors counters mirror the server's own monotone counters, and
+// the latency quantiles are its "query" endpoint's, re-exported as gauges (a
+// federated histogram cannot be merged honestly across heterogeneous scrape
+// times).
 type clusterRow struct {
-	name            string
-	up              bool
-	uptime          float64
-	requests        int64
-	errors          int64
-	errorRatio      float64
-	queryLatency    LatencySnapshot
-	hasQueryLatency bool
+	Up         bool    `prom:"lotusx_cluster_server_up,gauge" help:"1 while the shard server answers federation polls."`
+	Uptime     float64 `prom:"lotusx_cluster_server_uptime_seconds,gauge" help:"Uptime the shard server reported on its last successful poll."`
+	Requests   int64   `prom:"lotusx_cluster_server_requests_total,counter" help:"Requests the shard server reported across its endpoints."`
+	Errors     int64   `prom:"lotusx_cluster_server_errors_total,counter" help:"Error responses (status >= 400) the shard server reported."`
+	ErrorRatio float64 `prom:"lotusx_cluster_server_error_ratio,gauge" help:"Errors over requests on the shard server's last snapshot."`
+	// QueryLatency maps quantile ("0.5", "0.95", "0.99") to seconds; nil
+	// when the server reported no query endpoint.
+	QueryLatency map[string]float64 `prom:"lotusx_cluster_server_query_latency_seconds,gauge,label=quantile" help:"Query-endpoint latency quantiles the shard server reported."`
 }
 
-// rows flattens the federation state for rendering, sorted by server name.
-func (c *ClusterMetrics) rows() []clusterRow {
+// rows flattens the federation state into one rollup row per server.
+func (c *ClusterMetrics) rows() map[string]clusterRow {
 	snap := c.Snapshot()
-	names := sortedKeys(snap.Servers)
-	out := make([]clusterRow, 0, len(names))
-	for _, name := range names {
-		sv := snap.Servers[name]
-		row := clusterRow{name: name, up: sv.Up}
-		if sv.Metrics != nil {
-			row.uptime = sv.Metrics.UptimeSeconds
-			for _, ep := range sv.Metrics.Endpoints {
-				row.requests += ep.Requests
-				row.errors += ep.Errors
+	out := make(map[string]clusterRow, len(snap.Servers))
+	for name, sv := range snap.Servers {
+		row := clusterRow{Up: sv.Up}
+		if m := sv.Metrics; m != nil {
+			row.Uptime = m.UptimeSeconds
+			for _, ep := range m.Endpoints {
+				row.Requests += ep.Requests
+				row.Errors += ep.Errors
 			}
-			if row.requests > 0 {
-				row.errorRatio = float64(row.errors) / float64(row.requests)
+			if row.Requests > 0 {
+				row.ErrorRatio = float64(row.Errors) / float64(row.Requests)
 			}
-			if q, ok := sv.Metrics.Endpoints["query"]; ok {
-				row.queryLatency, row.hasQueryLatency = q.Latency, true
+			if q, ok := m.Endpoints["query"]; ok {
+				row.QueryLatency = map[string]float64{"0.5": q.Latency.P50MS / 1000, "0.95": q.Latency.P95MS / 1000, "0.99": q.Latency.P99MS / 1000}
 			}
 		}
-		out = append(out, row)
+		out[name] = row
 	}
 	return out
 }

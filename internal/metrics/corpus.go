@@ -6,11 +6,12 @@ import (
 )
 
 // CorpusMetrics aggregates one sharded corpus: a shard-count gauge,
-// snapshot-swap and search counters, latency histograms for the two phases
-// the sharded query path adds over a single engine — the parallel per-shard
-// fan-out and the global result merge — and one latency histogram per shard,
-// so a straggling shard shows up in aggregates without a trace.  All fields
-// are safe for concurrent use on the query path.
+// snapshot-swap and search counters, and latency histograms for the two
+// phases the sharded query path adds over a single engine — the parallel
+// per-shard fan-out and the global result merge.  Per-shard breaker states
+// and latencies come from the corpus itself (SetShardProvider), so they
+// cover exactly the live snapshot's shards.  All fields are safe for
+// concurrent use on the query path.
 type CorpusMetrics struct {
 	shards atomic.Int64
 	deltas atomic.Int64 // delta shards awaiting compaction
@@ -35,15 +36,11 @@ type CorpusMetrics struct {
 	ShardFailures atomic.Int64 // per-shard evaluation failures (incl. quarantine skips)
 	BreakerTrips  atomic.Int64 // closed→open (and failed-probe) breaker transitions
 
-	// mu guards perShard; the per-shard histograms themselves are lock-free
-	// once handed out.
-	mu       sync.RWMutex
-	perShard map[string]*Histogram
-
-	// healthMu guards healthFn, the corpus-installed provider of per-shard
-	// breaker states (the metrics package cannot import corpus).
-	healthMu sync.RWMutex
-	healthFn func() map[string]ShardHealth
+	// providerMu guards provider, the corpus-installed reader of its live
+	// shards' breaker states and latencies (the metrics package cannot
+	// import corpus).
+	providerMu sync.RWMutex
+	provider   func() (map[string]ShardHealth, map[string]LatencySnapshot)
 }
 
 // ShardHealth is the JSON view of one shard's circuit breaker.
@@ -62,48 +59,21 @@ type ShardHealth struct {
 	LastError string `json:"lastError,omitempty"`
 }
 
-// SetHealthProvider installs the callback that materializes per-shard
-// breaker states for snapshots and the Prometheus exposition.
-func (c *CorpusMetrics) SetHealthProvider(fn func() map[string]ShardHealth) {
-	c.healthMu.Lock()
-	c.healthFn = fn
-	c.healthMu.Unlock()
-}
-
-// health materializes the per-shard breaker view, nil without a provider.
-func (c *CorpusMetrics) health() map[string]ShardHealth {
-	c.healthMu.RLock()
-	fn := c.healthFn
-	c.healthMu.RUnlock()
-	if fn == nil {
-		return nil
-	}
-	return fn()
-}
-
-// Quarantined counts shards whose breaker is not closed right now.
-func (c *CorpusMetrics) Quarantined() int64 {
-	var n int64
-	for _, h := range c.health() {
-		if h.State != "closed" {
-			n++
-		}
-	}
-	return n
+// SetShardProvider installs the callback that reports, for the shards of
+// the corpus's current snapshot, each one's breaker state and its query
+// latency (shards not yet searched may be left out); nil uninstalls it.
+func (c *CorpusMetrics) SetShardProvider(fn func() (map[string]ShardHealth, map[string]LatencySnapshot)) {
+	c.providerMu.Lock()
+	c.provider = fn
+	c.providerMu.Unlock()
 }
 
 // SetShards records the shard count of the current snapshot.
 func (c *CorpusMetrics) SetShards(n int) { c.shards.Store(int64(n)) }
 
-// Shards returns the last recorded shard count.
-func (c *CorpusMetrics) Shards() int { return int(c.shards.Load()) }
-
 // SetDeltaShards records the delta-shard count of the current snapshot —
 // the compaction backlog.
 func (c *CorpusMetrics) SetDeltaShards(n int) { c.deltas.Store(int64(n)) }
-
-// DeltaShards returns the last recorded delta-shard count.
-func (c *CorpusMetrics) DeltaShards() int { return int(c.deltas.Load()) }
 
 // SetResident records the snapshot's index-substrate size accounting:
 // resident and raw-equivalent bytes, DAG shape/instance counts, and how many
@@ -116,100 +86,48 @@ func (c *CorpusMetrics) SetResident(resident, raw, shapes, instances int64, comp
 	c.compressedShards.Store(int64(compressed))
 }
 
-// ResidentBytes returns the last recorded resident index size in bytes.
-func (c *CorpusMetrics) ResidentBytes() int64 { return c.residentBytes.Load() }
-
-// CompressedShards returns the last recorded compressed-shard count.
-func (c *CorpusMetrics) CompressedShards() int64 { return c.compressedShards.Load() }
-
 // Swapped tallies one snapshot publish.
 func (c *CorpusMetrics) Swapped() { c.Swaps.Add(1) }
 
-// Shard returns (creating on first use) the named shard's per-query latency
-// histogram — one observation per shard per fan-out, so cross-shard skew
-// (the straggler problem) is visible in always-on aggregates.
-func (c *CorpusMetrics) Shard(name string) *Histogram {
-	c.mu.RLock()
-	h := c.perShard[name]
-	c.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.perShard == nil {
-		c.perShard = make(map[string]*Histogram)
-	}
-	if h = c.perShard[name]; h == nil {
-		h = &Histogram{}
-		c.perShard[name] = h
-	}
-	return h
-}
-
-// shardHistograms returns the live per-shard histograms keyed by shard name.
-func (c *CorpusMetrics) shardHistograms() map[string]*Histogram {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make(map[string]*Histogram, len(c.perShard))
-	for name, h := range c.perShard {
-		out[name] = h
-	}
-	return out
-}
-
-// Corpus returns (creating on first use) the metrics of the named corpus.
-func (r *Registry) Corpus(name string) *CorpusMetrics {
-	r.mu.RLock()
-	c := r.corpora[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.corpora[name]; c == nil {
-		c = &CorpusMetrics{}
-		r.corpora[name] = c
-	}
-	return c
-}
-
 // CorpusSnapshot is the JSON shape of one corpus's metrics.
 type CorpusSnapshot struct {
-	Shards int64 `json:"shards"`
+	Shards int64 `json:"shards" prom:"lotusx_corpus_shards,gauge" help:"Shard count of the current corpus snapshot."`
 	// DeltaShards counts async-ingested delta shards awaiting compaction.
-	DeltaShards int64           `json:"deltaShards,omitempty"`
-	Swaps       int64           `json:"swaps"`
-	Searches    int64           `json:"searches"`
-	Fanout      LatencySnapshot `json:"fanout"`
-	Merge       LatencySnapshot `json:"merge"`
+	DeltaShards int64           `json:"deltaShards,omitempty" prom:"lotusx_corpus_delta_shards,gauge" help:"Async-ingested delta shards awaiting compaction."`
+	Swaps       int64           `json:"swaps" prom:"lotusx_corpus_swaps_total,counter" help:"Snapshot publishes (ingest, remove, reindex)."`
+	Searches    int64           `json:"searches" prom:"lotusx_corpus_searches_total,counter" help:"Fan-out searches served."`
+	Fanout      LatencySnapshot `json:"fanout" prom:"lotusx_corpus_fanout_latency_seconds,histogram" help:"Wall-clock of the parallel per-shard fan-out phase."`
+	Merge       LatencySnapshot `json:"merge" prom:"lotusx_corpus_merge_latency_seconds,histogram" help:"Wall-clock of the global merge and render phase."`
 	// PartialSearches counts fan-outs answered from a strict subset of
 	// shards under the degrade policy.
-	PartialSearches int64 `json:"partialSearches,omitempty"`
+	PartialSearches int64 `json:"partialSearches,omitempty" prom:"lotusx_corpus_partial_searches_total,counter" help:"Searches answered from a strict subset of shards (degrade policy)."`
 	// ShardFailures counts per-shard evaluation failures, including
 	// breaker-quarantine skips.
-	ShardFailures int64 `json:"shardFailures,omitempty"`
+	ShardFailures int64 `json:"shardFailures,omitempty" prom:"lotusx_corpus_shard_failures_total,counter" help:"Per-shard evaluation failures, including breaker-quarantine skips."`
 	// BreakerTrips counts circuit-breaker closed→open transitions.
-	BreakerTrips int64 `json:"breakerTrips,omitempty"`
+	BreakerTrips int64 `json:"breakerTrips,omitempty" prom:"lotusx_corpus_breaker_trips_total,counter" help:"Circuit-breaker closed-to-open transitions."`
+	// QuarantinedShards counts the shards in Health whose breaker is not
+	// closed right now.
+	QuarantinedShards int64 `json:"quarantinedShards,omitempty" prom:"lotusx_corpus_quarantined_shards,gauge" help:"Shards whose circuit breaker is currently not closed."`
 	// ResidentBytes is the summed resident size of the snapshot's local
 	// shard indexes; RawBytes is the raw-substrate equivalent (equal when
 	// nothing compressed).  Absent for remote corpora.
-	ResidentBytes int64 `json:"residentBytes,omitempty"`
-	RawBytes      int64 `json:"rawBytes,omitempty"`
+	ResidentBytes int64 `json:"residentBytes,omitempty" prom:"lotusx_corpus_resident_bytes,gauge" help:"Resident index-substrate bytes across the snapshot's local shards."`
+	RawBytes      int64 `json:"rawBytes,omitempty" prom:"lotusx_corpus_raw_bytes,gauge" help:"Raw-substrate-equivalent bytes the snapshot's indexes would occupy uncompressed."`
 	// IndexShapes / IndexInstances describe the subtree-dedup DAG of the
 	// compressed shards: distinct shapes stored vs occurrences they stand
 	// for.  Zero when no shard compressed.
-	IndexShapes    int64 `json:"indexShapes,omitempty"`
-	IndexInstances int64 `json:"indexInstances,omitempty"`
+	IndexShapes    int64 `json:"indexShapes,omitempty" prom:"lotusx_corpus_index_shapes,gauge" help:"Distinct subtree shapes stored by the DAG-compressed shards."`
+	IndexInstances int64 `json:"indexInstances,omitempty" prom:"lotusx_corpus_index_instances,gauge" help:"Shared-subtree occurrences the stored shapes stand for."`
 	// CompressedShards counts shards running on the compressed substrate.
-	CompressedShards int64 `json:"compressedShards,omitempty"`
+	CompressedShards int64 `json:"compressedShards,omitempty" prom:"lotusx_corpus_compressed_shards,gauge" help:"Shards whose index runs on the DAG-compressed substrate."`
 	// Health reports each shard's circuit-breaker state, keyed by shard
-	// name; absent when the corpus has not installed a health provider.
+	// name; absent when the corpus has not installed a shard provider.
 	Health map[string]ShardHealth `json:"health,omitempty"`
-	// ShardLatency reports per-shard query latency, keyed by shard name;
-	// absent until the first fan-out.
-	ShardLatency map[string]LatencySnapshot `json:"shardLatency,omitempty"`
+	// ShardLatency reports per-shard query latency for the current
+	// snapshot's shards, keyed by shard name; a shard appears from its
+	// first fan-out on.
+	ShardLatency map[string]LatencySnapshot `json:"shardLatency,omitempty" prom:"lotusx_corpus_shard_latency_seconds,histogram,label=shard" help:"Per-shard query latency within the fan-out."`
 }
 
 // snapshot materializes the corpus's JSON view.
@@ -219,8 +137,8 @@ func (c *CorpusMetrics) snapshot() CorpusSnapshot {
 		DeltaShards:      c.deltas.Load(),
 		Swaps:            c.Swaps.Load(),
 		Searches:         c.Searches.Load(),
-		Fanout:           snapshotHistogram(&c.Fanout),
-		Merge:            snapshotHistogram(&c.Merge),
+		Fanout:           c.Fanout.Snapshot(),
+		Merge:            c.Merge.Snapshot(),
 		PartialSearches:  c.Partial.Load(),
 		ShardFailures:    c.ShardFailures.Load(),
 		BreakerTrips:     c.BreakerTrips.Load(),
@@ -229,13 +147,16 @@ func (c *CorpusMetrics) snapshot() CorpusSnapshot {
 		IndexShapes:      c.indexShapes.Load(),
 		IndexInstances:   c.indexInstances.Load(),
 		CompressedShards: c.compressedShards.Load(),
-		Health:           c.health(),
 	}
-	per := c.shardHistograms()
-	if len(per) > 0 {
-		s.ShardLatency = make(map[string]LatencySnapshot, len(per))
-		for name, h := range per {
-			s.ShardLatency[name] = snapshotHistogram(h)
+	c.providerMu.RLock()
+	fn := c.provider
+	c.providerMu.RUnlock()
+	if fn != nil {
+		s.Health, s.ShardLatency = fn()
+	}
+	for _, h := range s.Health {
+		if h.State != "closed" {
+			s.QuarantinedShards++
 		}
 	}
 	return s

@@ -33,9 +33,6 @@ type IngestMetrics struct {
 // SetDepth records the number of queued (not yet running) jobs.
 func (m *IngestMetrics) SetDepth(n int) { m.depth.Store(int64(n)) }
 
-// Depth returns the last recorded queue depth.
-func (m *IngestMetrics) Depth() int64 { return m.depth.Load() }
-
 // SetRunning records the number of jobs currently on workers.
 func (m *IngestMetrics) SetRunning(n int) { m.running.Store(int64(n)) }
 
@@ -43,44 +40,23 @@ func (m *IngestMetrics) SetRunning(n int) { m.running.Store(int64(n)) }
 // pickup and -1 on finish).
 func (m *IngestMetrics) AddRunning(d int) { m.running.Add(int64(d)) }
 
-// Running returns the last recorded running-job count.
-func (m *IngestMetrics) Running() int64 { return m.running.Load() }
-
-// Ingest returns the registry's ingest-pipeline metrics, creating them on
-// first use.  There is one ingest queue per server, so the family is a
-// singleton rather than a named map.
-func (r *Registry) Ingest() *IngestMetrics {
-	r.mu.RLock()
-	m := r.ingest
-	r.mu.RUnlock()
-	if m != nil {
-		return m
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ingest == nil {
-		r.ingest = &IngestMetrics{}
-	}
-	return r.ingest
-}
-
 // IngestSnapshot is the JSON shape of the ingest pipeline's metrics.
 type IngestSnapshot struct {
-	Enqueued   int64           `json:"enqueued"`
-	Deduped    int64           `json:"deduped"`
-	Rejected   int64           `json:"rejected,omitempty"`
-	Done       int64           `json:"done"`
-	Failed     int64           `json:"failed"`
-	QueueDepth int64           `json:"queueDepth"`
-	Running    int64           `json:"running"`
-	QueueWait  LatencySnapshot `json:"queueWait"`
-	Run        LatencySnapshot `json:"run"`
+	Enqueued   int64           `json:"enqueued" prom:"lotusx_ingest_jobs_enqueued_total,counter" help:"Ingest jobs accepted into the queue."`
+	Deduped    int64           `json:"deduped" prom:"lotusx_ingest_jobs_deduped_total,counter" help:"Enqueues collapsed into an identical active job."`
+	Rejected   int64           `json:"rejected,omitempty" prom:"lotusx_ingest_jobs_rejected_total,counter" help:"Enqueues refused because the queue was full."`
+	Done       int64           `json:"done" prom:"lotusx_ingest_jobs_completed_total,counter" help:"Ingest jobs that finished successfully."`
+	Failed     int64           `json:"failed" prom:"lotusx_ingest_jobs_failed_total,counter" help:"Ingest jobs that finished with an error."`
+	QueueDepth int64           `json:"queueDepth" prom:"lotusx_ingest_queue_depth,gauge" help:"Jobs queued, not yet running."`
+	Running    int64           `json:"running" prom:"lotusx_ingest_jobs_running,gauge" help:"Jobs currently on a worker."`
+	QueueWait  LatencySnapshot `json:"queueWait" prom:"lotusx_ingest_queue_wait_seconds,histogram" help:"Time from enqueue to worker pickup."`
+	Run        LatencySnapshot `json:"run" prom:"lotusx_ingest_job_duration_seconds,histogram" help:"Time from worker pickup to job finish."`
 
-	Compactions        int64           `json:"compactions"`
+	Compactions        int64           `json:"compactions" prom:"lotusx_ingest_compactions_total,counter" help:"Successful delta-compaction rounds."`
 	CompactionNoops    int64           `json:"compactionNoops,omitempty"`
-	CompactionFailures int64           `json:"compactionFailures,omitempty"`
-	CompactedShards    int64           `json:"compactedShards"`
-	CompactionRun      LatencySnapshot `json:"compactionRun"`
+	CompactionFailures int64           `json:"compactionFailures,omitempty" prom:"lotusx_ingest_compaction_failures_total,counter" help:"Delta-compaction rounds that errored."`
+	CompactedShards    int64           `json:"compactedShards" prom:"lotusx_ingest_compacted_shards_total,counter" help:"Delta shards folded into base shards."`
+	CompactionRun      LatencySnapshot `json:"compactionRun" prom:"lotusx_ingest_compaction_duration_seconds,histogram" help:"Wall-clock per compaction round."`
 }
 
 // snapshot materializes the ingest pipeline's JSON view.
@@ -93,12 +69,12 @@ func (m *IngestMetrics) snapshot() IngestSnapshot {
 		Failed:             m.Failed.Load(),
 		QueueDepth:         m.depth.Load(),
 		Running:            m.running.Load(),
-		QueueWait:          snapshotHistogram(&m.QueueWait),
-		Run:                snapshotHistogram(&m.Run),
+		QueueWait:          m.QueueWait.Snapshot(),
+		Run:                m.Run.Snapshot(),
 		Compactions:        m.Compactions.Load(),
 		CompactionNoops:    m.CompactionNoops.Load(),
 		CompactionFailures: m.CompactionFailures.Load(),
 		CompactedShards:    m.CompactedShards.Load(),
-		CompactionRun:      snapshotHistogram(&m.CompactionRun),
+		CompactionRun:      m.CompactionRun.Snapshot(),
 	}
 }

@@ -10,7 +10,7 @@ import (
 // journal (fsync'd accept/terminal records, replay on restart, orphan spool
 // sweep).  All fields are safe for concurrent use.
 type LifecycleMetrics struct {
-	draining      atomic.Int64 // 1 while the server is draining for shutdown
+	draining      atomic.Bool  // true while the server is draining for shutdown
 	DrainRejected atomic.Int64 // requests refused with 503 during drain
 
 	JournalAccepted  atomic.Int64 // accept records written (durable 202 promises)
@@ -21,55 +21,25 @@ type LifecycleMetrics struct {
 }
 
 // SetDraining records whether the server is draining (the /readyz flip).
-func (m *LifecycleMetrics) SetDraining(on bool) {
-	v := int64(0)
-	if on {
-		v = 1
-	}
-	m.draining.Store(v)
-}
-
-// Draining returns 1 while the server drains, else 0.
-func (m *LifecycleMetrics) Draining() int64 { return m.draining.Load() }
+func (m *LifecycleMetrics) SetDraining(on bool) { m.draining.Store(on) }
 
 // SetJournalPending records the journal's live pending-record count.
 func (m *LifecycleMetrics) SetJournalPending(n int) { m.journalPending.Store(int64(n)) }
 
-// JournalPending returns the last recorded pending-record count.
-func (m *LifecycleMetrics) JournalPending() int64 { return m.journalPending.Load() }
-
-// Lifecycle returns the registry's lifecycle metrics, creating them on first
-// use.  Like the ingest pipeline, drain state and the journal are per-server
-// singletons rather than named families.
-func (r *Registry) Lifecycle() *LifecycleMetrics {
-	r.mu.RLock()
-	m := r.lifecycle
-	r.mu.RUnlock()
-	if m != nil {
-		return m
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.lifecycle == nil {
-		r.lifecycle = &LifecycleMetrics{}
-	}
-	return r.lifecycle
-}
-
 // LifecycleSnapshot is the JSON shape of the lifecycle metrics.
 type LifecycleSnapshot struct {
-	Draining         bool  `json:"draining"`
-	DrainRejected    int64 `json:"drainRejected,omitempty"`
-	JournalAccepted  int64 `json:"journalAccepted,omitempty"`
-	JournalCompleted int64 `json:"journalCompleted,omitempty"`
-	JournalReplayed  int64 `json:"journalReplayed,omitempty"`
-	JournalPending   int64 `json:"journalPending,omitempty"`
-	OrphansSwept     int64 `json:"orphanSpoolsSwept,omitempty"`
+	Draining         bool  `json:"draining" prom:"lotusx_lifecycle_draining,gauge" help:"1 while the server drains for shutdown (readyz answers draining, new work is refused)."`
+	DrainRejected    int64 `json:"drainRejected,omitempty" prom:"lotusx_lifecycle_drain_rejected_total,counter" help:"Requests refused with 503 while the server was draining."`
+	JournalAccepted  int64 `json:"journalAccepted,omitempty" prom:"lotusx_lifecycle_journal_accepted_total,counter" help:"Ingest-journal accept records written (durable 202 promises)."`
+	JournalCompleted int64 `json:"journalCompleted,omitempty" prom:"lotusx_lifecycle_journal_completed_total,counter" help:"Ingest-journal terminal records written."`
+	JournalReplayed  int64 `json:"journalReplayed,omitempty" prom:"lotusx_lifecycle_journal_replayed_total,counter" help:"Pending journal records re-enqueued at startup."`
+	JournalPending   int64 `json:"journalPending,omitempty" prom:"lotusx_lifecycle_journal_pending,gauge" help:"Accepted ingest jobs without a terminal journal record."`
+	OrphansSwept     int64 `json:"orphanSpoolsSwept,omitempty" prom:"lotusx_lifecycle_spool_orphans_swept_total,counter" help:"Orphaned ingest spool files removed at startup."`
 }
 
 func (m *LifecycleMetrics) snapshot() LifecycleSnapshot {
 	return LifecycleSnapshot{
-		Draining:         m.draining.Load() != 0,
+		Draining:         m.draining.Load(),
 		DrainRejected:    m.DrainRejected.Load(),
 		JournalAccepted:  m.JournalAccepted.Load(),
 		JournalCompleted: m.JournalCompleted.Load(),
@@ -95,34 +65,14 @@ type AdmissionMetrics struct {
 // SetClients records the live client-bucket count.
 func (m *AdmissionMetrics) SetClients(n int) { m.clients.Store(int64(n)) }
 
-// Clients returns the last recorded client-bucket count.
-func (m *AdmissionMetrics) Clients() int64 { return m.clients.Load() }
-
-// Admission returns the registry's admission-control metrics, creating them
-// on first use.
-func (r *Registry) Admission() *AdmissionMetrics {
-	r.mu.RLock()
-	m := r.admission
-	r.mu.RUnlock()
-	if m != nil {
-		return m
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.admission == nil {
-		r.admission = &AdmissionMetrics{}
-	}
-	return r.admission
-}
-
 // AdmissionSnapshot is the JSON shape of the admission-control metrics.
 type AdmissionSnapshot struct {
-	Allowed            int64 `json:"allowed"`
-	Limited            int64 `json:"limited"`
-	Evicted            int64 `json:"evicted,omitempty"`
-	Clients            int64 `json:"clients"`
-	RetryBudgetGranted int64 `json:"retryBudgetGranted,omitempty"`
-	RetryBudgetDenied  int64 `json:"retryBudgetDenied,omitempty"`
+	Allowed            int64 `json:"allowed" prom:"lotusx_admission_allowed_total,counter" help:"Requests that passed the per-client rate limiter."`
+	Limited            int64 `json:"limited" prom:"lotusx_admission_limited_total,counter" help:"Requests refused with 429 + Retry-After by the per-client rate limiter."`
+	Evicted            int64 `json:"evicted,omitempty" prom:"lotusx_admission_evicted_total,counter" help:"Idle client token buckets evicted from the limiter table."`
+	Clients            int64 `json:"clients" prom:"lotusx_admission_clients,gauge" help:"Live client token buckets in the limiter table."`
+	RetryBudgetGranted int64 `json:"retryBudgetGranted,omitempty" prom:"lotusx_admission_retry_budget_granted_total,counter" help:"Hedges and failovers the router retry budget allowed."`
+	RetryBudgetDenied  int64 `json:"retryBudgetDenied,omitempty" prom:"lotusx_admission_retry_budget_denied_total,counter" help:"Hedges and failovers skipped because the retry budget was spent."`
 }
 
 func (m *AdmissionMetrics) snapshot() AdmissionSnapshot {

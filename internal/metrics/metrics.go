@@ -4,7 +4,25 @@
 // shard, with quantile estimates (p50, p95, p99) computed from the
 // histogram buckets.  Everything is safe for concurrent use on the request
 // path; a Snapshot materializes a JSON-able view for GET /api/v1/metrics
-// and WritePrometheus renders the text exposition for GET /metrics.
+// and WritePrometheus renders that same snapshot as the text exposition for
+// GET /metrics, so the two views cannot disagree.
+//
+// # Adding a metric
+//
+// A metric is declared once, as a field of a snapshot type whose struct tag
+// names its Prometheus family, type and help text:
+//
+//	Hits int64 `json:"hits" prom:"<family>,counter" help:"Cache lookups answered from a stored entry."`
+//
+// plus one line in that type's snapshot() copying the live value in.  The
+// types are counter, gauge and histogram (a LatencySnapshot field).  Map
+// fields name the label their keys fill (`prom:",label=corpus"`, or
+// `prom:"<family>,histogram,label=stage"` for a map of leaves), and a string
+// field tagged `prom:",label=objective"` labels the other families of its
+// struct; untagged struct, pointer, interface and slice fields are walked
+// into.  A field with no prom tag is JSON-only.  The family then appears in
+// both views; list it in docs/OBSERVABILITY.md and refresh
+// internal/server/testdata/prometheus_families.golden.
 //
 // # Snapshot consistency semantics
 //
@@ -82,9 +100,8 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sum.Add(int64(d))
 }
 
-// Export reads the histogram in one pass.  All derived views (Count,
-// Quantile, MeanMS, snapshots, the Prometheus exposition) go through it so
-// they agree with each other within a single read.
+// Export reads the histogram in one pass.  Snapshot and the Prometheus
+// exposition both derive from it, so they agree within a single read.
 func (h *Histogram) Export() Export {
 	var e Export
 	for i := 0; i < bucketCount; i++ {
@@ -96,19 +113,10 @@ func (h *Histogram) Export() Export {
 	return e
 }
 
-// Count returns the number of samples observed.
-func (h *Histogram) Count() int64 { return h.Export().Count }
-
 // Quantile estimates the q-quantile (0 < q < 1) as the upper bound of the
 // bucket containing that rank, in milliseconds.  It returns 0 with no
 // samples.  Bucket-bound estimation overshoots by at most one bucket width —
 // plenty for dashboards and alerts.
-func (h *Histogram) Quantile(q float64) float64 {
-	return h.Export().Quantile(q)
-}
-
-// Quantile estimates the q-quantile over an already-exported read; see
-// Histogram.Quantile.
 func (e Export) Quantile(q float64) float64 {
 	if e.Count == 0 {
 		return 0
@@ -127,13 +135,33 @@ func (e Export) Quantile(q float64) float64 {
 	return float64(bucketBound(bucketCount-1)) / float64(time.Millisecond)
 }
 
-// MeanMS returns the mean latency in milliseconds, 0 with no samples.
-func (h *Histogram) MeanMS() float64 {
+// LatencySnapshot is the JSON shape of one histogram.
+type LatencySnapshot struct {
+	Count  int64   `json:"count"`
+	MeanMS float64 `json:"meanMs"`
+	P50MS  float64 `json:"p50Ms"`
+	P95MS  float64 `json:"p95Ms"`
+	P99MS  float64 `json:"p99Ms"`
+	// export is the bucket read the fields above came from; the Prometheus
+	// exposition renders the histogram from it.
+	export Export `json:"-"`
+}
+
+// Snapshot summarizes the histogram from one Export.
+func (h *Histogram) Snapshot() LatencySnapshot {
 	e := h.Export()
-	if e.Count == 0 {
-		return 0
+	mean := 0.0
+	if e.Count > 0 {
+		mean = float64(e.Sum) / float64(e.Count) / float64(time.Millisecond)
 	}
-	return float64(e.Sum) / float64(e.Count) / float64(time.Millisecond)
+	return LatencySnapshot{
+		Count:  e.Count,
+		MeanMS: mean,
+		P50MS:  e.Quantile(0.50),
+		P95MS:  e.Quantile(0.95),
+		P99MS:  e.Quantile(0.99),
+		export: e,
+	}
 }
 
 // Endpoint aggregates one HTTP endpoint: request/outcome counters plus a
@@ -165,7 +193,27 @@ func (e *Endpoint) Record(status int, d time.Duration) {
 	}
 }
 
-// Registry is the process-wide metrics root.
+// EndpointSnapshot is the JSON shape of one endpoint's metrics.
+type EndpointSnapshot struct {
+	Requests int64           `json:"requests" prom:"lotusx_endpoint_requests_total,counter" help:"Requests routed to the endpoint."`
+	Errors   int64           `json:"errors" prom:"lotusx_endpoint_errors_total,counter" help:"Responses with status >= 400."`
+	Timeouts int64           `json:"timeouts" prom:"lotusx_endpoint_timeouts_total,counter" help:"Responses that hit the per-request deadline (504)."`
+	Shed     int64           `json:"shed" prom:"lotusx_endpoint_shed_total,counter" help:"Requests refused by admission control: the per-client rate limiter (429), the in-flight limiter and the drain gate (503)."`
+	Latency  LatencySnapshot `json:"latency" prom:"lotusx_endpoint_latency_seconds,histogram" help:"Request latency by endpoint."`
+}
+
+func (e *Endpoint) snapshot() EndpointSnapshot {
+	return EndpointSnapshot{
+		Requests: e.Requests.Load(),
+		Errors:   e.Errors.Load(),
+		Timeouts: e.Timeouts.Load(),
+		Shed:     e.Shed.Load(),
+		Latency:  e.Latency.Snapshot(),
+	}
+}
+
+// Registry is the process-wide metrics root.  Every metric set is created on
+// first use, so a server exports only the families of the tiers it runs.
 type Registry struct {
 	mu        sync.RWMutex
 	endpoints map[string]*Endpoint
@@ -174,135 +222,118 @@ type Registry struct {
 	corpora   map[string]*CorpusMetrics
 	caches    map[string]*CacheMetrics
 	remotes   map[string]*RemoteMetrics
-	ingest    *IngestMetrics
-	// lifecycle tracks drain state and the ingest journal; nil until
-	// Lifecycle() is first called.
-	lifecycle *LifecycleMetrics
-	// admission tracks per-client rate limiting and the router retry budget;
-	// nil until Admission() is first called.
-	admission *AdmissionMetrics
-	// cluster aggregates federated shard-server snapshots (router mode);
-	// nil until Cluster() is first called.
-	cluster *ClusterMetrics
-	start   time.Time
+	// The per-server tiers are singletons kept under the name "", so they
+	// share the named sets' create path.
+	ingest    map[string]*IngestMetrics
+	lifecycle map[string]*LifecycleMetrics
+	admission map[string]*AdmissionMetrics
+	cluster   map[string]*ClusterMetrics
+	start     time.Time
 }
 
 // New returns an empty Registry.
 func New() *Registry {
-	return &Registry{
-		endpoints: make(map[string]*Endpoint),
-		algos:     make(map[string]*Histogram),
-		stages:    make(map[string]*Histogram),
-		corpora:   make(map[string]*CorpusMetrics),
-		caches:    make(map[string]*CacheMetrics),
-		remotes:   make(map[string]*RemoteMetrics),
-		start:     time.Now(),
+	return &Registry{start: time.Now()}
+}
+
+// lazy is the registry's one create-on-first-use path: it returns the entry
+// of *m named name, allocating the map and a zero V under mu the first time
+// the name is asked for.  A hit — every request's Endpoint, Algorithm and
+// Stage lookup — is one read lock and a map read, with no allocation.
+func lazy[V any](mu *sync.RWMutex, m *map[string]*V, name string) *V {
+	mu.RLock()
+	v := (*m)[name]
+	mu.RUnlock()
+	if v != nil {
+		return v
 	}
+	mu.Lock()
+	defer mu.Unlock()
+	if v = (*m)[name]; v == nil {
+		if *m == nil {
+			*m = make(map[string]*V)
+		}
+		v = new(V)
+		(*m)[name] = v
+	}
+	return v
 }
 
 // Endpoint returns (creating on first use) the metrics of the named
 // endpoint.
-func (r *Registry) Endpoint(name string) *Endpoint {
-	r.mu.RLock()
-	e := r.endpoints[name]
-	r.mu.RUnlock()
-	if e != nil {
-		return e
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e = r.endpoints[name]; e == nil {
-		e = &Endpoint{}
-		r.endpoints[name] = e
-	}
-	return e
-}
+func (r *Registry) Endpoint(name string) *Endpoint { return lazy(&r.mu, &r.endpoints, name) }
 
 // Algorithm returns (creating on first use) the latency histogram of the
 // named join algorithm.
-func (r *Registry) Algorithm(name string) *Histogram {
-	return lazyHistogram(r, r.algos, name)
-}
+func (r *Registry) Algorithm(name string) *Histogram { return lazy(&r.mu, &r.algos, name) }
 
 // Stage returns (creating on first use) the latency histogram of the named
 // pipeline stage — "parse", "join:twigstack", "rank", "fanout", "merge",
 // "complete:tags", ... — fed by folding finished request traces, so the
 // per-stage aggregates are always on whether or not a client asked to see
 // its trace.
-func (r *Registry) Stage(name string) *Histogram {
-	return lazyHistogram(r, r.stages, name)
-}
+func (r *Registry) Stage(name string) *Histogram { return lazy(&r.mu, &r.stages, name) }
 
-// lazyHistogram is the shared double-checked create for a registry
-// histogram map (the maps are only written under r.mu).
-func lazyHistogram(r *Registry, m map[string]*Histogram, name string) *Histogram {
-	r.mu.RLock()
-	h := m[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
+// Corpus returns (creating on first use) the metrics of the named corpus.
+func (r *Registry) Corpus(name string) *CorpusMetrics { return lazy(&r.mu, &r.corpora, name) }
+
+// DropCorpus forgets the named corpus: its series leave both views, and the
+// registry no longer keeps the corpus reachable through its shard provider.
+// A later Corpus(name) starts fresh series.
+func (r *Registry) DropCorpus(name string) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = m[name]; h == nil {
-		h = &Histogram{}
-		m[name] = h
-	}
-	return h
-}
-
-// LatencySnapshot is the JSON shape of one histogram.
-type LatencySnapshot struct {
-	Count  int64   `json:"count"`
-	MeanMS float64 `json:"meanMs"`
-	P50MS  float64 `json:"p50Ms"`
-	P95MS  float64 `json:"p95Ms"`
-	P99MS  float64 `json:"p99Ms"`
-}
-
-func snapshotHistogram(h *Histogram) LatencySnapshot {
-	e := h.Export()
-	mean := 0.0
-	if e.Count > 0 {
-		mean = float64(e.Sum) / float64(e.Count) / float64(time.Millisecond)
-	}
-	return LatencySnapshot{
-		Count:  e.Count,
-		MeanMS: mean,
-		P50MS:  e.Quantile(0.50),
-		P95MS:  e.Quantile(0.95),
-		P99MS:  e.Quantile(0.99),
+	c := r.corpora[name]
+	delete(r.corpora, name)
+	r.mu.Unlock()
+	if c != nil {
+		c.SetShardProvider(nil)
 	}
 }
 
-// EndpointSnapshot is the JSON shape of one endpoint's metrics.
-type EndpointSnapshot struct {
-	Requests int64           `json:"requests"`
-	Errors   int64           `json:"errors"`
-	Timeouts int64           `json:"timeouts"`
-	Shed     int64           `json:"shed"`
-	Latency  LatencySnapshot `json:"latency"`
-}
+// Cache returns (creating on first use) the metrics of the named cache.
+func (r *Registry) Cache(name string) *CacheMetrics { return lazy(&r.mu, &r.caches, name) }
 
-// Snapshot is the JSON payload of GET /api/v1/metrics.  See the package
-// comment for its consistency semantics under concurrent load.
+// Remote returns (creating on first use) the remote-cluster metrics under
+// the given name — conventionally the router-side dataset name.
+func (r *Registry) Remote(name string) *RemoteMetrics { return lazy(&r.mu, &r.remotes, name) }
+
+// Ingest returns the registry's ingest-pipeline metrics, creating them on
+// first use; there is one ingest queue per server.
+func (r *Registry) Ingest() *IngestMetrics { return lazy(&r.mu, &r.ingest, "") }
+
+// Lifecycle returns the registry's drain and journal metrics, creating them
+// on first use.
+func (r *Registry) Lifecycle() *LifecycleMetrics { return lazy(&r.mu, &r.lifecycle, "") }
+
+// Admission returns the registry's admission-control metrics, creating them
+// on first use.
+func (r *Registry) Admission() *AdmissionMetrics { return lazy(&r.mu, &r.admission, "") }
+
+// Cluster returns the registry's federation aggregate, creating it on first
+// use (routers only; a registry that never calls this exports no cluster
+// rollup).
+func (r *Registry) Cluster() *ClusterMetrics { return lazy(&r.mu, &r.cluster, "") }
+
+// Snapshot is the JSON payload of GET /api/v1/metrics and, through
+// WritePrometheus, the source of GET /metrics.  See the package comment for
+// its consistency semantics under concurrent load and for the prom tags.
 type Snapshot struct {
-	UptimeSeconds float64                     `json:"uptimeSeconds"`
-	Endpoints     map[string]EndpointSnapshot `json:"endpoints"`
-	Algorithms    map[string]LatencySnapshot  `json:"algorithms"`
+	UptimeSeconds float64                     `json:"uptimeSeconds" prom:"lotusx_uptime_seconds,gauge" help:"Time since the metrics registry was created."`
+	Endpoints     map[string]EndpointSnapshot `json:"endpoints" prom:",label=endpoint"`
+	Algorithms    map[string]LatencySnapshot  `json:"algorithms" prom:"lotusx_algorithm_latency_seconds,histogram,label=algorithm" help:"Query latency by resolved join algorithm."`
 	// Stages appears once query traces have been folded in: per-pipeline-stage
 	// latency aggregates (parse, join:<algo>, rank, fanout, merge, ...).
-	Stages map[string]LatencySnapshot `json:"stages,omitempty"`
+	Stages map[string]LatencySnapshot `json:"stages,omitempty" prom:"lotusx_stage_latency_seconds,histogram,label=stage" help:"Pipeline stage latency folded from query traces."`
 	// Corpora appears only when sharded corpora are registered.
-	Corpora map[string]CorpusSnapshot `json:"corpora,omitempty"`
+	Corpora map[string]CorpusSnapshot `json:"corpora,omitempty" prom:",label=corpus"`
 	// Caches appears only when hot-path caches are registered (see
 	// internal/cache): per-cache hit/miss/eviction/singleflight counters
 	// plus live entry and byte counts.
-	Caches map[string]CacheSnapshot `json:"caches,omitempty"`
+	Caches map[string]CacheSnapshot `json:"caches,omitempty" prom:",label=cache"`
 	// Remotes appears only on router nodes fanning out to remote shard
 	// servers (see internal/remote): hedging outcomes and per-replica RPC
 	// latency, keyed by cluster name.
-	Remotes map[string]RemoteSnapshot `json:"remote,omitempty"`
+	Remotes map[string]RemoteSnapshot `json:"remote,omitempty" prom:",label=cluster"`
 	// Ingest appears once the async ingestion pipeline is running (see
 	// internal/ingest): job counters, queue gauges and compaction totals.
 	Ingest *IngestSnapshot `json:"ingest,omitempty"`
@@ -316,69 +347,53 @@ type Snapshot struct {
 	// goroutines, heap bytes, GC totals, and the build identity.
 	Process ProcessSnapshot `json:"process"`
 	// SLO carries the slo.Tracker snapshot when objectives are declared (an
-	// opaque value here so the metrics package needs no slo import; see
-	// internal/server and internal/slo).
+	// opaque value here so the metrics package needs no slo import; its own
+	// prom tags render it; see internal/server and internal/slo).
 	SLO any `json:"slo,omitempty"`
+	// cluster is the router's per-shard-server rollup; its JSON view is
+	// GET /api/v1/cluster/metrics.
+	cluster map[string]clusterRow `prom:",label=server"`
 }
 
-// Snapshot materializes a view of every endpoint, algorithm, stage and
-// corpus.
+// Snapshot materializes a view of every registered metric.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	s := Snapshot{
 		UptimeSeconds: time.Since(r.start).Seconds(),
-		Endpoints:     make(map[string]EndpointSnapshot, len(r.endpoints)),
-		Algorithms:    make(map[string]LatencySnapshot, len(r.algos)),
+		Endpoints:     snapshotAll(r.endpoints, (*Endpoint).snapshot),
+		Algorithms:    snapshotAll(r.algos, (*Histogram).Snapshot),
+		Stages:        snapshotAll(r.stages, (*Histogram).Snapshot),
+		Corpora:       snapshotAll(r.corpora, (*CorpusMetrics).snapshot),
+		Caches:        snapshotAll(r.caches, (*CacheMetrics).snapshot),
+		Remotes:       snapshotAll(r.remotes, (*RemoteMetrics).snapshot),
+		Ingest:        snapshotOne(r.ingest, (*IngestMetrics).snapshot),
+		Lifecycle:     snapshotOne(r.lifecycle, (*LifecycleMetrics).snapshot),
+		Admission:     snapshotOne(r.admission, (*AdmissionMetrics).snapshot),
+		Process:       processSnapshot(),
 	}
-	for name, e := range r.endpoints {
-		s.Endpoints[name] = EndpointSnapshot{
-			Requests: e.Requests.Load(),
-			Errors:   e.Errors.Load(),
-			Timeouts: e.Timeouts.Load(),
-			Shed:     e.Shed.Load(),
-			Latency:  snapshotHistogram(&e.Latency),
-		}
+	if c := r.cluster[""]; c != nil {
+		s.cluster = c.rows()
 	}
-	for name, h := range r.algos {
-		s.Algorithms[name] = snapshotHistogram(h)
-	}
-	if len(r.stages) > 0 {
-		s.Stages = make(map[string]LatencySnapshot, len(r.stages))
-		for name, h := range r.stages {
-			s.Stages[name] = snapshotHistogram(h)
-		}
-	}
-	if len(r.corpora) > 0 {
-		s.Corpora = make(map[string]CorpusSnapshot, len(r.corpora))
-		for name, c := range r.corpora {
-			s.Corpora[name] = c.snapshot()
-		}
-	}
-	if len(r.caches) > 0 {
-		s.Caches = make(map[string]CacheSnapshot, len(r.caches))
-		for name, c := range r.caches {
-			s.Caches[name] = c.snapshot()
-		}
-	}
-	if len(r.remotes) > 0 {
-		s.Remotes = make(map[string]RemoteSnapshot, len(r.remotes))
-		for name, m := range r.remotes {
-			s.Remotes[name] = m.snapshot()
-		}
-	}
-	if r.ingest != nil {
-		snap := r.ingest.snapshot()
-		s.Ingest = &snap
-	}
-	if r.lifecycle != nil {
-		snap := r.lifecycle.snapshot()
-		s.Lifecycle = &snap
-	}
-	if r.admission != nil {
-		snap := r.admission.snapshot()
-		s.Admission = &snap
-	}
-	s.Process = processSnapshot()
 	return s
+}
+
+// snapshotAll snapshots every entry of a named set (an empty map, never
+// nil, when nothing is registered).
+func snapshotAll[V, S any](m map[string]*V, snap func(*V) S) map[string]S {
+	out := make(map[string]S, len(m))
+	for name, v := range m {
+		out[name] = snap(v)
+	}
+	return out
+}
+
+// snapshotOne snapshots a per-server singleton, nil until it was created.
+func snapshotOne[V, S any](m map[string]*V, snap func(*V) S) *S {
+	v := m[""]
+	if v == nil {
+		return nil
+	}
+	s := snap(v)
+	return &s
 }

@@ -18,32 +18,33 @@ func TestHistogramQuantiles(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(900 * time.Millisecond)
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
+	s := h.Snapshot()
+	if s.Count != 100 {
+		t.Fatalf("count = %d", s.Count)
 	}
-	p50, p99 := h.Quantile(0.50), h.Quantile(0.99)
-	if p50 > 5 {
-		t.Errorf("p50 = %vms, want ~1ms bucket", p50)
+	if s.P50MS > 5 {
+		t.Errorf("p50 = %vms, want ~1ms bucket", s.P50MS)
 	}
-	if p99 < 500 {
-		t.Errorf("p99 = %vms, want the ~1s bucket", p99)
+	if s.P99MS < 500 {
+		t.Errorf("p99 = %vms, want the ~1s bucket", s.P99MS)
 	}
-	if m := h.MeanMS(); m < 80 || m > 120 {
+	if m := s.MeanMS; m < 80 || m > 120 {
 		t.Errorf("mean = %vms, want ~90ms", m)
 	}
 }
 
 func TestHistogramEmptyAndOverflow(t *testing.T) {
 	var h Histogram
-	if h.Quantile(0.5) != 0 || h.MeanMS() != 0 {
+	if s := h.Snapshot(); s.P50MS != 0 || s.MeanMS != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	h.Observe(24 * time.Hour) // far past the last bound: overflow bucket
 	h.Observe(-time.Second)   // negative: clamped to 0
-	if h.Count() != 2 {
-		t.Fatalf("count = %d", h.Count())
+	s := h.Snapshot()
+	if s.Count != 2 {
+		t.Fatalf("count = %d", s.Count)
 	}
-	if h.Quantile(0.99) <= 0 {
+	if s.P99MS <= 0 {
 		t.Fatal("overflow sample lost")
 	}
 }
@@ -116,7 +117,7 @@ func TestExportCoherenceUnderLoad(t *testing.T) {
 				// least one sample even if the readers finish first.
 				h.Observe(300 * time.Microsecond)
 				h.Observe(40 * time.Millisecond)
-				c.Shard("000").Observe(time.Millisecond)
+				c.Fanout.Observe(time.Millisecond)
 				select {
 				case <-stop:
 					return
@@ -175,8 +176,13 @@ func TestWritePrometheus(t *testing.T) {
 	cm.Searches.Add(3)
 	cm.Fanout.Observe(9 * time.Millisecond)
 	cm.Merge.Observe(time.Millisecond)
-	cm.Shard("000").Observe(8 * time.Millisecond)
-	cm.Shard("001").Observe(6 * time.Millisecond)
+	var shard0, shard1 Histogram
+	shard0.Observe(8 * time.Millisecond)
+	shard1.Observe(6 * time.Millisecond)
+	cm.SetShardProvider(func() (map[string]ShardHealth, map[string]LatencySnapshot) {
+		return map[string]ShardHealth{"000": {State: "open"}, "001": {State: "closed"}},
+			map[string]LatencySnapshot{"000": shard0.Snapshot(), "001": shard1.Snapshot()}
+	})
 
 	var buf strings.Builder
 	r.WritePrometheus(&buf)
@@ -196,6 +202,7 @@ func TestWritePrometheus(t *testing.T) {
 		`lotusx_corpus_swaps_total{corpus="xmark"} 1`,
 		`lotusx_corpus_searches_total{corpus="xmark"} 3`,
 		`lotusx_corpus_fanout_latency_seconds_count{corpus="xmark"} 1`,
+		`lotusx_corpus_quarantined_shards{corpus="xmark"} 1`,
 		`lotusx_corpus_shard_latency_seconds_count{corpus="xmark",shard="000"} 1`,
 		`lotusx_corpus_shard_latency_seconds_count{corpus="xmark",shard="001"} 1`,
 	} {
@@ -244,5 +251,23 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	if strip(buf.String()) != strip(buf2.String()) {
 		t.Fatal("exposition output is not deterministic")
+	}
+}
+
+// TestLookupHitAllocatesNothing: every request looks up its endpoint, its
+// join algorithm and each traced stage; once a name exists that lookup must
+// not allocate.
+func TestLookupHitAllocatesNothing(t *testing.T) {
+	r := New()
+	r.Stage("parse")
+	r.Algorithm("twigstack")
+	r.Endpoint("query")
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Stage("parse").Observe(time.Microsecond)
+		r.Algorithm("twigstack").Observe(time.Microsecond)
+		r.Endpoint("query").Record(200, time.Microsecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("a lookup hit allocates %v times, want 0", allocs)
 	}
 }

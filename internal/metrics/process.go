@@ -9,18 +9,28 @@ import (
 
 // Process-level gauges: what the Go runtime says about the serving process
 // itself — goroutines, heap, GC pauses — exported in both /api/v1/metrics
-// and the Prometheus exposition, plus the conventional build_info family
+// and the Prometheus exposition, plus the conventional build-info family
 // carrying version labels.
 
 // ProcessSnapshot is the process slice of the metrics snapshot.
 type ProcessSnapshot struct {
-	Goroutines          int     `json:"goroutines"`
-	HeapAllocBytes      uint64  `json:"heapAllocBytes"`
-	HeapSysBytes        uint64  `json:"heapSysBytes"`
-	GCCycles            uint32  `json:"gcCycles"`
-	GCPauseTotalSeconds float64 `json:"gcPauseTotalSeconds"`
+	Goroutines          int     `json:"goroutines" prom:"lotusx_process_goroutines,gauge" help:"Live goroutines in the serving process."`
+	HeapAllocBytes      uint64  `json:"heapAllocBytes" prom:"lotusx_process_heap_alloc_bytes,gauge" help:"Bytes of allocated heap objects."`
+	HeapSysBytes        uint64  `json:"heapSysBytes" prom:"lotusx_process_heap_sys_bytes,gauge" help:"Bytes of heap memory obtained from the OS."`
+	GCCycles            uint32  `json:"gcCycles" prom:"lotusx_process_gc_cycles_total,counter" help:"Completed GC cycles."`
+	GCPauseTotalSeconds float64 `json:"gcPauseTotalSeconds" prom:"lotusx_process_gc_pause_seconds_total,counter" help:"Cumulative stop-the-world GC pause time."`
 	GoVersion           string  `json:"goVersion"`
 	Version             string  `json:"version"`
+	build               buildInfo
+}
+
+// buildInfo renders the build identity as an info gauge: its labels carry
+// the identity, its value is always 1.
+type buildInfo struct {
+	Version   string `prom:",label=version"`
+	GoVersion string `prom:",label=goversion"`
+	Module    string `prom:",label=module"`
+	One       int    `prom:"lotusx_build_info,gauge" help:"Build identity of the serving binary; the value is always 1."`
 }
 
 // processSnapshot reads the runtime's current state.  ReadMemStats costs a
@@ -29,7 +39,7 @@ type ProcessSnapshot struct {
 func processSnapshot() ProcessSnapshot {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	version, goVersion, _ := buildIdentity()
+	version, goVersion, module := buildIdentity()
 	return ProcessSnapshot{
 		Goroutines:          runtime.NumGoroutine(),
 		HeapAllocBytes:      ms.HeapAlloc,
@@ -38,6 +48,7 @@ func processSnapshot() ProcessSnapshot {
 		GCPauseTotalSeconds: time.Duration(ms.PauseTotalNs).Seconds(),
 		GoVersion:           goVersion,
 		Version:             version,
+		build:               buildInfo{Version: version, GoVersion: goVersion, Module: module, One: 1},
 	}
 }
 

@@ -35,76 +35,35 @@ type RemoteMetrics struct {
 	replicas map[string]*Histogram
 }
 
-// Replica returns (creating on first use) the RPC latency histogram of the
-// named replica endpoint.  Every RPC is observed, failed ones included —
-// error latency is exactly what hedging tuning needs to see.
-func (m *RemoteMetrics) Replica(name string) *Histogram {
-	m.mu.RLock()
-	h := m.replicas[name]
-	m.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if h = m.replicas[name]; h == nil {
-		h = &Histogram{}
-		m.replicas[name] = h
-	}
-	return h
-}
-
-// ObserveReplica records one replica RPC's latency.
+// ObserveReplica records one RPC's latency on the named replica endpoint's
+// histogram.  Every RPC is observed, failed ones included — error latency is
+// exactly what hedging tuning needs to see.
 func (m *RemoteMetrics) ObserveReplica(name string, d time.Duration) {
-	m.Replica(name).Observe(d)
+	lazy(&m.mu, &m.replicas, name).Observe(d)
 }
 
 // RemoteSnapshot is the JSON shape of one cluster's remote metrics.
 type RemoteSnapshot struct {
-	Searches    int64 `json:"searches"`
-	HedgesFired int64 `json:"hedgesFired"`
-	HedgeWins   int64 `json:"hedgeWins"`
-	HedgeLosses int64 `json:"hedgeLosses"`
-	Failovers   int64 `json:"failovers"`
-	RPCErrors   int64 `json:"rpcErrors"`
+	Searches    int64 `json:"searches" prom:"lotusx_remote_searches_total,counter" help:"Logical-shard searches routed to remote shard backends."`
+	HedgesFired int64 `json:"hedgesFired" prom:"lotusx_remote_hedges_fired_total,counter" help:"Backup-replica requests launched after the hedge delay."`
+	HedgeWins   int64 `json:"hedgeWins" prom:"lotusx_remote_hedge_wins_total,counter" help:"Searches answered first by a hedged (backup) request."`
+	HedgeLosses int64 `json:"hedgeLosses" prom:"lotusx_remote_hedge_losses_total,counter" help:"Searches where a hedge fired but the primary answered first."`
+	Failovers   int64 `json:"failovers" prom:"lotusx_remote_failovers_total,counter" help:"Immediate next-replica launches after a replica error."`
+	RPCErrors   int64 `json:"rpcErrors" prom:"lotusx_remote_rpc_errors_total,counter" help:"Individual replica RPC failures."`
 	// Replicas maps replica endpoint name to its RPC latency aggregate.
-	Replicas map[string]LatencySnapshot `json:"replicas,omitempty"`
+	Replicas map[string]LatencySnapshot `json:"replicas,omitempty" prom:"lotusx_remote_replica_latency_seconds,histogram,label=replica" help:"Per-replica RPC latency, failed RPCs included."`
 }
 
 func (m *RemoteMetrics) snapshot() RemoteSnapshot {
-	s := RemoteSnapshot{
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return RemoteSnapshot{
 		Searches:    m.Searches.Load(),
 		HedgesFired: m.HedgesFired.Load(),
 		HedgeWins:   m.HedgeWins.Load(),
 		HedgeLosses: m.HedgeLosses.Load(),
 		Failovers:   m.Failovers.Load(),
 		RPCErrors:   m.RPCErrors.Load(),
+		Replicas:    snapshotAll(m.replicas, (*Histogram).Snapshot),
 	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if len(m.replicas) > 0 {
-		s.Replicas = make(map[string]LatencySnapshot, len(m.replicas))
-		for name, h := range m.replicas {
-			s.Replicas[name] = snapshotHistogram(h)
-		}
-	}
-	return s
-}
-
-// Remote returns (creating on first use) the remote-cluster metrics under
-// the given name — conventionally the router-side dataset name.
-func (r *Registry) Remote(name string) *RemoteMetrics {
-	r.mu.RLock()
-	m := r.remotes[name]
-	r.mu.RUnlock()
-	if m != nil {
-		return m
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m = r.remotes[name]; m == nil {
-		m = &RemoteMetrics{replicas: make(map[string]*Histogram)}
-		r.remotes[name] = m
-	}
-	return m
 }

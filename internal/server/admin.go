@@ -338,9 +338,9 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDatasetDelete drops a dataset (engine- or corpus-backed) from the
-// catalog.  A corpus persisted under CorpusDir also loses its on-disk
-// directory — otherwise the next restart's corpus reload would resurrect
-// the dataset.
+// catalog and its corpus from the metrics registry.  A corpus persisted
+// under CorpusDir also loses its on-disk directory — otherwise the next
+// restart's corpus reload would resurrect the dataset.
 func (s *Server) handleDatasetDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	s.adminMu.Lock()
@@ -356,6 +356,7 @@ func (s *Server) handleDatasetDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	s.dropCached(b)
 	if c, ok := b.(*corpus.Corpus); ok {
+		s.reg.DropCorpus(name)
 		// Only purge directories directly under our own corpus root; the
 		// corpus's recorded dir — not a fresh join of the request's name —
 		// is what gets deleted, so a hostile name cannot aim this at

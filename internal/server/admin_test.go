@@ -7,9 +7,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"lotusx/internal/core"
 	"lotusx/internal/corpus"
@@ -240,6 +242,62 @@ func TestMetricsExposeCorpora(t *testing.T) {
 	}
 	if cs.Shards != 2 || cs.Swaps < 1 || cs.Searches != 1 || cs.Fanout.Count != 1 || cs.Merge.Count != 1 {
 		t.Fatalf("corpus metrics: %+v", cs)
+	}
+}
+
+// TestDatasetDeleteDropsMetrics: deleting a dataset drops its corpus from
+// the metrics registry — no frozen corpus="tmp" series stays in either view,
+// the corpus itself becomes collectable, and re-creating the name starts
+// fresh series.
+func TestDatasetDeleteDropsMetrics(t *testing.T) {
+	ts, _ := adminServer(t, Config{})
+	create := func() {
+		t.Helper()
+		if code := do(t, "POST", ts.URL+"/api/v1/datasets/tmp?shards=2&sync=1", tinyXML, nil); code != http.StatusCreated {
+			t.Fatalf("create: status %d", code)
+		}
+		if code := postJSON(t, ts.URL+"/api/v1/query?dataset=tmp", `{"query":"//article/title","k":10}`, &struct{}{}); code != http.StatusOK {
+			t.Fatalf("query: status %d", code)
+		}
+	}
+	create()
+	b, err := ts.Config.Handler.(*Server).catalog.GetBackend("tmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(b.(*corpus.Corpus), func(*corpus.Corpus) { close(freed) })
+	b = nil
+	if code := do(t, "DELETE", ts.URL+"/api/v1/datasets/tmp", "", nil); code != http.StatusOK {
+		t.Fatalf("delete: status %d", code)
+	}
+
+	if body := scrape(t, ts); strings.Contains(body, `corpus="tmp"`) {
+		t.Error(`/metrics still carries corpus="tmp" series after the delete`)
+	}
+	var snap metrics.Snapshot
+	getJSON(t, ts.URL+"/api/v1/metrics", &snap)
+	if _, ok := snap.Corpora["tmp"]; ok {
+		t.Error("/api/v1/metrics still carries corpora.tmp after the delete")
+	}
+	collected := false
+	for i := 0; i < 100 && !collected; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			collected = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if !collected {
+		t.Error("the deleted corpus is still reachable: its finalizer never ran")
+	}
+
+	create()
+	var again metrics.Snapshot
+	getJSON(t, ts.URL+"/api/v1/metrics", &again)
+	if cs := again.Corpora["tmp"]; cs.Swaps != 1 || cs.Searches != 1 {
+		t.Fatalf("re-created tmp continues the deleted dataset's series: swaps=%d searches=%d, want 1 and 1", cs.Swaps, cs.Searches)
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -77,9 +78,11 @@ func TestDrainGateRefusesNewWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pres.Body.Close()
-	b := make([]byte, 1<<20)
-	n, _ := pres.Body.Read(b)
-	if !strings.Contains(string(b[:n]), "lotusx_lifecycle_draining 1") {
+	b, err := io.ReadAll(pres.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), "lotusx_lifecycle_draining 1") {
 		t.Error("exposition missing lotusx_lifecycle_draining 1")
 	}
 }
@@ -102,7 +105,7 @@ func TestDrainCompletesQueuedIngest(t *testing.T) {
 		t.Fatalf("Drain: %v", err)
 	}
 	// The job reached its terminal state and the journal settled.
-	if n := srv.reg.Lifecycle().JournalPending(); n != 0 {
+	if n := srv.reg.Snapshot().Lifecycle.JournalPending; n != 0 {
 		t.Fatalf("journal pending after drain = %d", n)
 	}
 	// The drain gate refuses new HTTP requests, so check in-process that the
@@ -156,7 +159,7 @@ func TestJournalCrashRestartReplays(t *testing.T) {
 	}
 	// The terminal append failed: the accept is still pending and its spool
 	// is still on disk — exactly the crash-window state.
-	if n := srv1.reg.Lifecycle().JournalPending(); n != 1 {
+	if n := srv1.reg.Snapshot().Lifecycle.JournalPending; n != 1 {
 		t.Fatalf("pending after faulted terminal = %d, want 1", n)
 	}
 	spools, _ := filepath.Glob(filepath.Join(corpusDir, "ingest-spool-*.xml"))
@@ -174,7 +177,7 @@ func TestJournalCrashRestartReplays(t *testing.T) {
 	t.Cleanup(ts2.Close)
 
 	deadline := time.Now().Add(10 * time.Second)
-	for reg2.Lifecycle().JournalPending() != 0 {
+	for reg2.Snapshot().Lifecycle.JournalPending != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("journal never settled after restart")
 		}
@@ -238,7 +241,7 @@ func TestJournalAcceptFaultFailsRequest(t *testing.T) {
 	if len(spools) != 0 {
 		t.Fatalf("failed accept leaked spools: %v", spools)
 	}
-	if n := srv.reg.Lifecycle().JournalPending(); n != 0 {
+	if n := srv.reg.Snapshot().Lifecycle.JournalPending; n != 0 {
 		t.Fatalf("pending after refused accept = %d", n)
 	}
 }

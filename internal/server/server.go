@@ -575,12 +575,18 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"datasets": s.catalog.Names()})
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// metricsSnapshot is the one read behind both metrics views: the registry's
+// snapshot with the SLO tracker's folded in.
+func (s *Server) metricsSnapshot() metrics.Snapshot {
 	snap := s.reg.Snapshot()
 	if s.slo != nil {
 		snap.SLO = s.slo.Snapshot()
 	}
-	writeJSON(w, http.StatusOK, snap)
+	return snap
+}
+
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.metricsSnapshot())
 }
 
 // handleCluster serves the router's topology and hedging status (mounted

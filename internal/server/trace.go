@@ -261,13 +261,12 @@ func (s *Server) Degraded() string {
 	return strings.Join(parts, "; ")
 }
 
-// handlePrometheus serves the hand-rolled Prometheus text exposition —
-// GET /metrics, the conventional scrape path, next to the JSON snapshot at
+// handlePrometheus serves the Prometheus text exposition — GET /metrics, the
+// conventional scrape path — rendered from the same snapshot as the JSON at
 // /api/v1/metrics.
 func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.reg.WritePrometheus(w)
-	s.slo.WritePrometheus(w)
+	metrics.WritePrometheus(w, s.metricsSnapshot())
 }
 
 // metricsPath reports whether path is one of the metrics endpoints, which

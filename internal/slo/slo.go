@@ -14,14 +14,13 @@
 // constant whatever the traffic.
 //
 // The package is intentionally self-contained (stdlib only): the metrics
-// registry embeds its Snapshot as an opaque value and the server appends its
-// Prometheus exposition, so the layering stays
-// slo <- metrics-consumers, never the reverse.
+// snapshot embeds its Snapshot as an opaque value and renders its
+// Prometheus families from the prom tags on ObjectiveStatus, so the
+// layering stays slo <- metrics-consumers, never the reverse.
 package slo
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"time"
@@ -225,25 +224,30 @@ func burnRate(good, bad int64, target float64) float64 {
 	return (float64(bad) / float64(total)) / (1 - target)
 }
 
-// ObjectiveStatus is the reported state of one objective.
+// ObjectiveStatus is the reported state of one objective.  The prom/help
+// tags declare its Prometheus families, which the metrics package renders
+// (see internal/metrics).
 type ObjectiveStatus struct {
-	Name        string  `json:"name"`
+	Name        string  `json:"name" prom:",label=objective"`
 	Endpoint    string  `json:"endpoint,omitempty"`
-	Target      float64 `json:"target"`
+	Target      float64 `json:"target" prom:"lotusx_slo_target,gauge" help:"Declared good-event fraction of the objective."`
 	ThresholdMS float64 `json:"thresholdMs,omitempty"`
 	// GoodTotal/BadTotal are lifetime event counters (monotone).
-	GoodTotal int64 `json:"goodTotal"`
-	BadTotal  int64 `json:"badTotal"`
+	GoodTotal int64 `json:"goodTotal" prom:"lotusx_slo_good_total,counter" help:"Lifetime events meeting the objective."`
+	BadTotal  int64 `json:"badTotal" prom:"lotusx_slo_bad_total,counter" help:"Lifetime events violating the objective."`
 	// Compliance is the good fraction over the slow window; 1 with no events
 	// (an idle objective is compliant, not broken).
-	Compliance float64 `json:"compliance"`
+	Compliance float64 `json:"compliance" prom:"lotusx_slo_compliance,gauge" help:"Good-event fraction over the slow window (1 when idle)."`
 	// FastBurnRate/SlowBurnRate are the error-budget burn rates over the two
 	// windows (1.0 = consuming exactly the budget).
 	FastBurnRate float64 `json:"fastBurnRate"`
 	SlowBurnRate float64 `json:"slowBurnRate"`
+	// burnRates holds the same two rates keyed by window name, the shape
+	// their one labeled family takes.
+	burnRates map[string]float64 `prom:"lotusx_slo_burn_rate,gauge,label=window" help:"Error-budget burn rate over the labeled window (1 = on budget)."`
 	// Burning reports the page-grade condition: fast-window burn at or above
 	// the alert threshold with at least MinEvents observations.
-	Burning bool `json:"burning"`
+	Burning bool `json:"burning" prom:"lotusx_slo_burning,gauge" help:"1 while the fast window burns at or above the alert threshold."`
 }
 
 // Snapshot is the JSON view of the tracker (embedded in /api/v1/metrics).
@@ -277,6 +281,7 @@ func (t *Tracker) status(o *objective) ObjectiveStatus {
 	if total := sg + sb; total > 0 {
 		st.Compliance = float64(sg) / float64(total)
 	}
+	st.burnRates = map[string]float64{"fast": st.FastBurnRate, "slow": st.SlowBurnRate}
 	st.Burning = fg+fb >= t.minEvents && st.FastBurnRate >= t.alert
 	return st
 }
@@ -311,48 +316,4 @@ func (t *Tracker) Burning() string {
 		}
 	}
 	return strings.Join(parts, "; ")
-}
-
-// WritePrometheus renders the lotusx_slo_* families in text exposition
-// format 0.0.4.  The server appends this after the registry's families, so
-// the objectives ride the same scrape.
-func (t *Tracker) WritePrometheus(w io.Writer) {
-	if t == nil {
-		return
-	}
-	sts := make([]ObjectiveStatus, 0, len(t.objectives))
-	for _, o := range t.objectives {
-		sts = append(sts, t.status(o))
-	}
-	writeFamily(w, "lotusx_slo_target", "Declared good-event fraction of the objective.", "gauge",
-		sts, func(st ObjectiveStatus) float64 { return st.Target })
-	writeFamily(w, "lotusx_slo_good_total", "Lifetime events meeting the objective.", "counter",
-		sts, func(st ObjectiveStatus) float64 { return float64(st.GoodTotal) })
-	writeFamily(w, "lotusx_slo_bad_total", "Lifetime events violating the objective.", "counter",
-		sts, func(st ObjectiveStatus) float64 { return float64(st.BadTotal) })
-	writeFamily(w, "lotusx_slo_compliance", "Good-event fraction over the slow window (1 when idle).", "gauge",
-		sts, func(st ObjectiveStatus) float64 { return st.Compliance })
-	// Burn rates carry a window label; rendered by hand since the shared
-	// helper is single-label.
-	fmt.Fprintf(w, "# HELP lotusx_slo_burn_rate Error-budget burn rate over the labeled window (1 = on budget).\n")
-	fmt.Fprintf(w, "# TYPE lotusx_slo_burn_rate gauge\n")
-	for _, st := range sts {
-		fmt.Fprintf(w, "lotusx_slo_burn_rate{objective=%q,window=\"fast\"} %g\n", st.Name, st.FastBurnRate)
-		fmt.Fprintf(w, "lotusx_slo_burn_rate{objective=%q,window=\"slow\"} %g\n", st.Name, st.SlowBurnRate)
-	}
-	writeFamily(w, "lotusx_slo_burning", "1 while the fast window burns at or above the alert threshold.", "gauge",
-		sts, func(st ObjectiveStatus) float64 {
-			if st.Burning {
-				return 1
-			}
-			return 0
-		})
-}
-
-// writeFamily renders one objective-labeled family.
-func writeFamily(w io.Writer, name, help, typ string, sts []ObjectiveStatus, val func(ObjectiveStatus) float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	for _, st := range sts {
-		fmt.Fprintf(w, "%s{objective=%q} %g\n", name, st.Name, val(st))
-	}
 }

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"lotusx/internal/metrics"
 )
 
 // clock is an injectable test clock.
@@ -186,9 +188,9 @@ func TestNilTracker(t *testing.T) {
 		t.Fatal("nil Burning non-empty")
 	}
 	var sb strings.Builder
-	tr.WritePrometheus(&sb)
+	metrics.WritePrometheus(&sb, tr.Snapshot())
 	if sb.Len() != 0 {
-		t.Fatal("nil WritePrometheus wrote output")
+		t.Fatal("nil tracker's snapshot rendered families")
 	}
 }
 
@@ -205,7 +207,7 @@ func TestWritePrometheus(t *testing.T) {
 		tr.Observe("query", 500, time.Millisecond)
 	}
 	var sb strings.Builder
-	tr.WritePrometheus(&sb)
+	metrics.WritePrometheus(&sb, tr.Snapshot())
 	out := sb.String()
 	for _, want := range []string{
 		"# TYPE lotusx_slo_target gauge",
