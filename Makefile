@@ -51,13 +51,15 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# The experiment suite (E1..E13, A1..A3); SCALE sweeps dataset size.
+# The experiment suite (E1–E11, E14, E17, E19, A1–A3): prints its tables and
+# writes no files.  SCALE sweeps dataset size.  The live-server benchmark is
+# benchmark/ (see BENCHMARK.json).
 SCALE ?= 1
 bench:
 	$(GO) run ./cmd/lotusx-bench -scale $(SCALE)
 
 # CPU-profile a live server: serve XMark sharded with the debug listener on,
-# drive the E12 workload query at it, and capture /debug/pprof/profile into
+# drive workload query Q5 at it, and capture /debug/pprof/profile into
 # profile.pb.gz.  Inspect with `go tool pprof profile.pb.gz`.
 PROFILE_SECONDS ?= 5
 profile:

@@ -1,16 +1,19 @@
-// Command lotusx-bench runs the experiment suite E1–E10 (one experiment per
-// claim of the demo paper; see DESIGN.md §5) and prints the result tables.
+// Command lotusx-bench runs the experiment suite of internal/bench and
+// prints the result tables: E1–E11 and the ablations A1–A3 reproduce the
+// demo paper's claims (see DESIGN.md §5); E14, E17 and E19 measure injected
+// shard failure, replica failover and hedging, and the index-compression
+// gates.
 //
-//	lotusx-bench                # full suite at scale 1
-//	lotusx-bench -scale 4       # larger datasets
-//	lotusx-bench -exp E2,E3     # a subset
+//	lotusx-bench                       # full suite at scale 1
+//	lotusx-bench -scale 4              # larger datasets
+//	lotusx-bench -exp E2,E3            # a subset
+//	lotusx-bench -exp E19 -json-dir .  # also write BENCH_E19.json
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"lotusx/internal/bench"
 )
@@ -19,7 +22,7 @@ func main() {
 	scale := flag.Int("scale", 1, "dataset scale factor")
 	seed := flag.Int64("seed", 42, "workload seed")
 	exps := flag.String("exp", "", "comma-separated experiments to run (default all), e.g. E2,E5")
-	jsonDir := flag.String("json-dir", ".",
+	jsonDir := flag.String("json-dir", "",
 		"directory receiving machine-readable BENCH_<ID>.json files (empty disables)")
 	flag.Parse()
 
@@ -27,46 +30,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
-	if *exps == "" {
-		if err := runner.RunAll(); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	table := map[string]func() error{
-		"E1":  runner.E1IndexBuild,
-		"E2":  runner.E2TwigAlgorithms,
-		"E3":  runner.E3Intermediate,
-		"E4":  runner.E4ParentChild,
-		"E5":  runner.E5CompletionLatency,
-		"E6":  runner.E6CompletionQuality,
-		"E7":  runner.E7Ranking,
-		"E8":  runner.E8Ordered,
-		"E9":  runner.E9Rewrite,
-		"E10": runner.E10Session,
-		"E11": runner.E11Scalability,
-		"E12": runner.E12CorpusFanout,
-		"E13": runner.E13TracingOverhead,
-		"E14": runner.E14FaultTolerance,
-		"E15": runner.E15CacheWarmPath,
-		"E16": runner.E16AsyncIngest,
-		"E17": runner.E17RemoteRouter,
-		"E18": runner.E18TailSampling,
-		"E19": runner.E19IndexCompression,
-		"A1":  runner.A1Pushdown,
-		"A2":  runner.A2Minimization,
-		"A3":  runner.A3PenaltyModel,
-	}
-	for _, id := range strings.Split(*exps, ",") {
-		id = strings.TrimSpace(strings.ToUpper(id))
-		step, ok := table[id]
-		if !ok {
-			fatal(fmt.Errorf("unknown experiment %q", id))
-		}
-		if err := step(); err != nil {
-			fatal(err)
-		}
+	if err := runner.Run(*exps); err != nil {
+		fatal(err)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 // ablated variant evaluates the structure-only twig and post-filters
 // matches.  DESIGN.md §4 calls the pushdown out; this quantifies it.
 func (r *Runner) A1Pushdown() error {
-	r.header("A1", "ablation: value-predicate pushdown vs post-filtering")
 	queries := []Query{
 		{ID: "Q3", Kind: dataset.DBLP, Text: `//article[author = "wei lu"]/title`},
 		{ID: "Q5", Kind: dataset.XMark, Text: `//item[description//text contains "vintage"]/name`},
@@ -115,7 +114,6 @@ func tokenizeLower(s string) []string {
 // A2Minimization ablates tree pattern minimization on GUI-style redundant
 // queries.
 func (r *Runner) A2Minimization() error {
-	r.header("A2", "ablation: tree pattern minimization of redundant twigs")
 	queries := []Query{
 		{ID: "R1", Kind: dataset.DBLP, Text: `//article[author][author]/title`},
 		{ID: "R2", Kind: dataset.DBLP, Text: `//article[author][author = "wei lu"][year][year]/title`},
@@ -156,7 +154,6 @@ func (r *Runner) A2Minimization() error {
 // rule-specific penalties against a uniform model, measured by how many
 // rewrites are evaluated before the first answers appear.
 func (r *Runner) A3PenaltyModel() error {
-	r.header("A3", "ablation: rewrite penalty model (default vs uniform)")
 	broken := []Query{
 		{ID: "B1", Kind: dataset.DBLP, Text: `//article/autor`},
 		{ID: "B2", Kind: dataset.DBLP, Text: `//article[yer]/title`},
@@ -213,7 +210,6 @@ func (r *Runner) rewriteUntilRecovery(engine *core.Engine, q *twig.Query, p rewr
 // heaviest workload queries must grow roughly linearly for the interactive
 // claims to survive larger corpora.
 func (r *Runner) E11Scalability() error {
-	r.header("E11", "scalability: build and query cost vs dataset scale")
 	tw := r.table()
 	fmt.Fprintln(tw, "scale\tdblp nodes\tbuild ms\tQ2 ms\tQ9 ms\tcomplete µs")
 	for _, scale := range []int{1, 2, 4} {

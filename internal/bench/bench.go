@@ -1,7 +1,11 @@
-// Package bench implements the experiment suite E1–E10 of DESIGN.md §5:
-// for every claim of the LotusX demo paper, one experiment that prints a
-// table quantifying it.  cmd/lotusx-bench drives the suite; the repo-root
-// bench_test.go exposes each experiment as a testing.B benchmark.
+// Package bench implements the experiment suite of DESIGN.md §5: E1–E11
+// and the ablations A1–A3 reproduce the LotusX demo paper's claims, one
+// experiment per claim printing a table that quantifies it; E14, E17 and
+// E19 measure what the live benchmark (benchmark/) cannot — injected shard
+// failure, replica failover and hedging, and the index-compression gates.
+// The experiments table declares the suite once; cmd/lotusx-bench runs it,
+// and the repo-root bench_test.go exposes the paper experiments as
+// testing.B benchmarks.
 package bench
 
 import (
@@ -12,15 +16,15 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"text/tabwriter"
 	"time"
 
 	"lotusx/internal/core"
-	"lotusx/internal/dataguide"
 	"lotusx/internal/dataset"
 	"lotusx/internal/doc"
-	"lotusx/internal/index"
 	"lotusx/internal/twig"
 )
 
@@ -40,25 +44,21 @@ type Config struct {
 // Runner holds the built engines and runs experiments.
 type Runner struct {
 	cfg     Config
+	env     benchEnv
 	engines map[dataset.Kind]*core.Engine
-	// build timings captured while constructing engines (E1).
-	buildStats map[dataset.Kind]buildStat
-	// curID/curClaim track the experiment the next table belongs to (set by
-	// header); recorded accumulates each experiment's parsed tables for the
-	// JSONDir files.
-	curID    string
-	curClaim string
+	// E1's measurements of what precedes the engine build.
+	inputs map[dataset.Kind]input
+	// cur is the experiment the next table belongs to; recorded accumulates
+	// each experiment's parsed tables for the JSONDir files.
+	cur      experiment
 	recorded map[string][]jsonTable
 }
 
-type buildStat struct {
-	xmlBytes   int
-	nodes      int
-	tags       int
-	guidePaths int
-	parse      time.Duration
-	indexBuild time.Duration
-	guideBuild time.Duration
+// input is one generated dataset as E1 reports it: its XML size and the
+// time to parse it.  The engine's BuildTiming covers index and guide.
+type input struct {
+	xmlBytes int
+	parse    time.Duration
 }
 
 // NewRunner generates the datasets and builds one engine per dataset,
@@ -71,9 +71,10 @@ func NewRunner(cfg Config) (*Runner, error) {
 		return nil, fmt.Errorf("bench: Config.Out is required")
 	}
 	r := &Runner{
-		cfg:        cfg,
-		engines:    make(map[dataset.Kind]*core.Engine),
-		buildStats: make(map[dataset.Kind]buildStat),
+		cfg:     cfg,
+		env:     benchEnv{runtime.Version(), runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0), runtime.NumCPU()},
+		engines: make(map[dataset.Kind]*core.Engine),
+		inputs:  make(map[dataset.Kind]input),
 	}
 	for _, kind := range dataset.Kinds {
 		if err := r.buildOne(kind); err != nil {
@@ -84,36 +85,17 @@ func NewRunner(cfg Config) (*Runner, error) {
 }
 
 func (r *Runner) buildOne(kind dataset.Kind) error {
-	var bs buildStat
-	xml := &countingBuffer{}
-	if err := dataset.Generate(kind, r.cfg.Scale, r.cfg.Seed, xml); err != nil {
+	var xml bytes.Buffer
+	if err := dataset.Generate(kind, r.cfg.Scale, r.cfg.Seed, &xml); err != nil {
 		return err
 	}
-	bs.xmlBytes = xml.Len()
-
 	start := time.Now()
-	d, err := doc.FromReader(fmt.Sprintf("%s-s%d", kind, r.cfg.Scale), xml.Reader())
+	d, err := doc.FromReader(fmt.Sprintf("%s-s%d", kind, r.cfg.Scale), bytes.NewReader(xml.Bytes()))
 	if err != nil {
 		return err
 	}
-	bs.parse = time.Since(start)
-	bs.nodes = d.Len()
-	bs.tags = d.Tags().Len()
-
-	start = time.Now()
-	ix := index.Build(d)
-	bs.indexBuild = time.Since(start)
-
-	start = time.Now()
-	guide := dataguide.Build(d)
-	guide.Warm()
-	bs.guideBuild = time.Since(start)
-	bs.guidePaths = guide.Size()
-	_ = ix
-
-	// The engine rebuilds index and guide; cheap relative to clarity.
+	r.inputs[kind] = input{xmlBytes: xml.Len(), parse: time.Since(start)}
 	r.engines[kind] = core.FromDocument(d)
-	r.buildStats[kind] = bs
 	return nil
 }
 
@@ -125,48 +107,87 @@ func (r *Runner) rng(offset int64) *rand.Rand {
 	return rand.New(rand.NewSource(r.cfg.Seed + offset))
 }
 
-// RunAll executes every experiment in order.
-func (r *Runner) RunAll() error {
-	steps := []func() error{
-		r.E1IndexBuild,
-		r.E2TwigAlgorithms,
-		r.E3Intermediate,
-		r.E4ParentChild,
-		r.E5CompletionLatency,
-		r.E6CompletionQuality,
-		r.E7Ranking,
-		r.E8Ordered,
-		r.E9Rewrite,
-		r.E10Session,
-		r.E11Scalability,
-		r.E12CorpusFanout,
-		r.E13TracingOverhead,
-		r.E14FaultTolerance,
-		r.E15CacheWarmPath,
-		r.E16AsyncIngest,
-		r.E17RemoteRouter,
-		r.E18TailSampling,
-		r.E19IndexCompression,
-		r.A1Pushdown,
-		r.A2Minimization,
-		r.A3PenaltyModel,
+// experiment is one row of the suite: the ID its banner and JSON file carry,
+// the claim it quantifies, and the function that prints its tables.
+type experiment struct {
+	id, claim string
+	run       func(*Runner) error
+}
+
+// experiments is the suite in run order, the one place an experiment is
+// declared.
+var experiments = []experiment{
+	{"E1", "index construction cost per dataset", (*Runner).E1IndexBuild},
+	{"E2", "twig algorithms: evaluation time per query (ms)", (*Runner).E2TwigAlgorithms},
+	{"E3", "intermediate path solutions: PathStack vs TwigStack vs TJFast", (*Runner).E3Intermediate},
+	{"E4", "parent-child-heavy queries: TwigStack vs look-ahead pruning", (*Runner).E4ParentChild},
+	{"E5", "auto-completion latency by prefix length (µs/op)", (*Runner).E5CompletionLatency},
+	{"E6", "candidate quality: rank of the intended tag (position-aware vs naive)", (*Runner).E6CompletionQuality},
+	{"E7", "ranking quality: nDCG@10 / P@5 vs document-order and random baselines", (*Runner).E7Ranking},
+	{"E8", "order-sensitive queries: overhead of << constraints", (*Runner).E8Ordered},
+	{"E9", "query rewriting: recovery of broken queries", (*Runner).E9Rewrite},
+	{"E10", "end-to-end interactive session latency (per step, ms)", (*Runner).E10Session},
+	{"E11", "scalability: build and query cost vs dataset scale", (*Runner).E11Scalability},
+	{"E14", "fault tolerance: availability and p99 under injected shard failures", (*Runner).E14FaultTolerance},
+	{"E17", "distributed router: replicated availability under faults, hedging under latency skew", (*Runner).E17RemoteRouter},
+	{"E19", "DAG-compressed index: dedup repeated subtrees, join once per distinct shape", (*Runner).E19IndexCompression},
+	{"A1", "ablation: value-predicate pushdown vs post-filtering", (*Runner).A1Pushdown},
+	{"A2", "ablation: tree pattern minimization of redundant twigs", (*Runner).A2Minimization},
+	{"A3", "ablation: rewrite penalty model (default vs uniform)", (*Runner).A3PenaltyModel},
+}
+
+// selectExperiments resolves a comma-separated, case-insensitive ID list in
+// the order given; an empty list selects the whole suite.
+func selectExperiments(ids string) ([]experiment, error) {
+	if ids == "" {
+		return experiments, nil
 	}
-	for _, step := range steps {
-		if err := step(); err != nil {
+	var picked []experiment
+	for _, id := range strings.Split(ids, ",") {
+		id = strings.TrimSpace(id)
+		i := slices.IndexFunc(experiments, func(e experiment) bool { return strings.EqualFold(e.id, id) })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown experiment %q", id)
+		}
+		picked = append(picked, experiments[i])
+	}
+	return picked, nil
+}
+
+// Run executes the experiments ids names (see selectExperiments), printing
+// the environment line and then each experiment's banner and tables.  An
+// unknown ID fails before anything runs.
+func (r *Runner) Run(ids string) error {
+	picked, err := selectExperiments(ids)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(r.cfg.Out, "env: %s\n", r.env)
+	for _, e := range picked {
+		r.cur = e
+		delete(r.recorded, e.id) // a re-run replaces the experiment's tables
+		fmt.Fprintf(r.cfg.Out, "\n=== %s — %s ===\n", e.id, e.claim)
+		if err := e.run(r); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// header prints an experiment banner and marks id as the experiment the
-// following tables belong to.
-func (r *Runner) header(id, claim string) {
-	r.curID, r.curClaim = id, claim
-	if r.cfg.JSONDir != "" {
-		delete(r.recorded, id) // a re-run replaces the experiment's tables
-	}
-	fmt.Fprintf(r.cfg.Out, "\n=== %s — %s ===\n", id, claim)
+// RunAll executes every experiment in order.
+func (r *Runner) RunAll() error { return r.Run("") }
+
+// benchEnv is where a run was measured, so a reader can place its numbers.
+type benchEnv struct {
+	GoVersion  string `json:"goVersion"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"nproc"`
+}
+
+func (e benchEnv) String() string {
+	return fmt.Sprintf("%s %s/%s, GOMAXPROCS=%d, NumCPU=%d", e.GoVersion, e.GOOS, e.GOARCH, e.GOMAXPROCS, e.NumCPU)
 }
 
 // table returns a writer for one result table; callers must Flush.  The
@@ -210,13 +231,14 @@ type jsonExperiment struct {
 	Claim  string      `json:"claim"`
 	Scale  int         `json:"scale"`
 	Seed   int64       `json:"seed"`
+	Env    benchEnv    `json:"env"`
 	Tables []jsonTable `json:"tables"`
 }
 
 // record parses one flushed table and rewrites the current experiment's
 // JSON file with everything recorded for it so far.
 func (r *Runner) record(raw string) error {
-	if r.cfg.JSONDir == "" || r.curID == "" {
+	if r.cfg.JSONDir == "" || r.cur.id == "" {
 		return nil
 	}
 	var tab jsonTable
@@ -240,13 +262,15 @@ func (r *Runner) record(raw string) error {
 	if r.recorded == nil {
 		r.recorded = make(map[string][]jsonTable)
 	}
-	r.recorded[r.curID] = append(r.recorded[r.curID], tab)
+	id := r.cur.id
+	r.recorded[id] = append(r.recorded[id], tab)
 	doc := jsonExperiment{
-		ID:     r.curID,
-		Claim:  r.curClaim,
+		ID:     id,
+		Claim:  r.cur.claim,
 		Scale:  r.cfg.Scale,
 		Seed:   r.cfg.Seed,
-		Tables: r.recorded[r.curID],
+		Env:    r.env,
+		Tables: r.recorded[id],
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -255,36 +279,8 @@ func (r *Runner) record(raw string) error {
 	if err := os.MkdirAll(r.cfg.JSONDir, 0o755); err != nil {
 		return err
 	}
-	name := filepath.Join(r.cfg.JSONDir, "BENCH_"+r.curID+".json")
+	name := filepath.Join(r.cfg.JSONDir, "BENCH_"+id+".json")
 	return os.WriteFile(name, append(data, '\n'), 0o644)
-}
-
-// countingBuffer buffers generated XML and re-serves it as a reader.
-type countingBuffer struct {
-	data []byte
-}
-
-func (b *countingBuffer) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	return len(p), nil
-}
-
-func (b *countingBuffer) Len() int { return len(b.data) }
-
-func (b *countingBuffer) Reader() io.Reader { return &sliceReader{data: b.data} }
-
-type sliceReader struct {
-	data []byte
-	pos  int
-}
-
-func (s *sliceReader) Read(p []byte) (int, error) {
-	if s.pos >= len(s.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, s.data[s.pos:])
-	s.pos += n
-	return n, nil
 }
 
 // ms renders a duration in milliseconds with sensible precision.

@@ -2,9 +2,14 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"lotusx/internal/dataset"
 	"lotusx/internal/twig"
@@ -286,10 +291,110 @@ func TestRunAllCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, banner := range []string{"E1", "E2", "E3", "E4", "E5", "E6",
-		"E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "A1", "A2", "A3"} {
-		if !strings.Contains(out, "=== "+banner+" ") {
-			t.Errorf("RunAll output missing %s", banner)
+	if !strings.HasPrefix(out, "env: go") {
+		t.Errorf("RunAll output does not open with the env line:\n%.200s", out)
+	}
+	for _, e := range experiments {
+		if !strings.Contains(out, "\n=== "+e.id+" — "+e.claim+" ===\n") {
+			t.Errorf("RunAll output missing the %s banner", e.id)
+		}
+	}
+}
+
+// TestPercentile pins the ranks E14 and E17 report at their sample sizes:
+// the median is the upper middle sample, p99 the ⌈0.99·n⌉-th smallest.
+func TestPercentile(t *testing.T) {
+	for _, n := range []int{120, 150} {
+		lat := make([]time.Duration, n)
+		for i := range lat {
+			lat[i] = time.Duration(n - i) // reversed: percentile must sort
+		}
+		if got, want := percentile(lat, 0.5), time.Duration(n/2+1); got != want {
+			t.Errorf("n=%d: p50 = %d, want %d", n, got, want)
+		}
+		if got, want := percentile(lat, 0.99), time.Duration((99*n+99)/100); got != want {
+			t.Errorf("n=%d: p99 = %d, want %d", n, got, want)
+		}
+	}
+	if percentile(nil, 0.5) != 0 {
+		t.Error("empty sample should give 0")
+	}
+}
+
+func TestSelectExperiments(t *testing.T) {
+	var all []string
+	for _, e := range experiments {
+		all = append(all, e.id)
+	}
+	for _, tc := range []struct {
+		ids     string
+		want    []string
+		wantErr bool
+	}{
+		{ids: "", want: all},
+		{ids: "e2, E3", want: []string{"E2", "E3"}},
+		{ids: "A3,e19", want: []string{"A3", "E19"}},
+		{ids: "E12", wantErr: true},
+		{ids: "E2,", wantErr: true},
+	} {
+		picked, err := selectExperiments(tc.ids)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("selectExperiments(%q) error = %v, wantErr %v", tc.ids, err, tc.wantErr)
+			continue
+		}
+		var got []string
+		for _, e := range picked {
+			got = append(got, e.id)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("selectExperiments(%q) = %v, want %v", tc.ids, got, tc.want)
+		}
+	}
+}
+
+// TestE1JSONRecord runs one experiment through Run with JSONDir set and
+// checks the machine-readable record against the printed table.
+func TestE1JSONRecord(t *testing.T) {
+	r := runner(t)
+	buf := output(r)
+	r.cfg.JSONDir = t.TempDir()
+	defer func() { r.cfg.JSONDir = "" }()
+
+	if err := r.Run("E1"); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(r.cfg.JSONDir, "BENCH_E1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec jsonExperiment
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatalf("BENCH_E1.json does not parse: %v", err)
+	}
+	if rec.ID != "E1" || len(rec.Tables) != 1 {
+		t.Fatalf("unexpected record: %+v", rec)
+	}
+	if rec.Env.GoVersion == "" || rec.Env.GOMAXPROCS < 1 || rec.Env.NumCPU < 1 {
+		t.Errorf("env block incomplete: %+v", rec.Env)
+	}
+	tab := rec.Tables[0]
+	wantCols := []string{"dataset", "XML KB", "nodes", "tags", "guide paths", "parse ms", "index ms", "guide ms"}
+	if !slices.Equal(tab.Columns, wantCols) {
+		t.Errorf("columns = %q, want %q", tab.Columns, wantCols)
+	}
+	if len(tab.Rows) != len(dataset.Kinds) {
+		t.Fatalf("%d rows, want one per dataset: %v", len(tab.Rows), tab.Rows)
+	}
+	// E1's cells hold no spaces, so a printed row splits into the same cells.
+	printed := map[string][]string{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if fields := strings.Fields(line); len(fields) > 0 {
+			printed[fields[0]] = fields
+		}
+	}
+	for i, row := range tab.Rows {
+		if row[0] != string(dataset.Kinds[i]) || !slices.Equal(row, printed[row[0]]) {
+			t.Errorf("row %d = %q, printed %q", i, row, printed[row[0]])
 		}
 	}
 }

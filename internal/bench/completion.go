@@ -9,8 +9,6 @@ import (
 	"lotusx/internal/twig"
 )
 
-func kinds() []dataset.Kind { return dataset.Kinds }
-
 // completionProbe is one simulated keystroke state: the user is growing the
 // twig at a known position and has typed a prefix of the intended tag.
 type completionProbe struct {
@@ -58,7 +56,6 @@ func pathText(n *twig.Node) string {
 // arrive within interactive budgets at every prefix length, position-aware
 // and naive alike.
 func (r *Runner) E5CompletionLatency() error {
-	r.header("E5", "auto-completion latency by prefix length (µs/op)")
 	probes := completionProbes()
 	tw := r.table()
 	fmt.Fprintln(tw, "prefix len\tposition-aware µs\tnaive µs\tprobes")
@@ -120,7 +117,6 @@ func probeQuery(p completionProbe) (*twig.Query, int, error) {
 // E6CompletionQuality reproduces the position-aware claim itself: knowing
 // the position ranks the intended tag higher than global frequency does.
 func (r *Runner) E6CompletionQuality() error {
-	r.header("E6", "candidate quality: rank of the intended tag (position-aware vs naive)")
 	probes := completionProbes()
 	tw := r.table()
 	fmt.Fprintln(tw, "prefix len\taware s@1\taware s@5\taware MRR\tnaive s@1\tnaive s@5\tnaive MRR\tprobes")

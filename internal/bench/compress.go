@@ -57,8 +57,6 @@ func highRepXML(scale int) string {
 // so query latency cannot regress.  Every query runs on both substrates
 // under all six algorithms and the experiment fails on any divergence.
 func (r *Runner) E19IndexCompression() error {
-	r.header("E19", "DAG-compressed index: dedup repeated subtrees, join once per distinct shape")
-
 	highDoc, err := doc.FromString("highrep", highRepXML(r.cfg.Scale))
 	if err != nil {
 		return err

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,6 +14,15 @@ import (
 	"lotusx/internal/dataset"
 	"lotusx/internal/faults"
 )
+
+// The fault experiments' query subset: the XMark workload queries (Q5–Q7),
+// whose output nodes live at or below record level so sharded evaluation
+// returns the same answer set as a single engine.
+var corpusQueries = []Query{
+	{ID: "Q5", Kind: dataset.XMark, Text: `//item[description//text contains "vintage"]/name`},
+	{ID: "Q6", Kind: dataset.XMark, Text: `//person[profile/age]/name`},
+	{ID: "Q7", Kind: dataset.XMark, Text: `//open_auction[bidder/increase][seller]`},
+}
 
 var errBenchFault = errors.New("bench: injected shard failure")
 
@@ -54,29 +63,57 @@ func (p *faultPlan) hook(_ context.Context, key string) error {
 	return nil
 }
 
-// p99 returns the 99th-percentile latency of the sample.
-func p99(lat []time.Duration) time.Duration {
+// percentile returns the q-quantile (0 <= q <= 1) of the sample: the element
+// at 0-based rank ⌊q·n⌋ of the sorted sample, so q = 0.5 is the upper median.
+func percentile(lat []time.Duration, q float64) time.Duration {
 	if len(lat) == 0 {
 		return 0
 	}
-	sorted := append([]time.Duration(nil), lat...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := (99*len(sorted) + 99) / 100
-	if idx > len(sorted) {
-		idx = len(sorted)
-	}
-	return sorted[idx-1]
+	sorted := slices.Clone(lat)
+	slices.Sort(sorted)
+	return sorted[min(int(q*float64(len(sorted))), len(sorted)-1)]
 }
 
-// E14FaultTolerance measures what the shard-failure policy buys: the E12
-// workload over a 4-shard XMark corpus with 0/10/25% of per-shard
-// evaluations fault-injected, under degrade vs failfast.  Degrade should
-// hold availability at 100% (whole or partial answers) where failfast fails
-// whole requests; circuit breakers are disabled so the injected rate stays
-// constant instead of quarantining the noisy shard away.
-func (r *Runner) E14FaultTolerance() error {
-	r.header("E14", "fault tolerance: availability and p99 under injected shard failures")
+// availability tallies one request stream: answered whole, answered
+// partially (degraded), or failed, with every request's latency.
+type availability struct {
+	whole, partial, failed int
+	lat                    []time.Duration
+}
 
+// percent is the share of requests that got an answer, whole or partial.
+func (a availability) percent() float64 {
+	return float64(a.whole+a.partial) / float64(len(a.lat)) * 100
+}
+
+// replay sends c the given number of searches, cycling through
+// corpusQueries.
+func replay(c *corpus.Corpus, requests int) availability {
+	a := availability{lat: make([]time.Duration, 0, requests)}
+	for i := 0; i < requests; i++ {
+		q := mustParse(corpusQueries[i%len(corpusQueries)].Text)
+		start := time.Now()
+		res, err := c.SearchHits(context.Background(), q, core.SearchOptions{K: 100})
+		a.lat = append(a.lat, time.Since(start))
+		switch {
+		case err != nil:
+			a.failed++
+		case res.Partial:
+			a.partial++
+		default:
+			a.whole++
+		}
+	}
+	return a
+}
+
+// E14FaultTolerance measures what the shard-failure policy buys: the
+// corpusQueries stream over a 4-shard XMark corpus with 0/10/25% of
+// per-shard evaluations fault-injected, under degrade vs failfast.  Degrade
+// should hold availability at 100% (whole or partial answers) where failfast
+// fails whole requests; circuit breakers are disabled so the injected rate
+// stays constant instead of quarantining the noisy shard away.
+func (r *Runner) E14FaultTolerance() error {
 	d, err := dataset.Build(dataset.XMark, r.cfg.Scale, r.cfg.Seed)
 	if err != nil {
 		return err
@@ -104,26 +141,9 @@ func (r *Runner) E14FaultTolerance() error {
 					Hook: newFaultPlan(rate).hook,
 				})
 			}
-
-			var whole, partial, failed int
-			lat := make([]time.Duration, 0, requests)
-			for i := 0; i < requests; i++ {
-				q := mustParse(corpusQueries[i%len(corpusQueries)].Text)
-				start := time.Now()
-				res, err := c.SearchHits(context.Background(), q, core.SearchOptions{K: 100})
-				lat = append(lat, time.Since(start))
-				switch {
-				case err != nil:
-					failed++
-				case res.Partial:
-					partial++
-				default:
-					whole++
-				}
-			}
-			avail := float64(whole+partial) / requests * 100
+			a := replay(c, requests)
 			fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%d\t%.1f%%\t%s\n",
-				rate, policy, whole, partial, failed, avail, ms(p99(lat)))
+				rate, policy, a.whole, a.partial, a.failed, a.percent(), ms(percentile(a.lat, 0.99)))
 		}
 	}
 	return tw.Flush()

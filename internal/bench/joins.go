@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"lotusx/internal/dataset"
 	"lotusx/internal/join"
 	"lotusx/internal/twig"
 )
@@ -11,14 +12,14 @@ import (
 // E1IndexBuild reproduces the feasibility claim: LotusX ingests hierarchical
 // XML into interactive-search indexes at acceptable cost.
 func (r *Runner) E1IndexBuild() error {
-	r.header("E1", "index construction cost per dataset")
 	tw := r.table()
 	fmt.Fprintln(tw, "dataset\tXML KB\tnodes\ttags\tguide paths\tparse ms\tindex ms\tguide ms")
-	for _, kind := range kinds() {
-		bs := r.buildStats[kind]
+	for _, kind := range dataset.Kinds {
+		in, e := r.inputs[kind], r.engines[kind]
+		built := e.BuildTiming()
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%s\t%s\t%s\n",
-			kind, bs.xmlBytes/1024, bs.nodes, bs.tags, bs.guidePaths,
-			ms(bs.parse), ms(bs.indexBuild), ms(bs.guideBuild))
+			kind, in.xmlBytes/1024, e.Document().Len(), e.Document().Tags().Len(), e.Guide().Size(),
+			ms(in.parse), ms(built.Index), ms(built.Guide))
 	}
 	return tw.Flush()
 }
@@ -26,7 +27,6 @@ func (r *Runner) E1IndexBuild() error {
 // E2TwigAlgorithms reproduces the efficient-evaluation claim: the holistic
 // join dominates the decomposed baselines across the workload.
 func (r *Runner) E2TwigAlgorithms() error {
-	r.header("E2", "twig algorithms: evaluation time per query (ms)")
 	tw := r.table()
 	head := "query\tdataset\tmatches"
 	for _, alg := range join.Algorithms {
@@ -66,7 +66,6 @@ func (r *Runner) timeJoin(q Query, parsed *twig.Query, alg join.Algorithm) (time
 // E3Intermediate reproduces TwigStack's headline property: far fewer
 // useless intermediate path solutions than per-path evaluation.
 func (r *Runner) E3Intermediate() error {
-	r.header("E3", "intermediate path solutions: PathStack vs TwigStack vs TJFast")
 	tw := r.table()
 	fmt.Fprintln(tw, "query\tdataset\tmatches\tpathstack sols\ttwigstack sols\ttjfast sols\tps/ts ratio")
 	for _, q := range Workload() {
@@ -99,7 +98,6 @@ func (r *Runner) E3Intermediate() error {
 // filters P-C during expansion, while the look-ahead variant
 // (twigstack-la, our TwigStackList rendition) prunes before pushing.
 func (r *Runner) E4ParentChild() error {
-	r.header("E4", "parent-child-heavy queries: TwigStack vs look-ahead pruning")
 	tw := r.table()
 	fmt.Fprintln(tw, "query\tdataset\tmatches\tpushed\tpushed (LA)\tms\tms (LA)")
 	for _, q := range Workload() {
@@ -129,7 +127,6 @@ func (r *Runner) E4ParentChild() error {
 // E8Ordered reproduces the order-sensitive-query claim: `a << b`
 // constraints are honoured at modest overhead over the unordered twig.
 func (r *Runner) E8Ordered() error {
-	r.header("E8", "order-sensitive queries: overhead of << constraints")
 	tw := r.table()
 	fmt.Fprintln(tw, "query\tdataset\tordered matches\tunordered matches\tordered ms\tunordered ms\toverhead")
 	for _, q := range Workload() {

@@ -21,7 +21,6 @@ import (
 // order and a seeded random shuffle.  nDCG@10 and P@5 are averaged over
 // value queries on the dblp dataset.
 func (r *Runner) E7Ranking() error {
-	r.header("E7", "ranking quality: nDCG@10 / P@5 vs document-order and random baselines")
 	engine := r.engines[dataset.DBLP]
 	d := engine.Document()
 	rng := r.rng(7)
@@ -143,7 +142,6 @@ func precisionAt(rels []float64, k int, threshold float64) float64 {
 // wrong axes or over-tight values recover answers through penalty-ordered
 // relaxation.
 func (r *Runner) E9Rewrite() error {
-	r.header("E9", "query rewriting: recovery of broken queries")
 	rng := r.rng(9)
 
 	type brokenQuery struct {

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"net/http/httptest"
-	"sort"
 	"time"
 
 	"lotusx/internal/core"
@@ -88,50 +86,19 @@ func newBenchCluster(d *doc.Document, parts, replication int, hedge time.Duratio
 	return bc, nil
 }
 
-// p50 returns the median latency of the sample.
-func p50(lat []time.Duration) time.Duration {
-	if len(lat) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), lat...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[len(sorted)/2]
-}
-
-// E17RemoteRouter measures the distributed tier.  Table 1: the E12 XMark
-// workload through a router over 1/2/4 loopback shard servers with R=2
-// replication, at 0% and 25% injected per-RPC failure — replica failover
-// plus degraded partials should hold availability at ~100% where a single
-// failed RPC would otherwise fail the request.  Table 2: one replica of
-// each shard slowed by 30ms; hedged requests should cut the p99 close to
+// E17RemoteRouter measures the distributed tier.  Table 1: the
+// corpusQueries stream through a router over 1/2/4 loopback shard servers
+// with R=2 replication, at 0% and 25% injected per-RPC failure — replica
+// failover plus degraded partials should hold availability at ~100% where a
+// single failed RPC would otherwise fail the request.  Table 2: one replica
+// of each shard slowed by 30ms; hedged requests should cut the p99 close to
 // the hedge delay while unhedged requests eat the skew.
 func (r *Runner) E17RemoteRouter() error {
-	r.header("E17", "distributed router: replicated availability under faults, hedging under latency skew")
-
 	d, err := dataset.Build(dataset.XMark, r.cfg.Scale, r.cfg.Seed)
 	if err != nil {
 		return err
 	}
 	const requests = 120
-
-	run := func(bc *benchCluster) (whole, partial, failed int, lat []time.Duration, err error) {
-		lat = make([]time.Duration, 0, requests)
-		for i := 0; i < requests; i++ {
-			q := mustParse(corpusQueries[i%len(corpusQueries)].Text)
-			start := time.Now()
-			res, serr := bc.corpus.SearchHits(context.Background(), q, core.SearchOptions{K: 100})
-			lat = append(lat, time.Since(start))
-			switch {
-			case serr != nil:
-				failed++
-			case res.Partial:
-				partial++
-			default:
-				whole++
-			}
-		}
-		return whole, partial, failed, lat, nil
-	}
 
 	tw := r.table()
 	fmt.Fprintln(tw, "shards\tR\tfail%\twhole\tpartial\tfailed\tavailability\tp50 ms\tp99 ms")
@@ -147,14 +114,11 @@ func (r *Runner) E17RemoteRouter() error {
 					Hook: newFaultPlan(rate).hook,
 				})
 			}
-			whole, partial, failed, lat, err := run(bc)
+			a := replay(bc.corpus, requests)
 			bc.close()
-			if err != nil {
-				return err
-			}
-			avail := float64(whole+partial) / requests * 100
 			fmt.Fprintf(tw, "%d\t2\t%d\t%d\t%d\t%d\t%.1f%%\t%s\t%s\n",
-				parts, rate, whole, partial, failed, avail, ms(p50(lat)), ms(p99(lat)))
+				parts, rate, a.whole, a.partial, a.failed, a.percent(),
+				ms(percentile(a.lat, 0.5)), ms(percentile(a.lat, 0.99)))
 		}
 	}
 	if err := tw.Flush(); err != nil {
@@ -180,14 +144,11 @@ func (r *Runner) E17RemoteRouter() error {
 			Keys:    []string{"s00-r0", "s01-r0"},
 			Latency: 30 * time.Millisecond,
 		})
-		_, _, _, lat, err := run(bc)
+		lat := replay(bc.corpus, requests).lat
 		fired, wins := bc.met.HedgesFired.Load(), bc.met.HedgeWins.Load()
 		bc.close()
-		if err != nil {
-			return err
-		}
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\n",
-			hc.name, ms(p50(lat)), ms(p99(lat)), fired, wins)
+			hc.name, ms(percentile(lat, 0.5)), ms(percentile(lat, 0.99)), fired, wins)
 	}
 	return tw.Flush()
 }

@@ -15,10 +15,9 @@ import (
 // interactive latency.  The scripted session mirrors the paper's running
 // example ("find auctions whose item descriptions mention a term").
 func (r *Runner) E10Session() error {
-	r.header("E10", "end-to-end interactive session latency (per step, ms)")
 	tw := r.table()
 	fmt.Fprintln(tw, "dataset\troot suggest\tgrow x3\tvalue suggest\tsearch\ttotal ms\tanswers")
-	for _, kind := range kinds() {
+	for _, kind := range dataset.Kinds {
 		engine := r.engines[kind]
 		steps, answers, err := scriptedSession(engine, kind)
 		if err != nil {
