@@ -536,7 +536,8 @@ func runShard(cfg server.Config, a shardArgs) {
 }
 
 // buildSlice builds the engine of slice idx of parts: the whole document's
-// for 0/1, else the slice's alone — the whole document is only parsed.
+// for 0/1, else the slice's alone — the whole document is only parsed, and
+// no other slice is built.
 func buildSlice(a shardArgs, idx, parts int, compress bool) (*core.Engine, error) {
 	if parts == 1 {
 		return buildEngine(a.in, a.indexFile, a.kind, a.scale, a.seed, compress)
@@ -545,14 +546,11 @@ func buildSlice(a shardArgs, idx, parts int, compress bool) (*core.Engine, error
 	if err != nil {
 		return nil, err
 	}
-	docs, err := corpus.SplitDocument(d, parts)
+	sd, err := corpus.SplitPart(d, parts, idx)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("slice %d/%d: %w", idx, parts, err)
 	}
-	if idx >= len(docs) {
-		return nil, fmt.Errorf("slice %d/%d: document only splits into %d part(s)", idx, parts, len(docs))
-	}
-	return core.FromDocumentOpts(docs[idx], core.BuildOptions{Compress: compress}), nil
+	return core.FromDocumentOpts(sd, core.BuildOptions{Compress: compress}), nil
 }
 
 // parseSlice parses "i/n" with 0 <= i < n.

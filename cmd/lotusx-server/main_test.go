@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"lotusx/internal/corpus"
+	"lotusx/internal/doc"
 )
 
 func TestBuildEngineFromFile(t *testing.T) {
@@ -127,22 +129,34 @@ func TestBuildEngineOnceOnTheFinalSubstrate(t *testing.T) {
 // TestBuildSliceIndexesOnlyItsSlice: -mode=shard -slice i/n serves exactly
 // shard i of the local -shards n partition, and 0/1 the whole document.
 func TestBuildSliceIndexesOnlyItsSlice(t *testing.T) {
-	a := shardArgs{kind: "dblp", scale: 1, seed: 7}
-	whole, err := buildSlice(a, 0, 1, false)
-	if err != nil {
-		t.Fatal(err)
+	saved := func(d *doc.Document) []byte {
+		var buf bytes.Buffer
+		if err := d.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	docs, err := corpus.SplitDocument(whole.Document(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range docs {
-		e, err := buildSlice(a, i, 3, false)
+	for _, kind := range []string{"dblp", "xmark"} {
+		a := shardArgs{kind: kind, scale: 1, seed: 7}
+		whole, err := buildSlice(a, 0, 1, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := e.Document(); got.Name() != want.Name() || got.Len() != want.Len() {
-			t.Errorf("slice %d/3 serves %s (%d nodes), want %s (%d nodes)", i, got.Name(), got.Len(), want.Name(), want.Len())
+		for _, parts := range []int{2, 3, 4} {
+			docs, err := corpus.SplitDocument(whole.Document(), parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range docs {
+				e, err := buildSlice(a, i, parts, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := e.Document(); !bytes.Equal(saved(got), saved(want)) {
+					t.Errorf("%s slice %d/%d serves %s (%d nodes), want %s (%d nodes) byte for byte",
+						kind, i, parts, got.Name(), got.Len(), want.Name(), want.Len())
+				}
+			}
 		}
 	}
 	if _, err := buildSlice(shardArgs{in: "", kind: "bogus"}, 0, 2, false); err == nil {

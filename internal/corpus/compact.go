@@ -16,7 +16,7 @@ import (
 // lands small delta shards, each carrying a handful of records under its own
 // root copy.  Every delta widens the fan-out — one more engine per query —
 // so a background compactor periodically folds them into one compacted base
-// shard: it pins a snapshot, renders the pinned deltas' records under one
+// shard: it pins a snapshot, copies the pinned deltas' records under one
 // fresh root, indexes the merged document (all off the read path), and
 // publishes a swap that removes exactly those deltas and adds the compacted
 // shard.  Readers see the old shard set or the new one, never both halves.
@@ -133,7 +133,7 @@ func (c *Corpus) CompactDeltas(ctx context.Context, maxBatch int) (*CompactionRe
 	return res, nil
 }
 
-// buildCompacted renders each root-tag group of deltas into one merged
+// buildCompacted merges each root-tag group of deltas into one merged
 // document and indexes it — the expensive half of compaction, done with no
 // locks held.  Groups preserve delta order, and the compacted shard carries
 // the root attributes of its group's first delta (replicated identically
@@ -141,24 +141,25 @@ func (c *Corpus) CompactDeltas(ctx context.Context, maxBatch int) (*CompactionRe
 func buildCompacted(corpusName string, pinSeq uint64, deltas []*shard, compress bool) ([]*shard, error) {
 	type group struct {
 		rootTag string
-		members []*shard
+		docs    []*doc.Document
 	}
 	var groups []*group
 	byTag := make(map[string]*group)
 	for _, sh := range deltas {
-		tag := sh.engine.Document().TagName(sh.engine.Document().Root())
+		d := sh.engine.Document()
+		tag := d.TagName(d.Root())
 		g := byTag[tag]
 		if g == nil {
 			g = &group{rootTag: tag}
 			byTag[tag] = g
 			groups = append(groups, g)
 		}
-		g.members = append(g.members, sh)
+		g.docs = append(g.docs, d)
 	}
 
 	out := make([]*shard, 0, len(groups))
 	for gi, g := range groups {
-		merged, err := mergeDeltaDocs(fmt.Sprintf("%s-compacted-%06d-%d", corpusName, pinSeq, gi), g.members)
+		merged, err := mergeDeltaDocs(fmt.Sprintf("%s-compacted-%06d-%d", corpusName, pinSeq, gi), g.docs)
 		if err != nil {
 			return nil, err
 		}
@@ -170,49 +171,39 @@ func buildCompacted(corpusName string, pinSeq uint64, deltas []*shard, compress 
 	return out, nil
 }
 
-// mergeDeltaDocs concatenates the members' records under one copy of the
-// shared root element and re-parses the fragment — the same re-wrap scheme
-// SplitDocument uses, run in reverse.
-func mergeDeltaDocs(name string, members []*shard) (*doc.Document, error) {
-	var b strings.Builder
-	first := members[0].engine.Document()
-	root := first.Root()
-	b.WriteByte('<')
-	b.WriteString(first.TagName(root))
-	for a := first.FirstChild(root); a != doc.None; a = first.NextSibling(a) {
-		if first.Kind(a) != doc.Attribute {
-			continue
-		}
-		b.WriteByte(' ')
-		b.WriteString(first.TagName(a)[1:]) // strip '@'
-		b.WriteString(`="`)
-		xmlEscaper.WriteString(&b, first.Value(a))
-		b.WriteByte('"')
+// mergeDeltaDocs concatenates the records of docs under one copy of the
+// first one's root element, built from their node tables — the same re-wrap
+// scheme SplitDocument uses, run in reverse.  Each root's direct text joins
+// the merged root's, in document order.
+func mergeDeltaDocs(name string, docs []*doc.Document) (*doc.Document, error) {
+	first := docs[0]
+	nodes := head(first, first.Root())
+	for _, d := range docs {
+		nodes += d.Len() - head(d, d.Root())
 	}
-	b.WriteString(">\n")
-	for _, m := range members {
-		d := m.engine.Document()
+	b := doc.NewBuilder(name, nodes)
+	b.StartFrom(first, first.Root())
+	// Root texts with no record between them read back from XML as one
+	// chunk, so they join by the newline that separated them there.
+	var text []string
+	for _, d := range docs {
 		r := d.Root()
-		if d.Value(r) != "" {
-			xmlEscaper.WriteString(&b, d.Value(r))
-			b.WriteByte('\n')
+		if v := d.Value(r); v != "" {
+			text = append(text, v)
 		}
 		for c := d.FirstChild(r); c != doc.None; c = d.NextSibling(c) {
-			if d.Kind(c) == doc.Attribute {
-				continue
-			}
-			if err := d.WriteXML(&b, c); err != nil {
-				return nil, fmt.Errorf("corpus: rendering delta %s: %w", m.name, err)
+			if d.Kind(c) == doc.Element {
+				if len(text) > 0 {
+					b.Text(strings.Join(text, "\n"))
+					text = text[:0]
+				}
+				b.Copy(d, c)
 			}
 		}
 	}
-	b.WriteString("</")
-	b.WriteString(first.TagName(root))
-	b.WriteString(">\n")
-
-	merged, err := doc.FromReader(name, strings.NewReader(b.String()))
-	if err != nil {
-		return nil, fmt.Errorf("corpus: re-parsing compacted shard %s: %w", name, err)
+	if len(text) > 0 {
+		b.Text(strings.Join(text, "\n"))
 	}
-	return merged, nil
+	b.End()
+	return b.Done()
 }

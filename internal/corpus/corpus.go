@@ -18,7 +18,6 @@ package corpus
 
 import (
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -89,17 +88,6 @@ func (s *Snapshot) DeltaCount() int {
 		}
 	}
 	return n
-}
-
-// DeltaNames lists the delta shard names in order.
-func (s *Snapshot) DeltaNames() []string {
-	var out []string
-	for _, sh := range s.shards {
-		if sh.delta {
-			out = append(out, sh.name)
-		}
-	}
-	return out
 }
 
 // ShardPolicy selects what a fan-out does when a shard fails.
@@ -420,15 +408,6 @@ func (c *Corpus) Add(name string, d *doc.Document) error {
 	})
 }
 
-// AddReader parses XML from r and adds it as one shard named name.
-func (c *Corpus) AddReader(name string, r io.Reader) error {
-	d, err := doc.FromReader(name, r)
-	if err != nil {
-		return err
-	}
-	return c.Add(name, d)
-}
-
 // AddSplit splits d at top-level record boundaries into parts shards named
 // "name/000", "name/001", ... and publishes them in one swap.  Existing
 // shards under the same name prefix are replaced.
@@ -461,8 +440,8 @@ func (c *Corpus) addSplit(name string, d *doc.Document, parts int, delta bool) e
 // buildShards splits d and indexes each part (the expensive work, done
 // before the caller takes the mutation lock): one shard named name for an
 // unsplit document, or a "name/NNN" group.  Parts are independent from the
-// split plan on — render, re-parse, index, guide — so they build on every
-// core; names and order depend only on the plan.
+// split plan on — build, index, guide — so they build on every core; names
+// and order depend only on the plan.
 func buildShards(name string, d *doc.Document, parts int, delta, compress bool) ([]*shard, error) {
 	opts := core.BuildOptions{Compress: compress}
 	plan := planSplit(d, parts)
@@ -484,26 +463,6 @@ func buildShards(name string, d *doc.Document, parts int, delta, compress bool) 
 	return out, nil
 }
 
-// AddSplitReader parses XML from r and splits it into parts shards; see
-// AddSplit.
-func (c *Corpus) AddSplitReader(name string, r io.Reader, parts int) error {
-	d, err := doc.FromReader(name, r)
-	if err != nil {
-		return err
-	}
-	return c.AddSplit(name, d, parts)
-}
-
-// AddDeltaSplitReader parses XML from r and adds it as delta shard(s); see
-// AddDeltaSplit.
-func (c *Corpus) AddDeltaSplitReader(name string, r io.Reader, parts int) error {
-	d, err := doc.FromReader(name, r)
-	if err != nil {
-		return err
-	}
-	return c.AddDeltaSplit(name, d, parts)
-}
-
 // SetSplit replaces the entire shard set with the split of d in one swap —
 // the "re-ingest the whole dataset" operation.  Whatever shards existed
 // before, under any name, are gone after the publish; a persisted corpus
@@ -520,16 +479,6 @@ func (c *Corpus) SetSplit(name string, d *doc.Document, parts int) error {
 	return c.publish(func([]*shard) ([]*shard, error) {
 		return fresh, nil
 	})
-}
-
-// SetSplitReader parses XML from r and replaces the whole shard set with
-// its split; see SetSplit.
-func (c *Corpus) SetSplitReader(name string, r io.Reader, parts int) error {
-	d, err := doc.FromReader(name, r)
-	if err != nil {
-		return err
-	}
-	return c.SetSplit(name, d, parts)
 }
 
 // Remove drops the shard named name — or, when name is a split-group

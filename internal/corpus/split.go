@@ -2,8 +2,6 @@ package corpus
 
 import (
 	"fmt"
-	"io"
-	"strings"
 
 	"lotusx/internal/doc"
 )
@@ -21,15 +19,11 @@ import (
 // a replicated container duplicate per shard — the inherent sharding
 // caveat).
 
-// xmlEscaper escapes attribute and text content when re-wrapping records.
-var xmlEscaper = strings.NewReplacer(
-	"&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "'", "&apos;",
-)
-
 // record is one splittable unit with its optional depth-1 container.
 type record struct {
 	node      doc.NodeID
 	container doc.NodeID // doc.None for direct children of the root
+	size      int        // the record's subtree size
 	// first marks the container's first record, which carries the
 	// container's direct text.
 	first bool
@@ -57,13 +51,28 @@ func SplitDocument(d *doc.Document, parts int) ([]*doc.Document, error) {
 	return out, nil
 }
 
+// SplitPart builds part i of SplitDocument(d, parts) alone.
+func SplitPart(d *doc.Document, parts, i int) (*doc.Document, error) {
+	plan := planSplit(d, parts)
+	n := 1
+	if plan != nil {
+		n = len(plan.groups)
+	}
+	if i < 0 || i >= n {
+		return nil, fmt.Errorf("corpus: %s splits into %d part(s), not %d", d.Name(), n, i+1)
+	}
+	if plan == nil {
+		return d, nil
+	}
+	return plan.part(i)
+}
+
 // splitPlan is the cheap half of a split — which records go to which part.
-// Rendering and re-parsing a part (the expensive half) reads only the
-// immutable source document, so parts may be produced concurrently.
+// Building a part (the expensive half) reads only the immutable source
+// document, so parts may be built concurrently.
 type splitPlan struct {
 	d      *doc.Document
-	attrs  []doc.NodeID // root attribute children, replicated on every part
-	groups [][]record   // the records of each part, in document order
+	groups [][]record // the records of each part, in document order
 }
 
 // planSplit partitions d's records as SplitDocument describes; nil means d
@@ -75,11 +84,8 @@ func planSplit(d *doc.Document, parts int) *splitPlan {
 	root := d.Root()
 
 	var level1 []doc.NodeID // element children of the root, document order
-	var attrs []doc.NodeID
 	for c := d.FirstChild(root); c != doc.None; c = d.NextSibling(c) {
-		if d.Kind(c) == doc.Attribute {
-			attrs = append(attrs, c)
-		} else {
+		if d.Kind(c) == doc.Element {
 			level1 = append(level1, c)
 		}
 	}
@@ -117,19 +123,18 @@ func planSplit(d *doc.Document, parts int) *splitPlan {
 
 	// Contiguous partition balanced by subtree size, so shards carry
 	// comparable evaluation work whatever the record-size skew.
-	sizes := make([]int, len(records))
 	total := 0
-	for i, r := range records {
-		sizes[i] = d.SubtreeSize(r.node)
-		total += sizes[i]
+	for i := range records {
+		records[i].size = d.SubtreeSize(records[i].node)
+		total += records[i].size
 	}
 	target := float64(total) / float64(parts)
 
-	plan := &splitPlan{d: d, attrs: attrs}
+	plan := &splitPlan{d: d}
 	start := 0
 	acc := 0
 	for i := range records {
-		acc += sizes[i]
+		acc += records[i].size
 		remainingParts := parts - len(plan.groups) - 1
 		if remainingParts == 0 {
 			break // the last part takes everything left
@@ -150,93 +155,62 @@ func planSplit(d *doc.Document, parts int) *splitPlan {
 	return plan
 }
 
-// SplitReader parses XML from r and splits it into parts shard documents;
-// see SplitDocument.
-func SplitReader(name string, r io.Reader, parts int) ([]*doc.Document, error) {
-	d, err := doc.FromReader(name, r)
-	if err != nil {
-		return nil, err
-	}
-	return SplitDocument(d, parts)
-}
-
-// openTag renders n's start tag with its attribute children.
-func openTag(d *doc.Document, b *strings.Builder, n doc.NodeID) {
-	b.WriteByte('<')
-	b.WriteString(d.TagName(n))
-	for c := d.FirstChild(n); c != doc.None; c = d.NextSibling(c) {
-		if d.Kind(c) != doc.Attribute {
-			continue
-		}
-		b.WriteByte(' ')
-		b.WriteString(d.TagName(c)[1:]) // strip '@'
-		b.WriteString(`="`)
-		xmlEscaper.WriteString(b, d.Value(c))
-		b.WriteByte('"')
-	}
-	b.WriteByte('>')
-	b.WriteByte('\n')
-}
-
-// part renders the records of part number part — re-opening their
-// containers as the group crosses container boundaries — under a copy of the
-// root element and re-parses the fragment into a standalone document.
+// part builds part number part from the source's node table: a copy of the
+// root element with its attributes, then the part's records, re-opening
+// their containers as the group crosses container boundaries.  Direct root
+// text travels with part 0 and a container's with its first record, so each
+// appears exactly once across all parts.
 func (p *splitPlan) part(part int) (*doc.Document, error) {
-	d, attrs, records := p.d, p.attrs, p.groups[part]
+	d, records := p.d, p.groups[part]
 	if len(records) == 0 {
 		return nil, fmt.Errorf("corpus: split produced an empty part %d", part)
 	}
 	root := d.Root()
-	var b strings.Builder
-	b.WriteByte('<')
-	b.WriteString(d.TagName(root))
-	for _, a := range attrs {
-		b.WriteByte(' ')
-		b.WriteString(d.TagName(a)[1:]) // strip '@'
-		b.WriteString(`="`)
-		xmlEscaper.WriteString(&b, d.Value(a))
-		b.WriteByte('"')
-	}
-	b.WriteString(">\n")
-	if part == 0 && d.Value(root) != "" {
-		xmlEscaper.WriteString(&b, d.Value(root))
-		b.WriteByte('\n')
-	}
+	nodes := head(d, root)
 	container := doc.None
-	closeContainer := func() {
-		if container != doc.None {
-			b.WriteString("</")
-			b.WriteString(d.TagName(container))
-			b.WriteString(">\n")
+	for _, rec := range records {
+		if rec.container != container && rec.container != doc.None {
+			nodes += head(d, rec.container)
 		}
+		container = rec.container
+		nodes += rec.size
 	}
+
+	b := doc.NewBuilder(fmt.Sprintf("%s#%d", d.Name(), part), nodes)
+	b.StartFrom(d, root)
+	if part == 0 {
+		b.Text(d.Value(root))
+	}
+	container = doc.None
 	for _, rec := range records {
 		if rec.container != container {
-			closeContainer()
+			if container != doc.None {
+				b.End()
+			}
 			container = rec.container
 			if container != doc.None {
-				openTag(d, &b, container)
-				// The container's direct text travels with its first record
-				// so it appears exactly once across all parts.
-				if rec.first && d.Value(container) != "" {
-					xmlEscaper.WriteString(&b, d.Value(container))
-					b.WriteByte('\n')
+				b.StartFrom(d, container)
+				if rec.first {
+					b.Text(d.Value(container))
 				}
 			}
 		}
-		if err := d.WriteXML(&b, rec.node); err != nil {
-			return nil, err
+		b.Copy(d, rec.node)
+	}
+	if container != doc.None {
+		b.End()
+	}
+	b.End()
+	return b.Done()
+}
+
+// head counts the nodes StartFrom copies for element n: n and its attributes.
+func head(d *doc.Document, n doc.NodeID) int {
+	nodes := 1
+	for c := d.FirstChild(n); c != doc.None; c = d.NextSibling(c) {
+		if d.Kind(c) == doc.Attribute {
+			nodes++
 		}
 	}
-	closeContainer()
-	b.WriteString("</")
-	b.WriteString(d.TagName(root))
-	b.WriteString(">\n")
-
-	name := fmt.Sprintf("%s#%d", d.Name(), part)
-	sd, err := doc.FromReader(name, strings.NewReader(b.String()))
-	if err != nil {
-		return nil, fmt.Errorf("corpus: re-parsing split part %d: %w", part, err)
-	}
-	return sd, nil
+	return nodes
 }

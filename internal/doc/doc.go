@@ -1,14 +1,13 @@
 // Package doc implements the in-memory XML document store used by all LotusX
-// indexes.  A Document is built in a single streaming pass over the parser's
-// events: every element and attribute becomes a node with a containment
-// region label and a Dewey label, attributes are modeled as children tagged
-// "@name" (the convention of the twig-join literature, so query predicates
-// treat them uniformly), and each node's value is the concatenation of its
-// direct text children.
+// indexes.  A Document is built in a single streaming pass (see Builder) over
+// the parser's events or over the nodes of other documents: every element
+// and attribute becomes a node with a containment region label and a Dewey
+// label, attributes are modeled as children tagged "@name" (the convention of
+// the twig-join literature, so query predicates treat them uniformly), and
+// each node's value is the concatenation of its direct text children.
 package doc
 
 import (
-	"fmt"
 	"io"
 	"strings"
 
@@ -186,7 +185,27 @@ func FromReader(name string, src io.Reader) (*Document, error) {
 	if l, ok := src.(interface{ Len() int }); ok {
 		nodes += l.Len() / sourceBytesPerNode
 	}
-	return build(name, xmlparse.NewParser(src), nodes)
+	b := NewBuilder(name, nodes)
+	p := xmlparse.NewParser(src)
+	for {
+		ev, err := p.Next()
+		if err == io.EOF {
+			return b.Done()
+		}
+		if err != nil {
+			return nil, err
+		}
+		switch ev.Kind {
+		case xmlparse.StartElement:
+			b.Start(ev.Name, ev.Attrs)
+		case xmlparse.EndElement:
+			b.End()
+		case xmlparse.Text:
+			b.Text(ev.Value)
+		case xmlparse.Comment, xmlparse.ProcInst:
+			// Comments and PIs carry no query-relevant content.
+		}
+	}
 }
 
 // sourceBytesPerNode estimates a document's node count from its XML length:
@@ -197,123 +216,6 @@ const sourceBytesPerNode = 32
 // FromString parses src into a Document, convenient in tests.
 func FromString(name, src string) (*Document, error) {
 	return FromReader(name, strings.NewReader(src))
-}
-
-// build assembles the document from p's events; sizeHint is the expected
-// node count.
-func build(name string, p *xmlparse.Parser, sizeHint int) (*Document, error) {
-	d := &Document{
-		name:   name,
-		tags:   newTagDict(),
-		nodes:  make([]node, 0, sizeHint),
-		values: make([]string, 0, sizeHint),
-		dewey:  labeling.NewDeweyArena(sizeHint, 6),
-	}
-	ra := labeling.NewAssigner()
-	da := labeling.NewDeweyAssigner()
-
-	type openElem struct {
-		id        NodeID
-		lastChild NodeID
-		text      strings.Builder
-	}
-	var stack []*openElem
-
-	appendChild := func(parent *openElem, id NodeID) {
-		if parent == nil {
-			return
-		}
-		if parent.lastChild == None {
-			d.nodes[parent.id].firstChild = id
-		} else {
-			d.nodes[parent.lastChild].nextSibling = id
-		}
-		parent.lastChild = id
-	}
-
-	for {
-		ev, err := p.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		switch ev.Kind {
-		case xmlparse.StartElement:
-			start, level := ra.Enter()
-			dl := da.Enter()
-			id := NodeID(len(d.nodes))
-			var parent *openElem
-			if len(stack) > 0 {
-				parent = stack[len(stack)-1]
-			}
-			pid := None
-			if parent != nil {
-				pid = parent.id
-			}
-			d.nodes = append(d.nodes, node{
-				tag:         d.tags.intern(ev.Name),
-				kind:        Element,
-				region:      labeling.Region{Start: start, Level: level}, // End filled on close
-				parent:      pid,
-				firstChild:  None,
-				nextSibling: None,
-			})
-			d.values = append(d.values, "")
-			d.dewey.Append(dl)
-			appendChild(parent, id)
-			stack = append(stack, &openElem{id: id, lastChild: None})
-
-			// Attribute nodes are synthesized as immediate children, each
-			// with its own (zero-width-subtree) region and Dewey label.
-			self := stack[len(stack)-1]
-			for _, a := range ev.Attrs {
-				ra.Enter()
-				adl := da.Enter()
-				aid := NodeID(len(d.nodes))
-				areg := ra.Leave()
-				da.Leave()
-				d.nodes = append(d.nodes, node{
-					tag:         d.tags.intern("@" + a.Name),
-					kind:        Attribute,
-					region:      areg,
-					parent:      id,
-					firstChild:  None,
-					nextSibling: None,
-				})
-				d.values = append(d.values, a.Value)
-				d.dewey.Append(adl)
-				appendChild(self, aid)
-			}
-
-		case xmlparse.EndElement:
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			reg := ra.Leave()
-			da.Leave()
-			d.nodes[top.id].region = reg
-			d.values[top.id] = strings.TrimSpace(top.text.String())
-
-		case xmlparse.Text:
-			if len(stack) > 0 {
-				top := stack[len(stack)-1]
-				if top.text.Len() > 0 {
-					top.text.WriteByte(' ')
-				}
-				top.text.WriteString(strings.TrimSpace(ev.Value))
-			}
-
-		case xmlparse.Comment, xmlparse.ProcInst:
-			// Comments and PIs carry no query-relevant content.
-		}
-	}
-	if len(d.nodes) == 0 {
-		return nil, fmt.Errorf("doc: %s: empty document", name)
-	}
-	d.nodes, d.values = fit(d.nodes), fit(d.values)
-	d.dewey.Fit()
-	return d, nil
 }
 
 // fit gives back what a too-high size hint reserved: s moves to an array of

@@ -91,6 +91,39 @@ func TestQuickRenderReparse(t *testing.T) {
 	}
 }
 
+// TestQuickCopyEqualsReparse: replaying a document through Builder.Copy
+// builds exactly what parsing its rendering does, labels and tag order
+// included.
+func TestQuickCopyEqualsReparse(t *testing.T) {
+	saved := func(d *Document) []byte {
+		var buf bytes.Buffer
+		if err := d.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	f := func(tr xmlTree) bool {
+		d, err := FromString("gen", tr.src)
+		if err != nil {
+			return false
+		}
+		b := NewBuilder("copy", d.Len())
+		b.Copy(d, d.Root())
+		copied, err := b.Done()
+		if err != nil {
+			return false
+		}
+		reparsed, err := FromString("copy", d.XMLString(d.Root()))
+		if err != nil {
+			return false
+		}
+		return bytes.Equal(saved(copied), saved(reparsed))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestQuickSaveLoadIdentity: the binary format round-trips every generated
 // document exactly (labels included).
 func TestQuickSaveLoadIdentity(t *testing.T) {

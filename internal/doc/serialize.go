@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strings"
 
 	"lotusx/internal/labeling"
 )
@@ -72,12 +73,15 @@ func (rd *reader) str() string {
 		rd.err = fmt.Errorf("doc: corrupt string length %d", n)
 		return ""
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(rd.r, b); err != nil {
+	// Past 64 KiB the string grows as its bytes arrive: a corrupt length
+	// must not claim memory the input does not hold.
+	var b strings.Builder
+	b.Grow(int(min(n, 1<<16)))
+	if _, err := io.CopyN(&b, rd.r, int64(n)); err != nil {
 		rd.err = err
 		return ""
 	}
-	return string(b)
+	return b.String()
 }
 
 // Save writes the document in its binary cache format.
@@ -123,7 +127,10 @@ func (d *Document) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a document previously written by Save.
+// Load reads a document previously written by Save.  It trusts no count or
+// length in its input: arrays grow only as the records they hold arrive, and
+// a tag, kind or link out of range is an error, so a damaged file costs no
+// more memory than it is long and cannot make a later query panic.
 func Load(r io.Reader) (*Document, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(docMagic))
@@ -144,36 +151,51 @@ func Load(r io.Reader) (*Document, error) {
 	for i := uint32(0); i < ntags && rd.err == nil; i++ {
 		d.tags.intern(rd.str())
 	}
+	if rd.err == nil && d.tags.Len() != int(ntags) {
+		return nil, fmt.Errorf("doc: corrupt tag dictionary: %d distinct names of %d", d.tags.Len(), ntags)
+	}
 
 	nnodes := rd.u32()
-	if rd.err == nil && nnodes > 1<<28 {
+	if rd.err == nil && (nnodes == 0 || nnodes > 1<<28) {
 		return nil, fmt.Errorf("doc: corrupt node count %d", nnodes)
 	}
-	d.nodes = make([]node, nnodes)
-	for i := range d.nodes {
-		n := &d.nodes[i]
-		n.tag = TagID(rd.i32())
-		n.kind = Kind(rd.u32())
-		n.region.Start = rd.i32()
-		n.region.End = rd.i32()
-		n.region.Level = rd.i32()
-		n.parent = NodeID(rd.i32())
-		n.firstChild = NodeID(rd.i32())
-		n.nextSibling = NodeID(rd.i32())
-	}
-	d.values = make([]string, nnodes)
-	for i := range d.values {
-		d.values[i] = rd.str()
-	}
-	d.dewey = labeling.NewDeweyArena(int(nnodes), 6)
-	scratch := make(labeling.Dewey, 0, 16)
+	const chunk = 1 << 12 // the first allocation a node count may claim
+	d.nodes = make([]node, 0, min(nnodes, chunk))
 	for i := uint32(0); i < nnodes && rd.err == nil; i++ {
+		tag, kind := TagID(rd.i32()), rd.u32()
+		if kind > uint32(Attribute) {
+			return nil, fmt.Errorf("doc: corrupt kind %d of node %d", kind, i)
+		}
+		d.nodes = append(d.nodes, node{
+			tag:         tag,
+			kind:        Kind(kind),
+			region:      labeling.Region{Start: rd.i32(), End: rd.i32(), Level: rd.i32()},
+			parent:      NodeID(rd.i32()),
+			firstChild:  NodeID(rd.i32()),
+			nextSibling: NodeID(rd.i32()),
+		})
+	}
+	if rd.err == nil {
+		if err := d.checkNodes(); err != nil {
+			return nil, err
+		}
+	}
+	d.values = make([]string, 0, len(d.nodes))
+	for range d.nodes {
+		d.values = append(d.values, rd.str())
+	}
+	d.dewey = labeling.NewDeweyArena(len(d.nodes), 6)
+	scratch := make(labeling.Dewey, 0, 16)
+	for range d.nodes {
 		ln := rd.u32()
+		if rd.err != nil {
+			break
+		}
 		if ln > 1<<20 {
 			return nil, fmt.Errorf("doc: corrupt dewey length %d", ln)
 		}
 		scratch = scratch[:0]
-		for j := uint32(0); j < ln; j++ {
+		for j := uint32(0); j < ln && rd.err == nil; j++ {
 			scratch = append(scratch, rd.i32())
 		}
 		d.dewey.Append(scratch)
@@ -181,5 +203,28 @@ func Load(r io.Reader) (*Document, error) {
 	if rd.err != nil {
 		return nil, fmt.Errorf("doc: load: %w", rd.err)
 	}
+	d.nodes = fit(d.nodes)
+	d.dewey.Fit()
 	return d, nil
+}
+
+// checkNodes validates the node table Load read: every tag interned, every
+// link a node ID in preorder — a parent before its child, a first child or
+// next sibling after it — and every child list made of its owner's children.
+// So the links form one tree: no walk over them loops or meets a node twice.
+func (d *Document) checkNodes() error {
+	// owned reports whether l is a node after id whose parent is p.
+	owned := func(l, id, p NodeID) bool {
+		return l > id && int(l) < len(d.nodes) && d.nodes[l].parent == p
+	}
+	for i := range d.nodes {
+		n, id := &d.nodes[i], NodeID(i)
+		if n.tag < 0 || int(n.tag) >= d.tags.Len() ||
+			n.parent < None || n.parent >= id ||
+			(n.firstChild != None && !owned(n.firstChild, id, id)) ||
+			(n.nextSibling != None && !owned(n.nextSibling, id, n.parent)) {
+			return fmt.Errorf("doc: corrupt node %d", i)
+		}
+	}
+	return nil
 }

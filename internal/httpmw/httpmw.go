@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"runtime/debug"
@@ -224,21 +225,32 @@ func Annotate(ctx context.Context, key string, value any) {
 
 // ---------------------------------------------------------------- logging
 
-// discardLogger silences middleware that was handed a nil *slog.Logger.
-func discardLogger() *slog.Logger {
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
+// discard drops every record, and its Enabled says so at every level, so a
+// caller can skip building one.  (slog.DiscardHandler needs Go 1.24.)
+var discard = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
+
+// OrDiscard returns l, or for nil a logger that drops every record.
+func OrDiscard(l *slog.Logger) *slog.Logger {
+	if l == nil {
+		return discard
+	}
+	return l
 }
 
 // Logging emits one structured log line per request: method, path, status,
 // duration, bytes and request ID.  It wraps the ResponseWriter in a
 // StatusWriter, which downstream middleware (Recover, Instrument) reuses.
+// When l does not log at Info (a nil l logs nothing) the line is never
+// built and Annotate calls are no-ops.
 func Logging(l *slog.Logger) Middleware {
-	if l == nil {
-		l = discardLogger()
-	}
+	l = OrDiscard(l)
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			sw := NewStatusWriter(w)
+			if !l.Enabled(r.Context(), slog.LevelInfo) {
+				next.ServeHTTP(sw, r)
+				return
+			}
 			start := time.Now()
 			ann := &annotations{}
 			r = r.WithContext(context.WithValue(r.Context(), annotationsKey, ann))
@@ -265,9 +277,7 @@ func Logging(l *slog.Logger) Middleware {
 // has not started) and logs the stack, instead of killing the connection —
 // one bad request must not take the serving process with it.
 func Recover(l *slog.Logger) Middleware {
-	if l == nil {
-		l = discardLogger()
-	}
+	l = OrDiscard(l)
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			defer func() {

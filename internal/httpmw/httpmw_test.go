@@ -3,6 +3,8 @@ package httpmw
 import (
 	"context"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -68,6 +70,24 @@ func TestRecoverPanicToJSON500(t *testing.T) {
 	}
 	if body := decodeErr(t, rr); body.Error.Code != CodeInternal {
 		t.Fatalf("code = %q", body.Error.Code)
+	}
+}
+
+// TestLoggingNilBuildsNoLine: with no logger, a request pays for neither the
+// access-log line nor the annotation cell a live logger needs.
+func TestLoggingNilBuildsNoLine(t *testing.T) {
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		Annotate(r.Context(), "rows", 3)
+	})
+	allocs := func(l *slog.Logger) float64 {
+		served := Logging(l)(h)
+		return testing.AllocsPerRun(100, func() {
+			served.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
+		})
+	}
+	quiet, logged := allocs(nil), allocs(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	if quiet >= logged {
+		t.Fatalf("Logging(nil) allocates %.0f per request, a live logger %.0f", quiet, logged)
 	}
 }
 

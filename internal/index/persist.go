@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -51,10 +50,19 @@ const (
 )
 
 // SaveFull writes the index with its postings, checksummed.  A compressed
-// index writes the version-2 document-only layout instead.
+// index writes the version-2 layout instead: a flags word, then the
+// document alone.
 func (ix *Index) SaveFull(w io.Writer) error {
+	var payload bytes.Buffer
+	var scratch [8]byte
+	u32 := func(v uint32) {
+		binary.LittleEndian.PutUint32(scratch[:4], v)
+		payload.Write(scratch[:4])
+	}
+	version := uint32(fullVersion)
 	if ix.comp != nil {
-		return ix.saveFullCompressed(w)
+		version = fullVersionFlags
+		u32(flagCompressed)
 	}
 	// The document section is length-prefixed because doc.Load buffers its
 	// reader and would otherwise consume bytes of the following sections.
@@ -62,87 +70,38 @@ func (ix *Index) SaveFull(w io.Writer) error {
 	if err := ix.document.Save(&docBuf); err != nil {
 		return err
 	}
-	var payload bytes.Buffer
-	var lenHdr [8]byte
-	binary.LittleEndian.PutUint64(lenHdr[:], uint64(docBuf.Len()))
-	payload.Write(lenHdr[:])
+	binary.LittleEndian.PutUint64(scratch[:], uint64(docBuf.Len()))
+	payload.Write(scratch[:])
 	payload.Write(docBuf.Bytes())
 
-	pw := bufio.NewWriter(&payload)
-	var scratch [4]byte
-	u32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:], v)
-		pw.Write(scratch[:])
-	}
-	str := func(s string) {
-		u32(uint32(len(s)))
-		pw.WriteString(s)
-	}
-
-	u32(uint32(ix.valued))
-	u32(uint32(len(ix.postings)))
-	// Deterministic section order is not required for correctness but makes
-	// byte-identical saves reproducible; map order suffices functionally,
-	// so iterate sorted only for small maps? Sorting large token maps costs
-	// more than it gives — determinism comes from the CRC covering content,
-	// and tests compare semantics, not bytes.
-	for tok, nodes := range ix.postings {
-		str(tok)
-		u32(uint32(len(nodes)))
-		for _, n := range nodes {
-			u32(uint32(n))
+	if ix.comp == nil {
+		u32(uint32(ix.valued))
+		u32(uint32(len(ix.postings)))
+		// Deterministic section order is not required for correctness but
+		// makes byte-identical saves reproducible; map order suffices
+		// functionally, so iterate sorted only for small maps? Sorting large
+		// token maps costs more than it gives — determinism comes from the
+		// CRC covering content, and tests compare semantics, not bytes.
+		for tok, nodes := range ix.postings {
+			u32(uint32(len(tok)))
+			payload.WriteString(tok)
+			u32(uint32(len(nodes)))
+			for _, n := range nodes {
+				u32(uint32(n))
+			}
 		}
 	}
-	if err := pw.Flush(); err != nil {
-		return err
-	}
 
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(fullMagic); err != nil {
+	var hdr [20]byte
+	copy(hdr[:], fullMagic)
+	binary.LittleEndian.PutUint32(hdr[4:8], version)
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(payload.Len()))
+	binary.LittleEndian.PutUint32(hdr[16:20], crc32.ChecksumIEEE(payload.Bytes()))
+	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], fullVersion)
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.ChecksumIEEE(payload.Bytes()))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(payload.Bytes()); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// saveFullCompressed writes the version-2 layout: flags word plus the
-// length-prefixed document, checksummed like version 1.
-func (ix *Index) saveFullCompressed(w io.Writer) error {
-	var docBuf bytes.Buffer
-	if err := ix.document.Save(&docBuf); err != nil {
-		return err
-	}
-	var payload bytes.Buffer
-	var hdr12 [12]byte
-	binary.LittleEndian.PutUint32(hdr12[0:4], flagCompressed)
-	binary.LittleEndian.PutUint64(hdr12[4:12], uint64(docBuf.Len()))
-	payload.Write(hdr12[:])
-	payload.Write(docBuf.Bytes())
-
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(fullMagic); err != nil {
-		return err
-	}
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], fullVersionFlags)
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.ChecksumIEEE(payload.Bytes()))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(payload.Bytes()); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := w.Write(payload.Bytes())
+	return err
 }
 
 // LoadFull reads an index written by SaveFull, verifying the checksum.
@@ -173,7 +132,7 @@ func LoadFullDocument(r io.Reader) (*doc.Document, error) {
 func readFull(r io.Reader) (d *doc.Document, flags uint32, rest []byte, err error) {
 	magic := make([]byte, len(fullMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, 0, nil, fmt.Errorf("index: reading magic: %w", err)
+		return nil, 0, nil, fmt.Errorf("%w: reading magic: %v", ErrCorrupt, err)
 	}
 	if string(magic) != fullMagic {
 		return nil, 0, nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic)
@@ -190,8 +149,13 @@ func readFull(r io.Reader) (d *doc.Document, flags uint32, rest []byte, err erro
 	if plen > 1<<34 {
 		return nil, 0, nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, plen)
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// The buffer grows as the payload arrives: a corrupt length must not
+	// claim memory the file does not hold.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(plen)))
+	if err == nil && uint64(len(payload)) < plen {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, 0, nil, fmt.Errorf("%w: truncated payload: %v", ErrCorrupt, err)
 	}
 	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(hdr[12:16]); got != want {
@@ -214,7 +178,7 @@ func readFull(r io.Reader) (d *doc.Document, flags uint32, rest []byte, err erro
 	}
 	d, err = doc.Load(bytes.NewReader(payload[8 : 8+docLen]))
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	return d, flags, payload[8+docLen:], nil
 }
@@ -253,7 +217,9 @@ func loadPostings(d *doc.Document, section []byte) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading postings count: %v", ErrCorrupt, err)
 	}
-	postings := make(map[string][]doc.NodeID, ntoks)
+	// A token takes at least 8 bytes (its length and its count), a posting 4:
+	// no count may size an allocation beyond what the section holds.
+	postings := make(map[string][]doc.NodeID, min(int(ntoks), br.Len()/8))
 	for i := uint32(0); i < ntoks; i++ {
 		tok, err := str()
 		if err != nil {
@@ -261,16 +227,16 @@ func loadPostings(d *doc.Document, section []byte) (*Index, error) {
 		}
 		cnt, err := u32()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: reading posting count: %v", ErrCorrupt, err)
 		}
-		if int(cnt) > d.Len() {
-			return nil, fmt.Errorf("%w: posting list longer than document", ErrCorrupt)
+		if int(cnt) > d.Len() || int(cnt) > br.Len()/4 {
+			return nil, fmt.Errorf("%w: posting list of %d nodes", ErrCorrupt, cnt)
 		}
 		nodes := make([]doc.NodeID, cnt)
 		for j := range nodes {
 			v, err := u32()
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%w: reading posting: %v", ErrCorrupt, err)
 			}
 			if int(v) >= d.Len() {
 				return nil, fmt.Errorf("%w: posting references node %d of %d", ErrCorrupt, v, d.Len())

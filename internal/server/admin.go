@@ -15,6 +15,7 @@ import (
 
 	"lotusx/internal/core"
 	"lotusx/internal/corpus"
+	"lotusx/internal/doc"
 	"lotusx/internal/httpmw"
 	"lotusx/internal/ingest"
 	"lotusx/internal/metrics"
@@ -272,7 +273,11 @@ func (s *Server) createDataset(name string, body io.Reader, parts int) (datasetS
 			Compress: s.compress,
 		})
 	}
-	if err := c.SetSplitReader(name, body, parts); err != nil {
+	d, err := doc.FromReader(name, body)
+	if err == nil {
+		err = c.SetSplit(name, d, parts)
+	}
+	if err != nil {
 		return datasetStatus{}, fmt.Errorf("ingesting %q: %w", name, err)
 	}
 	s.catalog.AddBackend(name, c)
@@ -378,10 +383,13 @@ func (s *Server) addShard(name, shard string, body io.Reader, parts int, delta b
 	if err != nil {
 		return datasetStatus{}, err
 	}
+	add := c.AddSplit
 	if delta {
-		err = c.AddDeltaSplitReader(shard, body, parts)
-	} else {
-		err = c.AddSplitReader(shard, body, parts)
+		add = c.AddDeltaSplit
+	}
+	d, err := doc.FromReader(shard, body)
+	if err == nil {
+		err = add(shard, d, parts)
 	}
 	if err != nil {
 		return datasetStatus{}, fmt.Errorf("ingesting shard %q: %w", shard, err)

@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -232,10 +231,7 @@ func NewCatalogConfig(catalog *core.Catalog, cfg Config) *Server {
 	if reg == nil {
 		reg = metrics.New()
 	}
-	logger := cfg.Logger
-	if logger == nil {
-		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
+	logger := httpmw.OrDiscard(cfg.Logger)
 	cacheBytes := cfg.CacheBytes
 	if cacheBytes == 0 {
 		cacheBytes = 64 << 20

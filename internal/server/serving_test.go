@@ -244,14 +244,21 @@ func TestLoadShed503(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
-	// Occupy the single slot with the slow query.
+	// Occupy the single slot with the slow query.  A poll below can win the
+	// slot first and shed the query instead, so resend it until admitted.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		res, err := http.Post(ts.URL+"/api/v1/query", "application/json", strings.NewReader(slowQueryBody))
-		if err == nil {
+		for {
+			res, err := http.Post(ts.URL+"/api/v1/query", "application/json", strings.NewReader(slowQueryBody))
+			if err != nil {
+				return
+			}
 			res.Body.Close()
+			if res.StatusCode != http.StatusServiceUnavailable {
+				return
+			}
 		}
 	}()
 
