@@ -1,6 +1,6 @@
 // Benchmarks: one testing.B target per paper experiment of DESIGN.md §5
 // (E1–E11, A1–A2).  cmd/lotusx-bench prints the full suite's tables (E1–E11,
-// E14, E17, E19, A1–A3); these targets expose the same code paths to
+// E14, E17, A1–A3); these targets expose the same code paths to
 // `go test -bench`, with quality metrics reported via b.ReportMetric where
 // the experiment measures accuracy rather than time.
 package lotusx_test

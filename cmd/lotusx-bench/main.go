@@ -1,13 +1,12 @@
 // Command lotusx-bench runs the experiment suite of internal/bench and
 // prints the result tables: E1–E11 and the ablations A1–A3 reproduce the
-// demo paper's claims (see DESIGN.md §5); E14, E17 and E19 measure injected
-// shard failure, replica failover and hedging, and the index-compression
-// gates.
+// demo paper's claims (see DESIGN.md §5); E14 and E17 measure injected
+// shard failure, replica failover and hedging.
 //
 //	lotusx-bench                       # full suite at scale 1
 //	lotusx-bench -scale 4              # larger datasets
 //	lotusx-bench -exp E2,E3            # a subset
-//	lotusx-bench -exp E19 -json-dir .  # also write BENCH_E19.json
+//	lotusx-bench -exp E17 -json-dir .  # also write BENCH_E17.json
 package main
 
 import (

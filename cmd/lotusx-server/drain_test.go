@@ -138,7 +138,7 @@ func TestDrainCompletesInFlightQuery(t *testing.T) {
 // TestDrainShardMode: the slim shard-server shape (single engine, no admin)
 // exits clean on SIGINT with zero in-flight work.
 func TestDrainShardMode(t *testing.T) {
-	engine, err := buildEngine("", "", "dblp", 1, 7, false)
+	engine, err := buildEngine("", "", "dblp", 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestDrainShardMode(t *testing.T) {
 // federator running — finishes an in-flight fan-out query held at the RPC
 // layer, stops the federator, and exits clean.
 func TestDrainRouterMode(t *testing.T) {
-	engine, err := buildEngine("", "", "dblp", 1, 7, false)
+	engine, err := buildEngine("", "", "dblp", 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,8 +65,6 @@ func main() {
 		"directory persisting corpus-backed datasets; existing corpora reload at startup")
 	shards := flag.Int("shards", 1,
 		"split each served dataset into N shards queried with parallel fan-out")
-	compressIndex := flag.Bool("compress-index", false,
-		"build indexes on the DAG-compressed substrate: repeated subtree shapes are stored once and joins run once per distinct shape; each index falls back to raw when its data doesn't repeat enough to pay for itself")
 	slowQuery := flag.Duration("slow-query", 250*time.Millisecond,
 		"log queries slower than this with a per-stage breakdown (0 disables)")
 	debugAddr := flag.String("debug-addr", "",
@@ -148,7 +146,6 @@ func main() {
 		EnableAdmin:            *admin,
 		CorpusDir:              *corpusDir,
 		Corpus:                 tuning,
-		CompressIndex:          *compressIndex,
 		SlowQuery:              *slowQuery,
 		DisableResultCache:     !*cacheResults,
 		DisableCompletionCache: !*cacheCompletions,
@@ -192,7 +189,7 @@ func main() {
 
 	// The plain path: one engine-backed dataset, no catalog features needed.
 	if *kind != "all" && !*admin && *corpusDir == "" && *shards == 1 {
-		engine, err := buildEngine(*in, *indexFile, *kind, *scale, *seed, *compressIndex)
+		engine, err := buildEngine(*in, *indexFile, *kind, *scale, *seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -212,7 +209,7 @@ func main() {
 	// Catalog mode: multiple datasets, corpus-backed sharding, live admin.
 	catalog := core.NewCatalog()
 	if *corpusDir != "" {
-		if err := reloadCorpora(catalog, *corpusDir, reg, tuning, *compressIndex); err != nil {
+		if err := reloadCorpora(catalog, *corpusDir, reg, tuning); err != nil {
 			fatal(err)
 		}
 	}
@@ -232,7 +229,7 @@ func main() {
 			fatal(fmt.Errorf("one of -in, -index or -dataset is required (or -admin to ingest over HTTP)"))
 		}
 	}
-	lc := loadConfig{shards: *shards, corpusDir: *corpusDir, reg: reg, tuning: tuning, compress: *compressIndex}
+	lc := loadConfig{shards: *shards, corpusDir: *corpusDir, reg: reg, tuning: tuning}
 	if err := loadDatasets(catalog, sources, lc, !*quiet, os.Stdout); err != nil {
 		fatal(err)
 	}
@@ -316,7 +313,6 @@ type loadConfig struct {
 	corpusDir string
 	reg       *metrics.Registry
 	tuning    corpus.Tuning
-	compress  bool
 }
 
 // builtDataset is one source's backend, built and waiting for its turn to
@@ -371,7 +367,7 @@ func (lc loadConfig) build(src source) (*builtDataset, error) {
 	start := time.Now()
 	b := &builtDataset{name: src.name}
 	if lc.shards == 1 {
-		engine, err := buildEngine(src.in, src.indexFile, src.kind, src.scale, src.seed, lc.compress)
+		engine, err := buildEngine(src.in, src.indexFile, src.kind, src.scale, src.seed)
 		if err != nil {
 			return nil, err
 		}
@@ -391,7 +387,7 @@ func (lc loadConfig) build(src source) (*builtDataset, error) {
 	if b.name == "" {
 		b.name = d.Name()
 	}
-	ccfg := corpus.Config{Metrics: lc.reg.Corpus(b.name), Tuning: lc.tuning, Compress: lc.compress}
+	ccfg := corpus.Config{Metrics: lc.reg.Corpus(b.name), Tuning: lc.tuning}
 	if lc.corpusDir != "" {
 		ccfg.Dir = filepath.Join(lc.corpusDir, b.name)
 	}
@@ -411,7 +407,7 @@ func (lc loadConfig) build(src source) (*builtDataset, error) {
 
 // reloadCorpora reopens every persisted corpus under dir (one subdirectory
 // with a manifest each) so admin-created datasets survive restarts.
-func reloadCorpora(catalog *core.Catalog, dir string, reg *metrics.Registry, tuning corpus.Tuning, compress bool) error {
+func reloadCorpora(catalog *core.Catalog, dir string, reg *metrics.Registry, tuning corpus.Tuning) error {
 	entries, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
 		return nil // created on first ingest
@@ -427,9 +423,7 @@ func reloadCorpora(catalog *core.Catalog, dir string, reg *metrics.Registry, tun
 		if _, err := os.Stat(filepath.Join(sub, "MANIFEST.json")); err != nil {
 			continue
 		}
-		// Shard files are self-describing (a compressed shard reloads
-		// compressed); Compress only steers future rebuilds of this corpus.
-		c, err := corpus.Open(sub, corpus.Config{Metrics: reg.Corpus(e.Name()), Tuning: tuning, Compress: compress})
+		c, err := corpus.Open(sub, corpus.Config{Metrics: reg.Corpus(e.Name()), Tuning: tuning})
 		if err != nil {
 			return fmt.Errorf("reopening corpus %s: %w", sub, err)
 		}
@@ -452,11 +446,11 @@ func servingNote(cfg server.Config) string {
 }
 
 // buildEngine builds the whole-document engine of the input the flags name,
-// once, on the substrate compress asks for.
-func buildEngine(in, indexFile, kind string, scale int, seed int64, compress bool) (*core.Engine, error) {
-	if indexFile != "" && in == "" && !compress {
-		// The file's own substrate is the one to serve: a full-index file
-		// brings its postings along, so nothing is tokenized again.
+// once.
+func buildEngine(in, indexFile, kind string, scale int, seed int64) (*core.Engine, error) {
+	if indexFile != "" && in == "" {
+		// A full-index file brings its postings along, so nothing is
+		// tokenized again.
 		f, err := os.Open(indexFile)
 		if err != nil {
 			return nil, err
@@ -468,7 +462,7 @@ func buildEngine(in, indexFile, kind string, scale int, seed int64, compress boo
 	if err != nil {
 		return nil, err
 	}
-	return core.FromDocumentOpts(d, core.BuildOptions{Compress: compress}), nil
+	return core.FromDocument(d), nil
 }
 
 // loadDocument reads, or generates and parses, the document the flags name
@@ -521,7 +515,7 @@ func runShard(cfg server.Config, a shardArgs) {
 	if err != nil {
 		fatal(err)
 	}
-	engine, err := buildSlice(a, idx, parts, cfg.CompressIndex)
+	engine, err := buildSlice(a, idx, parts)
 	if err != nil {
 		fatal(err)
 	}
@@ -538,9 +532,9 @@ func runShard(cfg server.Config, a shardArgs) {
 // buildSlice builds the engine of slice idx of parts: the whole document's
 // for 0/1, else the slice's alone — the whole document is only parsed, and
 // no other slice is built.
-func buildSlice(a shardArgs, idx, parts int, compress bool) (*core.Engine, error) {
+func buildSlice(a shardArgs, idx, parts int) (*core.Engine, error) {
 	if parts == 1 {
-		return buildEngine(a.in, a.indexFile, a.kind, a.scale, a.seed, compress)
+		return buildEngine(a.in, a.indexFile, a.kind, a.scale, a.seed)
 	}
 	d, err := loadDocument(a.in, a.indexFile, a.kind, a.scale, a.seed)
 	if err != nil {
@@ -550,7 +544,7 @@ func buildSlice(a shardArgs, idx, parts int, compress bool) (*core.Engine, error
 	if err != nil {
 		return nil, fmt.Errorf("slice %d/%d: %w", idx, parts, err)
 	}
-	return core.FromDocumentOpts(sd, core.BuildOptions{Compress: compress}), nil
+	return core.FromDocument(sd), nil
 }
 
 // parseSlice parses "i/n" with 0 <= i < n.

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -19,7 +21,7 @@ func TestBuildEngineFromFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("<a><b>x</b></a>"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e, err := buildEngine(path, "", "", 1, 1, false)
+	e, err := buildEngine(path, "", "", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +37,7 @@ func TestBuildEngineFromIndexFile(t *testing.T) {
 	if err := os.WriteFile(xmlPath, []byte("<a><b>x</b></a>"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e, err := buildEngine(xmlPath, "", "", 1, 1, false)
+	e, err := buildEngine(xmlPath, "", "", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func TestBuildEngineFromIndexFile(t *testing.T) {
 	}
 	f.Close()
 
-	e2, err := buildEngine("", idxPath, "", 1, 1, false)
+	e2, err := buildEngine("", idxPath, "", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +59,10 @@ func TestBuildEngineFromIndexFile(t *testing.T) {
 	}
 }
 
-// TestBuildEngineOnceOnTheFinalSubstrate: with -compress-index every kind of
-// input — XML, a document-only index file, a raw full-index file — builds
-// straight onto the compressed substrate, and without the flag a full-index
-// file keeps the substrate it was saved with.
+// TestBuildEngineOnceOnTheFinalSubstrate: every kind of input — XML, a
+// document-only index file, a full-index file — builds one engine over the
+// same document, and a full-index file is served with the postings it
+// stores rather than re-tokenized.
 func TestBuildEngineOnceOnTheFinalSubstrate(t *testing.T) {
 	dir := t.TempDir()
 	xmlPath := filepath.Join(dir, "rep.xml")
@@ -73,12 +75,9 @@ func TestBuildEngineOnceOnTheFinalSubstrate(t *testing.T) {
 	if err := os.WriteFile(xmlPath, []byte(body.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := buildEngine(xmlPath, "", "", 1, 1, false)
+	raw, err := buildEngine(xmlPath, "", "", 1, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if raw.Compressed() {
-		t.Fatal("raw build came out compressed")
 	}
 	save := func(name string, write func(io.Writer) error) string {
 		path := filepath.Join(dir, name)
@@ -98,12 +97,12 @@ func TestBuildEngineOnceOnTheFinalSubstrate(t *testing.T) {
 	full := save("full.ltx", raw.SaveFull)
 
 	for _, in := range []struct{ xml, index string }{{xml: xmlPath}, {index: docOnly}, {index: full}} {
-		e, err := buildEngine(in.xml, in.index, "", 1, 1, true)
+		e, err := buildEngine(in.xml, in.index, "", 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !e.Compressed() || e.Stats() != raw.Stats() {
-			t.Errorf("%+v with -compress-index: compressed=%v stats=%+v, want compressed with %+v", in, e.Compressed(), e.Stats(), raw.Stats())
+		if e.Stats() != raw.Stats() {
+			t.Errorf("%+v: stats=%+v, want %+v", in, e.Stats(), raw.Stats())
 		}
 		d, err := loadDocument(in.xml, in.index, "", 1, 1)
 		if err != nil {
@@ -113,16 +112,32 @@ func TestBuildEngineOnceOnTheFinalSubstrate(t *testing.T) {
 			t.Errorf("%+v: loadDocument has %d nodes, want %d", in, d.Len(), raw.Stats().Nodes)
 		}
 	}
-	if e, err := buildEngine("", full, "", 1, 1, false); err != nil || e.Compressed() {
-		t.Errorf("raw full-index file without the flag: compressed=%v err=%v", e.Compressed(), err)
-	}
-	compressed, err := buildEngine(xmlPath, "", "", 1, 1, true)
+
+	// A full-index file whose stored postings section is empty: served as
+	// stored, "jiaheng" has no postings; re-tokenized, it would have 400.
+	data, err := os.ReadFile(full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfull := save("cfull.ltx", compressed.SaveFull)
-	if e, err := buildEngine("", cfull, "", 1, 1, false); err != nil || !e.Compressed() {
-		t.Errorf("compressed full-index file without the flag: compressed=%v err=%v", e.Compressed(), err)
+	payload := data[20:]
+	docEnd := 8 + binary.LittleEndian.Uint64(payload[:8])
+	stripped := append(append([]byte(nil), payload[:docEnd+4]...), 0, 0, 0, 0) // valued, zero tokens
+	hdr := append([]byte(nil), data[:20]...)
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(stripped)))
+	binary.LittleEndian.PutUint32(hdr[16:20], crc32.ChecksumIEEE(stripped))
+	noPostings := filepath.Join(dir, "noposts.ltx")
+	if err := os.WriteFile(noPostings, append(hdr, stripped...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(raw.Index().TokenPostings("jiaheng")); n != 400 {
+		t.Fatalf("built index: %d postings for jiaheng, want 400", n)
+	}
+	e, err := buildEngine("", noPostings, "", 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(e.Index().TokenPostings("jiaheng")); n != 0 {
+		t.Errorf("full-index file re-tokenized on open: %d postings for jiaheng, want the stored 0", n)
 	}
 }
 
@@ -138,7 +153,7 @@ func TestBuildSliceIndexesOnlyItsSlice(t *testing.T) {
 	}
 	for _, kind := range []string{"dblp", "xmark"} {
 		a := shardArgs{kind: kind, scale: 1, seed: 7}
-		whole, err := buildSlice(a, 0, 1, false)
+		whole, err := buildSlice(a, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +163,7 @@ func TestBuildSliceIndexesOnlyItsSlice(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, want := range docs {
-				e, err := buildSlice(a, i, parts, false)
+				e, err := buildSlice(a, i, parts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -159,13 +174,13 @@ func TestBuildSliceIndexesOnlyItsSlice(t *testing.T) {
 			}
 		}
 	}
-	if _, err := buildSlice(shardArgs{in: "", kind: "bogus"}, 0, 2, false); err == nil {
+	if _, err := buildSlice(shardArgs{in: "", kind: "bogus"}, 0, 2); err == nil {
 		t.Error("unknown dataset should fail")
 	}
 }
 
 func TestBuildEngineFromDataset(t *testing.T) {
-	e, err := buildEngine("", "", "dblp", 1, 7, false)
+	e, err := buildEngine("", "", "dblp", 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,16 +190,16 @@ func TestBuildEngineFromDataset(t *testing.T) {
 }
 
 func TestBuildEngineErrors(t *testing.T) {
-	if _, err := buildEngine("", "", "", 1, 1, false); err == nil {
+	if _, err := buildEngine("", "", "", 1, 1); err == nil {
 		t.Error("no source should fail")
 	}
-	if _, err := buildEngine("/nonexistent.xml", "", "", 1, 1, false); err == nil {
+	if _, err := buildEngine("/nonexistent.xml", "", "", 1, 1); err == nil {
 		t.Error("missing file should fail")
 	}
-	if _, err := buildEngine("", "/nonexistent.ltx", "", 1, 1, false); err == nil {
+	if _, err := buildEngine("", "/nonexistent.ltx", "", 1, 1); err == nil {
 		t.Error("missing index should fail")
 	}
-	if _, err := buildEngine("", "", "bogus", 1, 1, false); err == nil {
+	if _, err := buildEngine("", "", "bogus", 1, 1); err == nil {
 		t.Error("unknown dataset should fail")
 	}
 }

@@ -1,8 +1,8 @@
 // Package bench implements the experiment suite of DESIGN.md §5: E1–E11
 // and the ablations A1–A3 reproduce the LotusX demo paper's claims, one
-// experiment per claim printing a table that quantifies it; E14, E17 and
-// E19 measure what the live benchmark (benchmark/) cannot — injected shard
-// failure, replica failover and hedging, and the index-compression gates.
+// experiment per claim printing a table that quantifies it; E14 and E17
+// measure what the live benchmark (benchmark/) cannot — injected shard
+// failure, replica failover and hedging.
 // The experiments table declares the suite once; cmd/lotusx-bench runs it,
 // and the repo-root bench_test.go exposes the paper experiments as
 // testing.B benchmarks.
@@ -130,7 +130,6 @@ var experiments = []experiment{
 	{"E11", "scalability: build and query cost vs dataset scale", (*Runner).E11Scalability},
 	{"E14", "fault tolerance: availability and p99 under injected shard failures", (*Runner).E14FaultTolerance},
 	{"E17", "distributed router: replicated availability under faults, hedging under latency skew", (*Runner).E17RemoteRouter},
-	{"E19", "DAG-compressed index: dedup repeated subtrees, join once per distinct shape", (*Runner).E19IndexCompression},
 	{"A1", "ablation: value-predicate pushdown vs post-filtering", (*Runner).A1Pushdown},
 	{"A2", "ablation: tree pattern minimization of redundant twigs", (*Runner).A2Minimization},
 	{"A3", "ablation: rewrite penalty model (default vs uniform)", (*Runner).A3PenaltyModel},

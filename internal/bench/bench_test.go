@@ -333,7 +333,7 @@ func TestSelectExperiments(t *testing.T) {
 	}{
 		{ids: "", want: all},
 		{ids: "e2, E3", want: []string{"E2", "E3"}},
-		{ids: "A3,e19", want: []string{"A3", "E19"}},
+		{ids: "A3,e17", want: []string{"A3", "E17"}},
 		{ids: "E12", wantErr: true},
 		{ids: "E2,", wantErr: true},
 	} {

@@ -47,33 +47,11 @@ type BuildTiming struct {
 // BuildTiming reports how long the engine's constructor spent per phase.
 func (e *Engine) BuildTiming() BuildTiming { return e.timing }
 
-// BuildOptions tunes engine construction.
-type BuildOptions struct {
-	// Compress opts the index into the DAG-compressed substrate, falling
-	// back to raw when the document's dedup ratio is poor (see
-	// index.BuildWith).
-	Compress bool
-}
-
 // FromDocument builds an Engine over an already-parsed document.
 func FromDocument(d *doc.Document) *Engine {
-	return FromDocumentOpts(d, BuildOptions{})
-}
-
-// FromDocumentOpts builds an Engine over an already-parsed document with
-// build options.
-func FromDocumentOpts(d *doc.Document, opts BuildOptions) *Engine {
 	start := time.Now()
-	return fromIndex(index.BuildWith(d, index.BuildOptions{Compress: opts.Compress}), start)
+	return fromIndex(index.Build(d), start)
 }
-
-// Compressed reports whether the engine's index runs on the DAG-compressed
-// substrate.
-func (e *Engine) Compressed() bool { return e.ix.Compressed() != nil }
-
-// CompressionStats reports the index substrate's size accounting: resident
-// bytes, the raw-equivalent estimate, and (when compressed) shape counts.
-func (e *Engine) CompressionStats() index.CompressionStats { return e.ix.CompressionStats() }
 
 // FromReader parses XML from r and builds an Engine.
 func FromReader(name string, r io.Reader) (*Engine, error) {
@@ -126,7 +104,7 @@ func Open(r io.Reader) (*Engine, error) {
 
 // LoadDocument reads only the document of a file written by Save or
 // SaveFull, building no engine — for a caller that serves the document
-// split into shards, or indexed on another substrate than the file's.
+// split into shards.
 func LoadDocument(r io.Reader) (*doc.Document, error) {
 	br, full, err := sniffFull(r)
 	if err != nil {

@@ -81,7 +81,7 @@ func (c *Corpus) CompactDeltas(ctx context.Context, maxBatch int) (*CompactionRe
 
 	sp, ctx := obs.Start(ctx, "compact:build")
 	sp.SetInt("deltas", len(deltas))
-	fresh, err := buildCompacted(c.name, snap.seq, deltas, c.compress)
+	fresh, err := buildCompacted(c.name, snap.seq, deltas)
 	sp.SetErr(err)
 	sp.End()
 	if err != nil {
@@ -138,7 +138,7 @@ func (c *Corpus) CompactDeltas(ctx context.Context, maxBatch int) (*CompactionRe
 // locks held.  Groups preserve delta order, and the compacted shard carries
 // the root attributes of its group's first delta (replicated identically
 // across a split group's parts, so first-wins loses nothing).
-func buildCompacted(corpusName string, pinSeq uint64, deltas []*shard, compress bool) ([]*shard, error) {
+func buildCompacted(corpusName string, pinSeq uint64, deltas []*shard) ([]*shard, error) {
 	type group struct {
 		rootTag string
 		docs    []*doc.Document
@@ -165,7 +165,7 @@ func buildCompacted(corpusName string, pinSeq uint64, deltas []*shard, compress 
 		}
 		out = append(out, &shard{
 			name:   fmt.Sprintf("%s/%06d-%d", compactedPrefix, pinSeq, gi),
-			engine: core.FromDocumentOpts(merged, core.BuildOptions{Compress: compress}),
+			engine: core.FromDocument(merged),
 		})
 	}
 	return out, nil

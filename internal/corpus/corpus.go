@@ -157,12 +157,6 @@ type Config struct {
 	// Logger receives quarantine and degradation warnings; nil means
 	// slog.Default().
 	Logger *slog.Logger
-	// Compress opts new shard indexes into the DAG-compressed substrate
-	// (index.BuildOptions.Compress): repeated subtree shapes are stored once
-	// and joins run once per distinct shape.  Per shard the builder falls
-	// back to the raw substrate when the document doesn't repeat enough to
-	// pay for itself, so enabling this on mixed corpora is safe.
-	Compress bool
 }
 
 // Corpus is a mutable, concurrently queryable shard set.
@@ -174,8 +168,6 @@ type Corpus struct {
 	health *health // nil when breakers are disabled
 	faults *faults.Registry
 	log    *slog.Logger
-	// compress opts shard builds into the DAG-compressed index substrate.
-	compress bool
 	// loadQuarantined names manifest shards Open quarantined at startup
 	// (written once before the corpus is shared; read-only after).
 	loadQuarantined []string
@@ -199,13 +191,12 @@ type Corpus struct {
 // New returns an empty corpus.
 func New(name string, cfg Config) *Corpus {
 	c := &Corpus{
-		name:     name,
-		dir:      cfg.Dir,
-		met:      cfg.Metrics,
-		tuning:   cfg.Tuning,
-		faults:   cfg.Faults,
-		log:      cfg.Logger,
-		compress: cfg.Compress,
+		name:   name,
+		dir:    cfg.Dir,
+		met:    cfg.Metrics,
+		tuning: cfg.Tuning,
+		faults: cfg.Faults,
+		log:    cfg.Logger,
 	}
 	if c.tuning.Policy == "" {
 		c.tuning.Policy = PolicyDegrade
@@ -355,27 +346,18 @@ func (c *Corpus) DeltaShards() int { return c.Snapshot().DeltaCount() }
 // from before a mutation become unreachable the instant it lands.
 func (c *Corpus) Generation() uint64 { return c.Seq() }
 
-// updateResident publishes the snapshot's index-substrate size accounting —
-// resident vs raw-equivalent bytes, dedup-DAG shape/instance counts, and how
-// many shards compressed — to the corpus gauges.  Remote shards have no
-// local engine and contribute nothing.  Caller holds c.met != nil.
+// updateResident publishes the snapshot's resident index bytes
+// (index.ResidentBytes summed over shards) to the corpus gauge.  Remote
+// shards have no local engine and contribute nothing.  Caller holds
+// c.met != nil.
 func (c *Corpus) updateResident(shards []*shard) {
-	var resident, raw, shapes, instances int64
-	compressed := 0
+	var resident int64
 	for _, sh := range shards {
-		if sh.engine == nil {
-			continue
-		}
-		st := sh.engine.CompressionStats()
-		resident += st.ResidentBytes
-		raw += st.RawBytes
-		if st.Compressed {
-			compressed++
-			shapes += int64(st.Shapes)
-			instances += int64(st.Instances)
+		if sh.engine != nil {
+			resident += sh.engine.Index().ResidentBytes()
 		}
 	}
-	c.met.SetResident(resident, raw, shapes, instances, compressed)
+	c.met.SetResident(resident)
 }
 
 // sortShards orders shards by name for deterministic iteration and merges.
@@ -402,7 +384,7 @@ func (c *Corpus) Add(name string, d *doc.Document) error {
 	// Index construction is the expensive part — do it before taking the
 	// mutation lock so concurrent readers and other writers never wait on
 	// parsing or index builds.
-	engine := core.FromDocumentOpts(d, core.BuildOptions{Compress: c.compress})
+	engine := core.FromDocument(d)
 	return c.publish(func(shards []*shard) ([]*shard, error) {
 		return replaceShard(shards, &shard{name: name, engine: engine}), nil
 	})
@@ -427,7 +409,7 @@ func (c *Corpus) addSplit(name string, d *doc.Document, parts int, delta bool) e
 	if err := validShardName(name); err != nil {
 		return err
 	}
-	fresh, err := buildShards(name, d, parts, delta, c.compress)
+	fresh, err := buildShards(name, d, parts, delta)
 	if err != nil {
 		return err
 	}
@@ -442,11 +424,10 @@ func (c *Corpus) addSplit(name string, d *doc.Document, parts int, delta bool) e
 // unsplit document, or a "name/NNN" group.  Parts are independent from the
 // split plan on — build, index, guide — so they build on every core; names
 // and order depend only on the plan.
-func buildShards(name string, d *doc.Document, parts int, delta, compress bool) ([]*shard, error) {
-	opts := core.BuildOptions{Compress: compress}
+func buildShards(name string, d *doc.Document, parts int, delta bool) ([]*shard, error) {
 	plan := planSplit(d, parts)
 	if plan == nil {
-		return []*shard{{name: name, engine: core.FromDocumentOpts(d, opts), delta: delta}}, nil
+		return []*shard{{name: name, engine: core.FromDocument(d), delta: delta}}, nil
 	}
 	out := make([]*shard, len(plan.groups))
 	err := fanout.Do(len(out), func(i int) error {
@@ -454,7 +435,7 @@ func buildShards(name string, d *doc.Document, parts int, delta, compress bool) 
 		if err != nil {
 			return err
 		}
-		out[i] = &shard{name: fmt.Sprintf("%s/%03d", name, i), engine: core.FromDocumentOpts(sd, opts), delta: delta}
+		out[i] = &shard{name: fmt.Sprintf("%s/%03d", name, i), engine: core.FromDocument(sd), delta: delta}
 		return nil
 	})
 	if err != nil {
@@ -472,7 +453,7 @@ func (c *Corpus) SetSplit(name string, d *doc.Document, parts int) error {
 	if err := validShardName(name); err != nil {
 		return err
 	}
-	fresh, err := buildShards(name, d, parts, false, c.compress)
+	fresh, err := buildShards(name, d, parts, false)
 	if err != nil {
 		return err
 	}
@@ -508,10 +489,9 @@ func (c *Corpus) Reindex(name string) error {
 		if len(hits) == 0 && name != "" {
 			return nil, fmt.Errorf("corpus: no shard %q in %s", name, c.name)
 		}
-		opts := core.BuildOptions{Compress: c.compress}
 		err := fanout.Do(len(hits), func(h int) error {
 			old := shards[hits[h]]
-			shards[hits[h]] = &shard{name: old.name, engine: core.FromDocumentOpts(old.engine.Document(), opts), delta: old.delta}
+			shards[hits[h]] = &shard{name: old.name, engine: core.FromDocument(old.engine.Document()), delta: old.delta}
 			return nil
 		})
 		return shards, err
@@ -609,11 +589,10 @@ func (c *Corpus) persist(ns *Snapshot) error {
 	m := &manifest{Version: manifestVersion, Name: c.name, Seq: ns.seq}
 	for _, sh := range ns.shards {
 		m.Shards = append(m.Shards, manifestShard{
-			Name:       sh.name,
-			File:       sh.file,
-			Nodes:      sh.engine.Document().Len(),
-			Delta:      sh.delta,
-			Compressed: sh.engine.Compressed(),
+			Name:  sh.name,
+			File:  sh.file,
+			Nodes: sh.engine.Document().Len(),
+			Delta: sh.delta,
 		})
 	}
 	return saveManifest(c.dir, m)

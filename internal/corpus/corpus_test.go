@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -543,30 +544,32 @@ func TestCorpusPersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("metrics: shards=%d swaps=%d", met.Shards, met.Swaps)
 	}
 
-	// Reopen from disk and compare search results.
-	re, err := Open(dir, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Name() != "lib" || re.Snapshot().Len() != 3 || re.Seq() != c.Seq() {
-		t.Fatalf("reopened: name=%s shards=%d seq=%d", re.Name(), re.Snapshot().Len(), re.Seq())
-	}
+	// Reopen from disk and compare search results: as written, then as a
+	// build with index compression left the same corpus ("compressed":
+	// true in the manifest, version-2 shard files).
 	q, _ := twig.Parse("//article/title")
 	want, err := c.SearchHits(context.Background(), q.Clone(), core.SearchOptions{K: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := re.SearchHits(context.Background(), q.Clone(), core.SearchOptions{K: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wk, gk := hitKeys(want.Hits), hitKeys(got.Hits)
-	if len(wk) == 0 || len(wk) != len(gk) {
-		t.Fatalf("reopened corpus: %d hits, want %d", len(gk), len(wk))
-	}
-	for i := range wk {
-		if wk[i] != gk[i] {
-			t.Fatalf("reopened corpus differs at hit %d", i)
+	for _, compressed := range []bool{false, true} {
+		if compressed {
+			rewriteAsCompressed(t, dir)
+		}
+		re, err := Open(dir, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re.Name() != "lib" || re.Snapshot().Len() != 3 || re.Seq() != c.Seq() || re.Degraded() != "" {
+			t.Fatalf("reopened (compressed=%v): name=%s shards=%d seq=%d degraded=%q",
+				compressed, re.Name(), re.Snapshot().Len(), re.Seq(), re.Degraded())
+		}
+		got, err := re.SearchHits(context.Background(), q.Clone(), core.SearchOptions{K: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wk, gk := hitKeys(want.Hits), hitKeys(got.Hits); len(wk) == 0 || !slices.Equal(wk, gk) {
+			t.Fatalf("reopened corpus (compressed=%v): %v, want %v", compressed, gk, wk)
 		}
 	}
 

@@ -66,12 +66,6 @@ type manifestShard struct {
 	// Delta marks an async-ingested delta shard awaiting compaction; absent
 	// (false) for base shards, so pre-delta manifests load unchanged.
 	Delta bool `json:"delta,omitempty"`
-	// Compressed marks a shard whose index runs on the DAG-compressed
-	// substrate (its file carries the version-2 payload); absent (false) for
-	// raw shards, so pre-compression manifests load unchanged.  Informational:
-	// the shard file itself is self-describing, this flag lets operators see
-	// which shards compressed without opening files.
-	Compressed bool `json:"compressed,omitempty"`
 }
 
 // loadManifest reads and validates <dir>/MANIFEST.json.
@@ -80,12 +74,37 @@ func loadManifest(dir string) (*manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	m, err := parseManifest(data)
+	if err != nil {
+		return nil, fmt.Errorf("corpus: manifest in %s: %w", dir, err)
+	}
+	return m, nil
+}
+
+// parseManifest decodes and validates a manifest.  Undecodable JSON and
+// entries no writer produces wrap index.ErrCorrupt; a well-formed manifest
+// of another format version wraps index.ErrBadVersion.  Every shard file
+// must be a bare name inside the corpus directory: Open reads it and may
+// quarantine (rename) it, so a path must not reach anywhere else.
+func parseManifest(data []byte) (*manifest, error) {
 	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("corpus: corrupt manifest in %s: %w", dir, err)
+		return nil, fmt.Errorf("%w: %v", index.ErrCorrupt, err)
 	}
 	if m.Version != manifestVersion {
-		return nil, fmt.Errorf("corpus: manifest version %d in %s, want %d", m.Version, dir, manifestVersion)
+		return nil, fmt.Errorf("%w: manifest version %d, want %d", index.ErrBadVersion, m.Version, manifestVersion)
+	}
+	names := make(map[string]bool, len(m.Shards))
+	files := make(map[string]bool, len(m.Shards))
+	for _, ms := range m.Shards {
+		if validShardName(ms.Name) != nil || names[ms.Name] {
+			return nil, fmt.Errorf("%w: shard name %q is invalid or repeated", index.ErrCorrupt, ms.Name)
+		}
+		f := ms.File
+		if f == "" || f == "." || f == ".." || f == manifestName || filepath.Base(f) != f || files[f] {
+			return nil, fmt.Errorf("%w: shard %s: file %q is not a bare local name, or repeated", index.ErrCorrupt, ms.Name, f)
+		}
+		names[ms.Name], files[f] = true, true
 	}
 	return &m, nil
 }

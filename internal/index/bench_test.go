@@ -79,23 +79,6 @@ func BenchmarkContainsAllSkewed(b *testing.B) {
 	}
 }
 
-func BenchmarkBuildCompressed(b *testing.B) {
-	d, err := doc.FromString("bench", repetitiveXML(200))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("raw", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Build(d)
-		}
-	})
-	b.Run("compressed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			BuildCompressed(d)
-		}
-	})
-}
-
 // BenchmarkBuild measures the raw index build — streams, postings, exact
 // map and the per-tag value tries — over each synthetic dataset at the scale
 // the live-server benchmark serves (docs/PERFORMANCE.md, "Start-up").

@@ -16,19 +16,18 @@ import (
 // allocation the input does not pay for.  Each input is also loaded with its
 // header's length and checksum recomputed, so mutated payloads reach the
 // document and postings decoders instead of stopping at the checksum.  The
-// seeds are SaveFull output of a raw and a compressed index.
+// seeds are SaveFull output and a hand-built version-2 flagCompressed file.
 func FuzzLoadFull(f *testing.F) {
 	d, err := doc.FromString("seed", bibXML)
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, ix := range []*Index{Build(d), BuildWith(d, BuildOptions{ForceCompress: true})} {
-		var buf bytes.Buffer
-		if err := ix.SaveFull(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+	var buf bytes.Buffer
+	if err := Build(d).SaveFull(&buf); err != nil {
+		f.Fatal(err)
 	}
+	f.Add(buf.Bytes())
+	f.Add(v2CompressedFile(f, d))
 	load := func(t *testing.T, data []byte) {
 		_, err := LoadFull(bytes.NewReader(data))
 		if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBadVersion) {

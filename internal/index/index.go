@@ -8,12 +8,6 @@
 // derived deterministically from its Document, so persistence stores the
 // document and rebuilds the derived structures on load (rebuild is a single
 // O(n) pass; see Save/Load).
-//
-// The index has two interchangeable substrates.  Build materializes the raw
-// per-node arrays; BuildWith/BuildCompressed can instead store the
-// DAG-compressed form (compress.go), which dedups repeated subtrees and
-// expands node lists lazily.  Every accessor answers identically under
-// either substrate.
 package index
 
 import (
@@ -30,10 +24,6 @@ import (
 // Index holds all access structures over one document.
 type Index struct {
 	document *doc.Document
-
-	// comp, when non-nil, is the DAG-compressed substrate; streams,
-	// postings and exact are then nil and accessors materialize from it.
-	comp *Compressed
 
 	// streams[tag] lists the nodes with that tag in document order.
 	streams [][]doc.NodeID
@@ -98,6 +88,14 @@ func Build(d *doc.Document) *Index {
 	})
 	return ix
 }
+
+// BuildOptions and BuildWith outlive the removed compressed substrate as an
+// alias of Build.  Their only caller is benchmark/oracle.go, a separate
+// module that times the index build through them.
+type BuildOptions struct{}
+
+// BuildWith is Build; see BuildOptions.
+func BuildWith(d *doc.Document, _ BuildOptions) *Index { return Build(d) }
 
 // newRaw starts a raw index over d with its tag streams and tag trie — the
 // structures that need only the tag of every node.  A counting pass sizes
@@ -177,22 +175,15 @@ func foldToken(s string) string {
 
 // TagCount returns the number of nodes with the given tag.
 func (ix *Index) TagCount(tag doc.TagID) int {
-	if ix.comp != nil {
-		return ix.comp.tagCount(tag)
-	}
 	if tag < 0 || int(tag) >= len(ix.streams) {
 		return 0
 	}
 	return len(ix.streams[tag])
 }
 
-// Nodes returns the document-order node list for tag.  The slice is shared
-// on a raw index and freshly materialized on a compressed one; callers must
-// not modify it either way.
+// Nodes returns the document-order node list for tag.  The slice is
+// shared; callers must not modify it.
 func (ix *Index) Nodes(tag doc.TagID) []doc.NodeID {
-	if ix.comp != nil {
-		return ix.comp.tagStream(tag)
-	}
 	if tag < 0 || int(tag) >= len(ix.streams) {
 		return nil
 	}
@@ -202,32 +193,20 @@ func (ix *Index) Nodes(tag doc.TagID) []doc.NodeID {
 // TokenPostings returns the nodes whose value contains token, in document
 // order.  The token is canonicalized with the same fold indexing applies.
 func (ix *Index) TokenPostings(token string) []doc.NodeID {
-	tok := foldToken(token)
-	if ix.comp != nil {
-		return ix.comp.tokenPostings(tok)
-	}
-	return ix.postings[tok]
+	return ix.postings[foldToken(token)]
 }
 
 // ExactMatches returns the nodes whose whole value equals v
 // case-insensitively, in document order.
 func (ix *Index) ExactMatches(v string) []doc.NodeID {
-	folded := foldValue(v)
-	if ix.comp != nil {
-		return ix.comp.exactMatches(folded)
-	}
-	return ix.exact[folded]
+	return ix.exact[foldValue(v)]
 }
 
 // DF returns the document frequency of token: the number of nodes whose
 // value contains it.  It folds exactly like TokenPostings, so
 // DF(t) == len(TokenPostings(t)) for every t.
 func (ix *Index) DF(token string) int {
-	tok := foldToken(token)
-	if ix.comp != nil {
-		return ix.comp.tokenCount(tok)
-	}
-	return len(ix.postings[tok])
+	return len(ix.postings[foldToken(token)])
 }
 
 // ValuedNodes returns the number of nodes carrying a non-empty value.
@@ -250,11 +229,7 @@ func (ix *Index) ContainsAll(query string) []doc.NodeID {
 	}
 	lists := make([][]doc.NodeID, len(toks))
 	for i, tok := range toks {
-		if ix.comp != nil {
-			lists[i] = ix.comp.tokenPostings(tok)
-		} else {
-			lists[i] = ix.postings[tok]
-		}
+		lists[i] = ix.postings[tok]
 		if len(lists[i]) == 0 {
 			return nil
 		}
@@ -334,6 +309,32 @@ func intersectGallop(small, big []doc.NodeID) []doc.NodeID {
 		base = i
 	}
 	return out
+}
+
+// Approximate per-entry overheads of the resident-byte accounting: a Go map
+// entry (bucket share + key header), a slice header and a node ID.
+const (
+	mapEntryBytes    = 48
+	sliceHeaderBytes = 24
+	nodeIDBytes      = 4
+)
+
+// ResidentBytes measures the index's live per-node substrate: the tag
+// streams, token postings, exact-value lists and the cached wildcard
+// stream.  The document and the tries are not counted.
+func (ix *Index) ResidentBytes() int64 {
+	var b int64
+	for _, s := range ix.streams {
+		b += sliceHeaderBytes + int64(len(s))*nodeIDBytes
+	}
+	for tok, nodes := range ix.postings {
+		b += int64(len(tok)) + mapEntryBytes + int64(len(nodes))*nodeIDBytes
+	}
+	for v, nodes := range ix.exact {
+		b += int64(len(v)) + mapEntryBytes + int64(len(nodes))*nodeIDBytes
+	}
+	b += int64(len(ix.allElems)) * nodeIDBytes
+	return b
 }
 
 // Save persists the index by writing its document; Load rebuilds the

@@ -34,35 +34,26 @@ var (
 // Layout: magic "LTXI" | version u32 | payload len u64 | crc32 u32 | payload
 // where payload = document | valued u32 | postings section.
 //
-// Version 2 prefixes the payload with a flags word.  A compressed index
-// (flagCompressed) persists only its document — the DAG substrate dedups
-// the very repetition that makes postings expensive to rebuild, so
-// re-deriving it on load is cheap and the file stays small.  Version-1
-// files still load unchanged.
+// Version 2 prefixes the payload with a flags word.  Earlier builds wrote it
+// for an index on the DAG-compressed substrate (flagCompressed), with the
+// document alone after the flags; that substrate is gone, so LoadFull
+// rebuilds such a file as a plain index.  SaveFull writes only version 1.
 const (
 	fullMagic        = "LTXI"
 	fullVersion      = 1
 	fullVersionFlags = 2
 
-	// flagCompressed marks a version-2 payload whose index was built on
-	// the DAG-compressed substrate; the load rebuilds it in that mode.
+	// flagCompressed marks a version-2 payload that stores no postings.
 	flagCompressed = 1 << 0
 )
 
-// SaveFull writes the index with its postings, checksummed.  A compressed
-// index writes the version-2 layout instead: a flags word, then the
-// document alone.
+// SaveFull writes the index with its postings, checksummed.
 func (ix *Index) SaveFull(w io.Writer) error {
 	var payload bytes.Buffer
 	var scratch [8]byte
 	u32 := func(v uint32) {
 		binary.LittleEndian.PutUint32(scratch[:4], v)
 		payload.Write(scratch[:4])
-	}
-	version := uint32(fullVersion)
-	if ix.comp != nil {
-		version = fullVersionFlags
-		u32(flagCompressed)
 	}
 	// The document section is length-prefixed because doc.Load buffers its
 	// reader and would otherwise consume bytes of the following sections.
@@ -74,27 +65,23 @@ func (ix *Index) SaveFull(w io.Writer) error {
 	payload.Write(scratch[:])
 	payload.Write(docBuf.Bytes())
 
-	if ix.comp == nil {
-		u32(uint32(ix.valued))
-		u32(uint32(len(ix.postings)))
-		// Deterministic section order is not required for correctness but
-		// makes byte-identical saves reproducible; map order suffices
-		// functionally, so iterate sorted only for small maps? Sorting large
-		// token maps costs more than it gives — determinism comes from the
-		// CRC covering content, and tests compare semantics, not bytes.
-		for tok, nodes := range ix.postings {
-			u32(uint32(len(tok)))
-			payload.WriteString(tok)
-			u32(uint32(len(nodes)))
-			for _, n := range nodes {
-				u32(uint32(n))
-			}
+	u32(uint32(ix.valued))
+	u32(uint32(len(ix.postings)))
+	// Map order makes saves of one index differ byte for byte; the CRC
+	// covers content and tests compare semantics, so sorting large token
+	// maps would cost more than it gives.
+	for tok, nodes := range ix.postings {
+		u32(uint32(len(tok)))
+		payload.WriteString(tok)
+		u32(uint32(len(nodes)))
+		for _, n := range nodes {
+			u32(uint32(n))
 		}
 	}
 
 	var hdr [20]byte
 	copy(hdr[:], fullMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], version)
+	binary.LittleEndian.PutUint32(hdr[4:8], fullVersion)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(payload.Len()))
 	binary.LittleEndian.PutUint32(hdr[16:20], crc32.ChecksumIEEE(payload.Bytes()))
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -111,17 +98,15 @@ func LoadFull(r io.Reader) (*Index, error) {
 		return nil, err
 	}
 	if flags&flagCompressed != 0 {
-		// The substrate is derived, not stored: rebuild it in compressed
-		// mode.  ForceCompress keeps the on-disk flag and the manifest's
-		// view of the shard in agreement even for borderline documents.
-		return BuildWith(d, BuildOptions{ForceCompress: true}), nil
+		// No postings were stored: derive everything from the document.
+		return Build(d), nil
 	}
 	return loadPostings(d, rest)
 }
 
 // LoadFullDocument reads only the document of a file written by SaveFull,
 // verifying the checksum — for callers that will index it differently (as
-// shards, or on another substrate) and so have no use for the stored one.
+// shards) and so have no use for the stored postings.
 func LoadFullDocument(r io.Reader) (*doc.Document, error) {
 	d, _, _, err := readFull(r)
 	return d, err
@@ -183,7 +168,7 @@ func readFull(r io.Reader) (d *doc.Document, flags uint32, rest []byte, err erro
 	return d, flags, payload[8+docLen:], nil
 }
 
-// loadPostings decodes the postings section of a raw SaveFull payload and
+// loadPostings decodes the postings section of a SaveFull payload and
 // assembles the index around it.
 func loadPostings(d *doc.Document, section []byte) (*Index, error) {
 	br := bytes.NewReader(section)

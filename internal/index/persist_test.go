@@ -2,9 +2,14 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"slices"
 	"strings"
 	"testing"
+
+	"lotusx/internal/doc"
 )
 
 func TestSaveFullLoadFullRoundTrip(t *testing.T) {
@@ -166,5 +171,58 @@ func TestSaveFullVsRebuildEquivalence(t *testing.T) {
 	}
 	if full.DF("jiaheng") != rebuilt.DF("jiaheng") {
 		t.Error("DF differs")
+	}
+}
+
+// v2CompressedFile assembles by hand the version-2 file earlier builds wrote
+// for an index on the DAG-compressed substrate: the flags word with
+// flagCompressed set, then the length-prefixed document and no postings.
+func v2CompressedFile(tb testing.TB, d *doc.Document) []byte {
+	tb.Helper()
+	var docBuf bytes.Buffer
+	if err := d.Save(&docBuf); err != nil {
+		tb.Fatal(err)
+	}
+	payload := binary.LittleEndian.AppendUint32(nil, flagCompressed)
+	payload = binary.LittleEndian.AppendUint64(payload, uint64(docBuf.Len()))
+	payload = append(payload, docBuf.Bytes()...)
+	file := []byte(fullMagic)
+	file = binary.LittleEndian.AppendUint32(file, fullVersionFlags)
+	file = binary.LittleEndian.AppendUint64(file, uint64(len(payload)))
+	file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(payload))
+	return append(file, payload...)
+}
+
+// TestLoadFullReadsVersion2Compressed: a version-2 file with flagCompressed
+// loads as the index Build gives over its document.
+func TestLoadFullReadsVersion2Compressed(t *testing.T) {
+	want := mustIndex(t, bibXML)
+	got, err := LoadFull(bytes.NewReader(v2CompressedFile(t, want.Document())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := got.Document()
+	if d.Len() != want.Document().Len() || d.Tags().Len() != want.Document().Tags().Len() {
+		t.Fatalf("document: %d nodes / %d tags, want %d / %d",
+			d.Len(), d.Tags().Len(), want.Document().Len(), want.Document().Tags().Len())
+	}
+	for tag := doc.TagID(0); int(tag) < d.Tags().Len(); tag++ {
+		if got.TagCount(tag) != want.TagCount(tag) || !slices.Equal(got.Nodes(tag), want.Nodes(tag)) {
+			t.Errorf("tag %q: %v, want %v", d.Tags().Name(tag), got.Nodes(tag), want.Nodes(tag))
+		}
+	}
+	for _, tok := range []string{"jiaheng", "lu", "xml", "holistic", "2012", "absent"} {
+		if !slices.Equal(got.TokenPostings(tok), want.TokenPostings(tok)) || got.DF(tok) != want.DF(tok) {
+			t.Errorf("token %q: %v (df %d), want %v (df %d)",
+				tok, got.TokenPostings(tok), got.DF(tok), want.TokenPostings(tok), want.DF(tok))
+		}
+	}
+	for _, v := range []string{"Jiaheng Lu", "xml databases", "2005", "absent"} {
+		if !slices.Equal(got.ExactMatches(v), want.ExactMatches(v)) {
+			t.Errorf("exact %q: %v, want %v", v, got.ExactMatches(v), want.ExactMatches(v))
+		}
+	}
+	if got.ValuedNodes() != want.ValuedNodes() {
+		t.Errorf("ValuedNodes = %d, want %d", got.ValuedNodes(), want.ValuedNodes())
 	}
 }

@@ -63,13 +63,9 @@ func (ix *Index) FilteredStream(tag doc.TagID, keep func(doc.NodeID) bool) *Stre
 }
 
 // AllElements returns all element-kind nodes in document order, the stream
-// of a wildcard query node.  On a raw index the list is computed on first
-// use and cached; a compressed index materializes it per call (callers must
-// not modify it either way).
+// of a wildcard query node.  The list is computed on first use and cached;
+// callers must not modify it.
 func (ix *Index) AllElements() []doc.NodeID {
-	if ix.comp != nil {
-		return ix.comp.wildcardStream()
-	}
 	ix.allElemInit.Do(func() {
 		for i := 0; i < ix.document.Len(); i++ {
 			n := doc.NodeID(i)
@@ -79,15 +75,6 @@ func (ix *Index) AllElements() []doc.NodeID {
 		}
 	})
 	return ix.allElems
-}
-
-// WildcardCount returns the number of element-kind nodes — the length of
-// AllElements without materializing it on a compressed index.
-func (ix *Index) WildcardCount() int {
-	if ix.comp != nil {
-		return ix.comp.wildcardCount()
-	}
-	return len(ix.AllElements())
 }
 
 // WildcardStream returns a cursor over every element node.

@@ -56,9 +56,7 @@ func Choose(ix *index.Index, q *twig.Query) Algorithm {
 func EstimateStream(ix *index.Index, qn *twig.Node) int {
 	var base int
 	if qn.IsWildcard() {
-		// WildcardCount avoids materializing the wildcard stream on a
-		// compressed index just to take its length.
-		base = ix.WildcardCount()
+		base = len(ix.AllElements())
 	} else {
 		base = ix.TagCount(ix.Document().Tags().ID(qn.Tag))
 	}

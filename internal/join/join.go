@@ -157,17 +157,8 @@ func Run(ix *index.Index, q *twig.Query, alg Algorithm, opts Options) (*Result, 
 			sp.End()
 		}()
 	}
-	var err error
-	if comp := ix.Compressed(); comp != nil {
-		// The shape-level fast path (shapefast.go): evaluate each distinct
-		// subtree shape once against its canonical occurrence, expand the
-		// matches to the other occurrences, then cover the residue.
-		err = ev.runCompressed(alg, comp)
-	} else {
-		ev.buildStreams()
-		err = ev.dispatch(alg)
-	}
-	if err != nil {
+	ev.buildStreams()
+	if err := ev.dispatch(alg); err != nil {
 		sp.SetErr(err)
 		return nil, err
 	}
@@ -245,58 +236,17 @@ func (ev *evaluator) tick() bool {
 	return true
 }
 
-// streamMode selects which slice of a compressed document the streams see;
-// see shapefast.go for the two compressed passes.
-type streamMode int
-
-const (
-	// streamFull is the ordinary mode: every node instance.
-	streamFull streamMode = iota
-	// streamCanonical restricts every query node to nodes inside canonical
-	// occurrence subtrees (fast-path pass 1).
-	streamCanonical
-	// streamResidueRoot restricts the query root to residue nodes and
-	// leaves the other query nodes full (fast-path pass 2).
-	streamResidueRoot
-)
-
 // buildStreams materializes one document-order node list per query node with
 // the node's tag, predicate and (for the root) axis constraints pushed down.
-func (ev *evaluator) buildStreams() { ev.buildStreamsMode(streamFull) }
-
-// buildStreamsMode is buildStreams parameterized by the compressed-pass
-// mode.  It reports whether every stream is non-empty; on the first empty
-// stream it bails out early (no full match can exist), leaving the
-// remaining streams unbuilt — callers outside streamFull mode must skip the
-// pass when it returns false.
-func (ev *evaluator) buildStreamsMode(mode streamMode) bool {
+func (ev *evaluator) buildStreams() {
 	d := ev.ix.Document()
-	comp := ev.ix.Compressed()
 	ev.nodes = make([][]doc.NodeID, ev.q.Len())
 	for _, qn := range ev.q.Nodes() {
 		var base []doc.NodeID
-		switch {
-		case mode == streamCanonical:
-			if qn.IsWildcard() {
-				base = comp.CanonicalWildcard()
-			} else {
-				base = comp.Canonical(d.Tags().ID(qn.Tag))
-			}
-		case mode == streamResidueRoot && qn.Parent() == nil:
-			if qn.IsWildcard() {
-				base = comp.ResidueWildcard()
-			} else {
-				base = comp.Residue(d.Tags().ID(qn.Tag))
-			}
-		default:
-			if qn.IsWildcard() {
-				base = ev.ix.AllElements()
-			} else {
-				base = ev.ix.Nodes(d.Tags().ID(qn.Tag))
-			}
-		}
-		if len(base) == 0 && mode != streamFull {
-			return false
+		if qn.IsWildcard() {
+			base = ev.ix.AllElements()
+		} else {
+			base = ev.ix.Nodes(d.Tags().ID(qn.Tag))
 		}
 		keep, hint := ev.nodeFilter(qn)
 		if keep == nil {
@@ -315,12 +265,8 @@ func (ev *evaluator) buildStreamsMode(mode streamMode) bool {
 				filtered = append(filtered, n)
 			}
 		}
-		if len(filtered) == 0 && mode != streamFull {
-			return false
-		}
 		ev.nodes[qn.ID] = filtered
 	}
-	return true
 }
 
 // stream returns a fresh cursor over query node qid's node list.

@@ -2,12 +2,8 @@ package join
 
 import (
 	"math/rand"
-	"reflect"
-	"strings"
 	"testing"
 
-	"lotusx/internal/doc"
-	"lotusx/internal/index"
 	"lotusx/internal/twig"
 )
 
@@ -99,152 +95,6 @@ func TestRandomTwigsAllAlgorithmsAgree(t *testing.T) {
 				t.Fatalf("auto disagrees with oracle on %s", q)
 			}
 		}
-	}
-}
-
-// genFragment emits a well-formed element forest — genWellFormed's walk
-// without the document wrapper, plus occasional attributes so the
-// compressed substrate's attribute-node handling is exercised too.
-func genFragment(rng *rand.Rand, tags, vals []string, steps int) string {
-	var b strings.Builder
-	var open []string
-	for i := 0; i < steps; i++ {
-		if len(open) > 0 && (rng.Intn(3) == 0 || len(open) > 4) {
-			b.WriteString("</" + open[len(open)-1] + ">")
-			open = open[:len(open)-1]
-			continue
-		}
-		tag := tags[rng.Intn(len(tags))]
-		attr := ""
-		if rng.Intn(5) == 0 {
-			attr = ` k="` + vals[rng.Intn(len(vals))] + `"`
-		}
-		if rng.Intn(2) == 0 {
-			b.WriteString("<" + tag + attr + ">" + vals[rng.Intn(len(vals))] + "</" + tag + ">")
-		} else {
-			b.WriteString("<" + tag + attr + ">")
-			open = append(open, tag)
-		}
-	}
-	for len(open) > 0 {
-		b.WriteString("</" + open[len(open)-1] + ">")
-		open = open[:len(open)-1]
-	}
-	return b.String()
-}
-
-// genRepetitive builds a document dominated by repeated record subtrees —
-// the shape the DAG substrate dedups — interleaved with unique residue
-// fragments, so both fast-path passes (canonical and residue-rooted) carry
-// weight.
-func genRepetitive(rng *rand.Rand, tags, vals []string, records int) string {
-	var tpls []string
-	for i := 0; i < 3; i++ {
-		tag := tags[rng.Intn(len(tags))]
-		tpls = append(tpls, "<"+tag+">"+genFragment(rng, tags, vals, 5+rng.Intn(8))+"</"+tag+">")
-	}
-	var b strings.Builder
-	b.WriteString("<r>")
-	for i := 0; i < records; i++ {
-		b.WriteString(tpls[rng.Intn(len(tpls))])
-		if rng.Intn(4) == 0 {
-			b.WriteString(genFragment(rng, tags, vals, 1+rng.Intn(4)))
-		}
-	}
-	b.WriteString("</r>")
-	return b.String()
-}
-
-// TestRandomTwigsCompressedMatchesRaw is the substrate-equivalence property
-// suite: for random twigs over random documents, every algorithm must
-// return byte-identical results — the full ordered match list, not just the
-// output projection — on the raw and DAG-compressed indexes.  Documents
-// alternate between high-repetition (deep compression, both fast-path
-// passes active) and zero-repetition (ForceCompress keeps the substrate on
-// even though everything is residue).
-func TestRandomTwigsCompressedMatchesRaw(t *testing.T) {
-	rng := rand.New(rand.NewSource(31337))
-	tags := []string{"a", "b", "c", "d"}
-	vals := []string{"x", "y", "x y", "z"}
-
-	trials := 30
-	queriesPerDoc := 20
-	if testing.Short() {
-		trials, queriesPerDoc = 8, 8
-	}
-	algs := append(append([]Algorithm{}, Algorithms...), Auto)
-	for trial := 0; trial < trials; trial++ {
-		var src string
-		if trial%3 == 0 {
-			src = genWellFormed(rng, tags, vals, 60+rng.Intn(80))
-		} else {
-			src = genRepetitive(rng, tags, vals, 15+rng.Intn(25))
-		}
-		d, err := doc.FromString("test", src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw := index.Build(d)
-		comp := index.BuildWith(d, index.BuildOptions{ForceCompress: true})
-		if comp.Compressed() == nil {
-			t.Fatalf("trial %d: ForceCompress did not keep the substrate", trial)
-		}
-		for qi := 0; qi < queriesPerDoc; qi++ {
-			q := randomQuery(rng)
-			for _, alg := range algs {
-				rr, err := Run(raw, q, alg, Options{})
-				if err != nil {
-					t.Fatalf("trial %d/%d raw %s on %s: %v", trial, qi, alg, q, err)
-				}
-				cr, err := Run(comp, q, alg, Options{})
-				if err != nil {
-					t.Fatalf("trial %d/%d compressed %s on %s: %v", trial, qi, alg, q, err)
-				}
-				if rr.Algorithm != cr.Algorithm {
-					t.Fatalf("trial %d/%d: %s resolved to %s raw vs %s compressed on %s",
-						trial, qi, alg, rr.Algorithm, cr.Algorithm, q)
-				}
-				if !reflect.DeepEqual(rr.Matches, cr.Matches) || rr.Capped != cr.Capped {
-					t.Fatalf("trial %d/%d: %s compressed diverges from raw on %s\nraw:        %s\ncompressed: %s\ndoc: %s",
-						trial, qi, alg, q, matchSetString(rr), matchSetString(cr), src)
-				}
-			}
-		}
-	}
-}
-
-// TestCompressedFallbackOnUniqueDocument pins the heuristic: a document of
-// all-unique subtrees gains nothing from sharing, so the opt-in build falls
-// back to the raw substrate — and still answers identically.
-func TestCompressedFallbackOnUniqueDocument(t *testing.T) {
-	var b strings.Builder
-	b.WriteString("<r>")
-	for i := 0; i < 60; i++ {
-		b.WriteString("<a><b>v" + string(rune('a'+i%26)) + string(rune('a'+i/26)) + "</b></a>")
-	}
-	b.WriteString("</r>")
-	d, err := doc.FromString("test", b.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := index.BuildCompressed(d)
-	if ix.Compressed() != nil {
-		// Identical <a><b>..</b></a> shells differ in their value leaf, so
-		// every two-node subtree shape is unique and sharing cannot pay.
-		t.Fatal("expected fallback to the raw substrate on a unique document")
-	}
-	raw := index.Build(d)
-	q := twig.MustParse("//a/b")
-	want, err := Run(raw, q, TwigStack, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(ix, q, TwigStack, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Matches, got.Matches) {
-		t.Fatal("fallback index diverges from raw")
 	}
 }
 

@@ -15,20 +15,13 @@ import (
 type CorpusMetrics struct {
 	shards atomic.Int64
 	deltas atomic.Int64 // delta shards awaiting compaction
-	// Index-substrate size accounting, summed over local shards (see
-	// internal/index compression): resident is what the snapshot's indexes
-	// actually hold, raw is the raw-substrate-equivalent estimate, shapes and
-	// instances describe the subtree-dedup DAG, compressed counts shards
-	// whose index runs on the compressed substrate.
-	residentBytes    atomic.Int64
-	rawBytes         atomic.Int64
-	indexShapes      atomic.Int64
-	indexInstances   atomic.Int64
-	compressedShards atomic.Int64
-	Swaps            atomic.Int64 // snapshot publishes (Add/Remove/Reindex)
-	Searches         atomic.Int64 // fan-out searches served
-	Fanout           Histogram    // wall-clock of the parallel per-shard phase
-	Merge            Histogram    // wall-clock of the global merge + render phase
+	// residentBytes is what the snapshot's local shard indexes hold
+	// (index.ResidentBytes, summed).
+	residentBytes atomic.Int64
+	Swaps         atomic.Int64 // snapshot publishes (Add/Remove/Reindex)
+	Searches      atomic.Int64 // fan-out searches served
+	Fanout        Histogram    // wall-clock of the parallel per-shard phase
+	Merge         Histogram    // wall-clock of the global merge + render phase
 
 	// Fault-tolerance counters (see internal/corpus: degrade policy and the
 	// per-shard circuit breakers).
@@ -75,15 +68,10 @@ func (c *CorpusMetrics) SetShards(n int) { c.shards.Store(int64(n)) }
 // the compaction backlog.
 func (c *CorpusMetrics) SetDeltaShards(n int) { c.deltas.Store(int64(n)) }
 
-// SetResident records the snapshot's index-substrate size accounting:
-// resident and raw-equivalent bytes, DAG shape/instance counts, and how many
-// shards compressed.  Corpora publish it on every snapshot swap.
-func (c *CorpusMetrics) SetResident(resident, raw, shapes, instances int64, compressed int) {
+// SetResident records the resident bytes of the snapshot's local shard
+// indexes.  Corpora publish it on every snapshot swap.
+func (c *CorpusMetrics) SetResident(resident int64) {
 	c.residentBytes.Store(resident)
-	c.rawBytes.Store(raw)
-	c.indexShapes.Store(shapes)
-	c.indexInstances.Store(instances)
-	c.compressedShards.Store(int64(compressed))
 }
 
 // Swapped tallies one snapshot publish.
@@ -110,17 +98,8 @@ type CorpusSnapshot struct {
 	// closed right now.
 	QuarantinedShards int64 `json:"quarantinedShards,omitempty" prom:"lotusx_corpus_quarantined_shards,gauge" help:"Shards whose circuit breaker is currently not closed."`
 	// ResidentBytes is the summed resident size of the snapshot's local
-	// shard indexes; RawBytes is the raw-substrate equivalent (equal when
-	// nothing compressed).  Absent for remote corpora.
+	// shard indexes.  Absent for remote corpora.
 	ResidentBytes int64 `json:"residentBytes,omitempty" prom:"lotusx_corpus_resident_bytes,gauge" help:"Resident index-substrate bytes across the snapshot's local shards."`
-	RawBytes      int64 `json:"rawBytes,omitempty" prom:"lotusx_corpus_raw_bytes,gauge" help:"Raw-substrate-equivalent bytes the snapshot's indexes would occupy uncompressed."`
-	// IndexShapes / IndexInstances describe the subtree-dedup DAG of the
-	// compressed shards: distinct shapes stored vs occurrences they stand
-	// for.  Zero when no shard compressed.
-	IndexShapes    int64 `json:"indexShapes,omitempty" prom:"lotusx_corpus_index_shapes,gauge" help:"Distinct subtree shapes stored by the DAG-compressed shards."`
-	IndexInstances int64 `json:"indexInstances,omitempty" prom:"lotusx_corpus_index_instances,gauge" help:"Shared-subtree occurrences the stored shapes stand for."`
-	// CompressedShards counts shards running on the compressed substrate.
-	CompressedShards int64 `json:"compressedShards,omitempty" prom:"lotusx_corpus_compressed_shards,gauge" help:"Shards whose index runs on the DAG-compressed substrate."`
 	// Health reports each shard's circuit-breaker state, keyed by shard
 	// name; absent when the corpus has not installed a shard provider.
 	Health map[string]ShardHealth `json:"health,omitempty"`
@@ -133,20 +112,16 @@ type CorpusSnapshot struct {
 // snapshot materializes the corpus's JSON view.
 func (c *CorpusMetrics) snapshot() CorpusSnapshot {
 	s := CorpusSnapshot{
-		Shards:           c.shards.Load(),
-		DeltaShards:      c.deltas.Load(),
-		Swaps:            c.Swaps.Load(),
-		Searches:         c.Searches.Load(),
-		Fanout:           c.Fanout.Snapshot(),
-		Merge:            c.Merge.Snapshot(),
-		PartialSearches:  c.Partial.Load(),
-		ShardFailures:    c.ShardFailures.Load(),
-		BreakerTrips:     c.BreakerTrips.Load(),
-		ResidentBytes:    c.residentBytes.Load(),
-		RawBytes:         c.rawBytes.Load(),
-		IndexShapes:      c.indexShapes.Load(),
-		IndexInstances:   c.indexInstances.Load(),
-		CompressedShards: c.compressedShards.Load(),
+		Shards:          c.shards.Load(),
+		DeltaShards:     c.deltas.Load(),
+		Swaps:           c.Swaps.Load(),
+		Searches:        c.Searches.Load(),
+		Fanout:          c.Fanout.Snapshot(),
+		Merge:           c.Merge.Snapshot(),
+		PartialSearches: c.Partial.Load(),
+		ShardFailures:   c.ShardFailures.Load(),
+		BreakerTrips:    c.BreakerTrips.Load(),
+		ResidentBytes:   c.residentBytes.Load(),
 	}
 	c.providerMu.RLock()
 	fn := c.provider

@@ -265,12 +265,11 @@ func (s *Server) createDataset(name string, body io.Reader, parts int) (datasetS
 	}
 	if c == nil {
 		c = corpus.New(name, corpus.Config{
-			Dir:      dir,
-			Metrics:  s.reg.Corpus(name),
-			Tuning:   s.corpusTuning,
-			Logger:   s.logger,
-			Faults:   s.faults,
-			Compress: s.compress,
+			Dir:     dir,
+			Metrics: s.reg.Corpus(name),
+			Tuning:  s.corpusTuning,
+			Logger:  s.logger,
+			Faults:  s.faults,
 		})
 	}
 	d, err := doc.FromReader(name, body)

@@ -82,11 +82,6 @@ type Config struct {
 	// circuit breaker) applied to admin-created corpora; the zero value is
 	// the corpus package's production defaults.
 	Corpus corpus.Tuning
-	// CompressIndex opts admin-created corpora into the DAG-compressed index
-	// substrate (corpus.Config.Compress): repeated subtree shapes are stored
-	// once and joins run once per distinct shape, with a per-shard fallback
-	// to the raw substrate when the data doesn't repeat enough.
-	CompressIndex bool
 	// SlowQuery is the slow-query log threshold: query and completion
 	// requests taking at least this long are logged at WARN with their full
 	// per-stage trace breakdown and a sanitized query.  0 disables the log
@@ -162,7 +157,6 @@ type Server struct {
 	reg          *metrics.Registry
 	corpusDir    string
 	corpusTuning corpus.Tuning
-	compress     bool // admin-created corpora use the compressed substrate
 	slowQuery    time.Duration
 	logger       *slog.Logger
 	faults       *faults.Registry
@@ -249,7 +243,6 @@ func NewCatalogConfig(catalog *core.Catalog, cfg Config) *Server {
 		reg:          reg,
 		corpusDir:    cfg.CorpusDir,
 		corpusTuning: cfg.Corpus,
-		compress:     cfg.CompressIndex,
 		slowQuery:    cfg.SlowQuery,
 		logger:       logger,
 		faults:       cfg.Faults,
