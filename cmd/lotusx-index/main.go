@@ -11,7 +11,7 @@ import (
 	"os"
 	"time"
 
-	"lotusx/internal/core"
+	"lotusx/internal/source"
 )
 
 func main() {
@@ -25,7 +25,7 @@ func main() {
 	}
 
 	start := time.Now()
-	engine, err := core.FromFile(*in)
+	engine, err := source.Source{In: *in}.Engine()
 	if err != nil {
 		fatal(err)
 	}

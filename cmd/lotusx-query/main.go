@@ -12,19 +12,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"lotusx/internal/core"
-	"lotusx/internal/corpus"
-	"lotusx/internal/doc"
 	"lotusx/internal/join"
+	"lotusx/internal/source"
 	"lotusx/internal/twig"
 )
 
 func main() {
-	in := flag.String("in", "", "input XML file")
-	indexFile := flag.String("index", "", "persisted index file (alternative to -in)")
+	var src source.Source
+	flag.StringVar(&src.In, "in", "", "input XML file")
+	flag.StringVar(&src.Index, "index", "", "persisted index file (alternative to -in)")
 	k := flag.Int("k", 10, "answers wanted")
 	alg := flag.String("alg", "twigstack", "algorithm: nestedloop, structural, pathstack, twigstack")
 	doRewrite := flag.Bool("rewrite", false, "relax the query when answers are scarce")
@@ -49,7 +48,7 @@ func main() {
 		return
 	}
 
-	backend, err := buildBackend(*in, *indexFile, *shards)
+	backend, err := src.Backend(*shards)
 	if err != nil {
 		fatal(err)
 	}
@@ -104,55 +103,6 @@ func main() {
 			res.Stats.ElementsScanned, res.Stats.PathSolutions,
 			res.Stats.EdgePairs, res.Stats.MatchesEnumerated)
 	}
-}
-
-// buildBackend loads the input as a single engine, or — with -shards N — as
-// a corpus split at record boundaries with parallel fan-out.
-func buildBackend(in, indexFile string, shards int) (core.Backend, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("bad -shards %d: want >= 1", shards)
-	}
-	switch {
-	case in != "":
-		if shards > 1 {
-			f, err := os.Open(in)
-			if err != nil {
-				return nil, err
-			}
-			defer f.Close()
-			d, err := doc.FromReader(datasetName(in), f)
-			if err != nil {
-				return nil, err
-			}
-			return corpus.FromDocument(datasetName(in), d, shards, corpus.Config{})
-		}
-		return core.FromFile(in)
-	case indexFile != "":
-		f, err := os.Open(indexFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		engine, err := core.Open(f)
-		if err != nil {
-			return nil, err
-		}
-		if shards > 1 {
-			return corpus.FromDocument(datasetName(indexFile), engine.Document(), shards, corpus.Config{})
-		}
-		return engine, nil
-	default:
-		return nil, fmt.Errorf("one of -in or -index is required")
-	}
-}
-
-// datasetName derives a corpus name from the input filename.
-func datasetName(path string) string {
-	base := filepath.Base(path)
-	if i := strings.LastIndexByte(base, '.'); i > 0 {
-		base = base[:i]
-	}
-	return base
 }
 
 func indent(s, prefix string) string {

@@ -12,64 +12,26 @@ import (
 	"fmt"
 	"os"
 
-	"lotusx/internal/core"
-	"lotusx/internal/corpus"
-	"lotusx/internal/dataset"
 	"lotusx/internal/repl"
+	"lotusx/internal/source"
 )
 
 func main() {
-	in := flag.String("in", "", "input XML file")
-	indexFile := flag.String("index", "", "persisted index file")
-	kind := flag.String("dataset", "", "synthetic dataset: dblp, xmark or treebank")
-	scale := flag.Int("scale", 1, "synthetic dataset scale")
-	seed := flag.Int64("seed", 42, "synthetic dataset seed")
+	var src source.Source
+	flag.StringVar(&src.In, "in", "", "input XML file")
+	flag.StringVar(&src.Index, "index", "", "persisted index file")
+	flag.StringVar(&src.Kind, "dataset", "", "synthetic dataset: dblp, xmark or treebank")
+	flag.IntVar(&src.Scale, "scale", 1, "synthetic dataset scale")
+	flag.Int64Var(&src.Seed, "seed", 42, "synthetic dataset seed")
 	shards := flag.Int("shards", 1, "split the input into N shards and fan queries out")
 	flag.Parse()
 
-	backend, err := buildBackend(*in, *indexFile, *kind, *scale, *seed, *shards)
+	backend, err := src.Backend(*shards)
 	if err != nil {
 		fatal(err)
 	}
 	if err := repl.RunBackend(backend, os.Stdin, os.Stdout); err != nil {
 		fatal(err)
-	}
-}
-
-func buildBackend(in, indexFile, kind string, scale int, seed int64, shards int) (core.Backend, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("bad -shards %d: want >= 1", shards)
-	}
-	engine, err := buildEngine(in, indexFile, kind, scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	if shards == 1 {
-		return engine, nil
-	}
-	d := engine.Document()
-	return corpus.FromDocument(d.Name(), d, shards, corpus.Config{})
-}
-
-func buildEngine(in, indexFile, kind string, scale int, seed int64) (*core.Engine, error) {
-	switch {
-	case in != "":
-		return core.FromFile(in)
-	case indexFile != "":
-		f, err := os.Open(indexFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return core.Open(f)
-	case kind != "":
-		d, err := dataset.Build(dataset.Kind(kind), scale, seed)
-		if err != nil {
-			return nil, err
-		}
-		return core.FromDocument(d), nil
-	default:
-		return nil, fmt.Errorf("one of -in, -index or -dataset is required")
 	}
 }
 

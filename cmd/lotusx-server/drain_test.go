@@ -20,7 +20,6 @@ import (
 	"lotusx/internal/faults"
 	"lotusx/internal/ingest"
 	"lotusx/internal/metrics"
-	"lotusx/internal/remote"
 	"lotusx/internal/server"
 )
 
@@ -135,19 +134,22 @@ func TestDrainCompletesInFlightQuery(t *testing.T) {
 	}
 }
 
+// buildArgs builds a server from a command line through parse and build —
+// the production start-up, minus the listener.
+func buildArgs(t *testing.T, args ...string) (*server.Server, func()) {
+	t.Helper()
+	srv, onStop, err := mustParse(t, args...).build(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, onStop
+}
+
 // TestDrainShardMode: the slim shard-server shape (single engine, no admin)
 // exits clean on SIGINT with zero in-flight work.
 func TestDrainShardMode(t *testing.T) {
-	engine, err := buildEngine("", "", "dblp", 1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs, err := corpus.SplitDocument(engine.Document(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.NewConfig(core.FromDocument(docs[0]), server.Config{Metrics: metrics.New()})
-	base, sig, done := startDraining(t, srv, 5*time.Second, nil)
+	srv, onStop := buildArgs(t, "-mode=shard", "-dataset", "dblp", "-seed", "7", "-slice", "0/2", "-quiet")
+	base, sig, done := startDraining(t, srv, 5*time.Second, onStop)
 
 	res, err := http.Get(base + "/api/v1/stats")
 	if err != nil {
@@ -167,55 +169,24 @@ func TestDrainShardMode(t *testing.T) {
 // federator running — finishes an in-flight fan-out query held at the RPC
 // layer, stops the federator, and exits clean.
 func TestDrainRouterMode(t *testing.T) {
-	engine, err := buildEngine("", "", "dblp", 1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	backend := httptest.NewServer(server.New(engine))
-	defer backend.Close()
-
-	freg := faults.New()
+	shard, _ := buildArgs(t, "-mode=shard", "-dataset", "dblp", "-seed", "7", "-quiet")
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	// Key on the query client's name: the federator polls ride the same
-	// fault site and must not trip the block.
-	freg.Enable(faults.Injection{Site: remote.FaultRPC, Keys: []string{"r0-0"}, Hook: blockOnce(entered, release)})
+	// Hold the first query the shard server receives; the federator's
+	// metrics polls pass.
+	hold := blockOnce(entered, release)
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/api/v1/query" {
+			if err := hold(r.Context(), ""); err != nil {
+				return
+			}
+		}
+		shard.ServeHTTP(w, r)
+	}))
+	defer backend.Close()
 
-	reg := metrics.New()
-	met := reg.Remote("cluster")
-	cl, err := remote.NewClient(remote.ClientConfig{BaseURL: backend.URL, Name: "r0-0", Faults: freg, Metrics: met})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fedCl, err := remote.NewClient(remote.ClientConfig{BaseURL: backend.URL, Name: "fed-0", Metrics: met})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := remote.NewShard("cluster-00", []*remote.Client{cl}, remote.ShardOptions{
-		HedgeDelay: -1,
-		Metrics:    met,
-		Budget:     remote.NewRetryBudget(0.2, reg.Admission()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := corpus.NewRemote("cluster", []corpus.ShardBackend{sh}, corpus.Config{Metrics: reg.Corpus("cluster")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	catalog := core.NewCatalog()
-	catalog.AddBackend("cluster", c)
-	fed := remote.NewFederator(remote.FederatorConfig{
-		Clients:  []*remote.Client{fedCl},
-		Cluster:  reg.Cluster(),
-		Interval: 10 * time.Millisecond,
-	})
-	fed.Start()
-	srv := server.NewCatalogConfig(catalog, server.Config{
-		Metrics:       reg,
-		ClusterStatus: func() any { return map[string]any{"dataset": "cluster"} },
-	})
-	base, sig, done := startDraining(t, srv, 10*time.Second, fed.Stop)
+	srv, onStop := buildArgs(t, "-mode=router", "-shard-servers", backend.URL, "-federate-interval", "10ms", "-quiet")
+	base, sig, done := startDraining(t, srv, 10*time.Second, onStop)
 
 	res := make(chan error, 1)
 	go func() {

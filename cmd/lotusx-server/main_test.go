@@ -2,8 +2,9 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
+	"context"
+	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,196 +12,147 @@ import (
 	"strings"
 	"testing"
 
-	"lotusx/internal/corpus"
-	"lotusx/internal/doc"
+	"lotusx/internal/core"
+	"lotusx/internal/twig"
 )
 
-func TestBuildEngineFromFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "doc.xml")
-	if err := os.WriteFile(path, []byte("<a><b>x</b></a>"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	e, err := buildEngine(path, "", "", 1, 1)
+var update = flag.Bool("update", false, "rewrite testdata/flags.golden")
+
+// mustParse parses a command line the way main does.
+func mustParse(t *testing.T, args ...string) *config {
+	t.Helper()
+	c, err := parse(flag.NewFlagSet("lotusx-server", flag.ContinueOnError), args)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Stats().Nodes != 2 {
-		t.Fatalf("nodes = %d", e.Stats().Nodes)
+	return c
+}
+
+// TestFlagsGolden pins the flag surface: -h prints exactly
+// testdata/flags.golden.  After an intentional change, regenerate with
+// go test ./cmd/lotusx-server -run TestFlagsGolden -update.
+func TestFlagsGolden(t *testing.T) {
+	fs := flag.NewFlagSet("lotusx-server", flag.ContinueOnError)
+	if _, err := parse(fs, nil); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	fs.SetOutput(&got)
+	fs.PrintDefaults()
+	golden := filepath.Join("testdata", "flags.golden")
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("flag surface drifted from %s:\n%s", golden, got.String())
 	}
 }
 
-func TestBuildEngineFromIndexFile(t *testing.T) {
-	dir := t.TempDir()
-	xmlPath := filepath.Join(dir, "doc.xml")
-	idxPath := filepath.Join(dir, "doc.ltx")
-	if err := os.WriteFile(xmlPath, []byte("<a><b>x</b></a>"), 0o644); err != nil {
-		t.Fatal(err)
+// TestMisappliedFlags: every mode-specific flag parses in the modes that
+// read it and is refused, naming itself, in every other mode.
+func TestMisappliedFlags(t *testing.T) {
+	values := map[string]string{
+		"in": "x.xml", "index": "x.ltx", "dataset": "xmark", "scale": "2", "seed": "7",
+		"shards": "2", "admin": "true", "corpus-dir": "d", "ingest-workers": "1",
+		"ingest-queue": "1", "compact-threshold": "1", "max-ingest-bytes": "1",
+		"shard-policy": "failfast", "shard-timeout": "1s", "breaker-failures": "1",
+		"breaker-cooldown": "1s", "slice": "0/2", "shard-servers": "http://b:1",
+		"replication": "1", "remote-dataset": "x", "hedge-delay": "1ms",
+		"cluster-name": "c", "federate-interval": "1s", "retry-budget": "0.5",
 	}
-	e, err := buildEngine(xmlPath, "", "", 1, 1)
-	if err != nil {
-		t.Fatal(err)
+	if len(values) != len(modeFlags) {
+		t.Fatalf("%d test values for %d mode-specific flags", len(values), len(modeFlags))
 	}
-	f, err := os.Create(idxPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	e2, err := buildEngine("", idxPath, "", 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e2.Stats().Nodes != 2 {
-		t.Fatalf("reloaded nodes = %d", e2.Stats().Nodes)
-	}
-}
-
-// TestBuildEngineOnceOnTheFinalSubstrate: every kind of input — XML, a
-// document-only index file, a full-index file — builds one engine over the
-// same document, and a full-index file is served with the postings it
-// stores rather than re-tokenized.
-func TestBuildEngineOnceOnTheFinalSubstrate(t *testing.T) {
-	dir := t.TempDir()
-	xmlPath := filepath.Join(dir, "rep.xml")
-	var body strings.Builder
-	body.WriteString("<dblp>")
-	for i := 0; i < 400; i++ {
-		body.WriteString(`<article key="a1"><author>Jiaheng Lu</author><title>Holistic Twig Joins</title><year>2005</year></article>`)
-	}
-	body.WriteString("</dblp>")
-	if err := os.WriteFile(xmlPath, []byte(body.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := buildEngine(xmlPath, "", "", 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	save := func(name string, write func(io.Writer) error) string {
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
+	for name, modes := range modeFlags {
+		v, ok := values[name]
+		if !ok {
+			t.Fatalf("no test value for -%s", name)
 		}
-		if err := write(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	docOnly := save("doc.ltx", raw.Save)
-	full := save("full.ltx", raw.SaveFull)
-
-	for _, in := range []struct{ xml, index string }{{xml: xmlPath}, {index: docOnly}, {index: full}} {
-		e, err := buildEngine(in.xml, in.index, "", 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.Stats() != raw.Stats() {
-			t.Errorf("%+v: stats=%+v, want %+v", in, e.Stats(), raw.Stats())
-		}
-		d, err := loadDocument(in.xml, in.index, "", 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.Len() != raw.Stats().Nodes {
-			t.Errorf("%+v: loadDocument has %d nodes, want %d", in, d.Len(), raw.Stats().Nodes)
-		}
-	}
-
-	// A full-index file whose stored postings section is empty: served as
-	// stored, "jiaheng" has no postings; re-tokenized, it would have 400.
-	data, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := data[20:]
-	docEnd := 8 + binary.LittleEndian.Uint64(payload[:8])
-	stripped := append(append([]byte(nil), payload[:docEnd+4]...), 0, 0, 0, 0) // valued, zero tokens
-	hdr := append([]byte(nil), data[:20]...)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(stripped)))
-	binary.LittleEndian.PutUint32(hdr[16:20], crc32.ChecksumIEEE(stripped))
-	noPostings := filepath.Join(dir, "noposts.ltx")
-	if err := os.WriteFile(noPostings, append(hdr, stripped...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(raw.Index().TokenPostings("jiaheng")); n != 400 {
-		t.Fatalf("built index: %d postings for jiaheng, want 400", n)
-	}
-	e, err := buildEngine("", noPostings, "", 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(e.Index().TokenPostings("jiaheng")); n != 0 {
-		t.Errorf("full-index file re-tokenized on open: %d postings for jiaheng, want the stored 0", n)
-	}
-}
-
-// TestBuildSliceIndexesOnlyItsSlice: -mode=shard -slice i/n serves exactly
-// shard i of the local -shards n partition, and 0/1 the whole document.
-func TestBuildSliceIndexesOnlyItsSlice(t *testing.T) {
-	saved := func(d *doc.Document) []byte {
-		var buf bytes.Buffer
-		if err := d.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	for _, kind := range []string{"dblp", "xmark"} {
-		a := shardArgs{kind: kind, scale: 1, seed: 7}
-		whole, err := buildSlice(a, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, parts := range []int{2, 3, 4} {
-			docs, err := corpus.SplitDocument(whole.Document(), parts)
-			if err != nil {
-				t.Fatal(err)
+		for _, mode := range []string{"serve", "shard", "router"} {
+			args := []string{"-mode=" + mode, "-" + name + "=" + v}
+			applies := strings.Contains(" "+modes+" ", " "+mode+" ")
+			if applies && (name == "scale" || name == "seed") {
+				args = append(args, "-dataset", "xmark")
 			}
-			for i, want := range docs {
-				e, err := buildSlice(a, i, parts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := e.Document(); !bytes.Equal(saved(got), saved(want)) {
-					t.Errorf("%s slice %d/%d serves %s (%d nodes), want %s (%d nodes) byte for byte",
-						kind, i, parts, got.Name(), got.Len(), want.Name(), want.Len())
-				}
+			if mode == "router" && name != "shard-servers" {
+				args = append(args, "-shard-servers", "http://a:1")
+			}
+			_, err := parse(flag.NewFlagSet("lotusx-server", flag.ContinueOnError), args)
+			want := fmt.Sprintf("-%s does not apply to -mode=%s", name, mode)
+			switch {
+			case applies && err != nil:
+				t.Errorf("%v: %v, want it parsed", args, err)
+			case !applies && (err == nil || err.Error() != want):
+				t.Errorf("%v: err = %v, want %q", args, err, want)
 			}
 		}
 	}
-	if _, err := buildSlice(shardArgs{in: "", kind: "bogus"}, 0, 2); err == nil {
-		t.Error("unknown dataset should fail")
+	for _, args := range [][]string{
+		{"-dataset", "xmark", "-slice", "1/2"},
+		{"-in", "data/dblp.xml", "-dataset", "xmark"},
+		{"-in", "a.xml", "-index", "a.ltx"},
+		{"-scale", "2"},
+		{"-in", "a.xml", "-seed", "7"},
+		{"-mode=router", "-shards", "4", "-corpus-dir", "x"},
+		{"-mode=shard", "-dataset", "all"},
+		{"-mode=proxy"},
+		{"-shards", "0"},
+	} {
+		if _, err := parse(flag.NewFlagSet("lotusx-server", flag.ContinueOnError), args); err == nil {
+			t.Errorf("%v parsed, want an error", args)
+		}
 	}
 }
 
-func TestBuildEngineFromDataset(t *testing.T) {
-	e, err := buildEngine("", "", "dblp", 1, 7)
-	if err != nil {
+// TestFileDatasetNamedByBase: a file dataset is served and persisted under
+// the base of its path, so a restart's reload finds it and answers the same
+// first page.
+func TestFileDatasetNamedByBase(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if e.Stats().Nodes < 5000 {
-		t.Fatalf("dataset engine too small: %d", e.Stats().Nodes)
+	xml := filepath.Join(dir, "sub", "x.xml")
+	if err := os.WriteFile(xml, []byte(drainXML), 0o644); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestBuildEngineErrors(t *testing.T) {
-	if _, err := buildEngine("", "", "", 1, 1); err == nil {
-		t.Error("no source should fail")
+	corpusDir := filepath.Join(dir, "corpora")
+	built := core.NewCatalog()
+	if err := mustParse(t, "-in", xml, "-shards", "2", "-corpus-dir", corpusDir).load(built, io.Discard); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := buildEngine("/nonexistent.xml", "", "", 1, 1); err == nil {
-		t.Error("missing file should fail")
+	reloaded := core.NewCatalog()
+	if err := mustParse(t, "-admin", "-corpus-dir", corpusDir).reloadCorpora(reloaded, io.Discard); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := buildEngine("", "/nonexistent.ltx", "", 1, 1); err == nil {
-		t.Error("missing index should fail")
+	page := func(c *core.Catalog) string {
+		t.Helper()
+		if names := c.Names(); !reflect.DeepEqual(names, []string{"x.xml"}) {
+			t.Fatalf("datasets %v, want [x.xml]", names)
+		}
+		b, err := c.GetBackend("x.xml")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := b.SearchHits(context.Background(), twig.MustParse("//article/title"), core.SearchOptions{K: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Hits) == 0 || res.Shards != 2 {
+			t.Fatalf("first page: %d hits over %d shards, want hits over 2", len(res.Hits), res.Shards)
+		}
+		res.Elapsed = 0
+		return fmt.Sprintf("%+v", *res)
 	}
-	if _, err := buildEngine("", "", "bogus", 1, 1); err == nil {
-		t.Error("unknown dataset should fail")
+	if got, want := page(reloaded), page(built); got != want {
+		t.Errorf("reloaded first page\n%s\nwant\n%s", got, want)
 	}
 }
 

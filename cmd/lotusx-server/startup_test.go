@@ -17,16 +17,16 @@ import (
 	"lotusx/internal/core"
 	"lotusx/internal/corpus"
 	"lotusx/internal/dataset"
-	"lotusx/internal/metrics"
 	"lotusx/internal/server"
+	"lotusx/internal/source"
 	"lotusx/internal/twig"
 )
 
-// allKinds is the -dataset all source list at test scale.
-func allKinds() []source {
-	var out []source
+// allKinds is the -dataset all list at test scale.
+func allKinds() []served {
+	var out []served
 	for _, k := range dataset.Kinds {
-		out = append(out, source{name: string(k), kind: string(k), scale: 1, seed: 42})
+		out = append(out, served{name: string(k), src: source.Source{Kind: string(k), Scale: 1, Seed: 42}})
 	}
 	return out
 }
@@ -34,13 +34,12 @@ func allKinds() []source {
 // loadAt runs the start-up load with the fan-out at the given width.  The
 // width is GOMAXPROCS, so pinning that to 1 sends the very same code down
 // its sequential schedule — in main and inside corpus alike.
-func loadAt(t *testing.T, width int, lc loadConfig) (*core.Catalog, string) {
+func loadAt(t *testing.T, width int, c *config) (*core.Catalog, string) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
-	lc.reg = metrics.New()
 	catalog := core.NewCatalog()
 	var banner bytes.Buffer
-	if err := loadDatasets(catalog, allKinds(), lc, false, &banner); err != nil {
+	if err := c.loadDatasets(catalog, allKinds(), false, &banner); err != nil {
 		t.Fatal(err)
 	}
 	return catalog, banner.String()
@@ -109,8 +108,8 @@ func TestParallelLoadEqualsSequential(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			parDir := t.TempDir()
-			par, parBanner := loadAt(t, 4, loadConfig{shards: shards, corpusDir: parDir})
-			seq, seqBanner := loadAt(t, 1, loadConfig{shards: shards, corpusDir: t.TempDir()})
+			par, parBanner := loadAt(t, 4, mustParse(t, "-shards", fmt.Sprint(shards), "-corpus-dir", parDir))
+			seq, seqBanner := loadAt(t, 1, mustParse(t, "-shards", fmt.Sprint(shards), "-corpus-dir", t.TempDir()))
 
 			if par.DefaultName() != string(dataset.Kinds[0]) || seq.DefaultName() != par.DefaultName() {
 				t.Errorf("default dataset: parallel %q, sequential %q, want %q", par.DefaultName(), seq.DefaultName(), dataset.Kinds[0])
@@ -194,11 +193,11 @@ func TestParallelLoadEqualsSequential(t *testing.T) {
 // TestLoadFailureReportsItsOwnError: one bad source fails the load with that
 // source's error, whatever its siblings were doing, and registers nothing.
 func TestLoadFailureReportsItsOwnError(t *testing.T) {
-	sources := allKinds()
-	sources[1].kind = "bogus"
+	list := allKinds()
+	list[1].src.Kind = "bogus"
 	catalog := core.NewCatalog()
 	var banner bytes.Buffer
-	err := loadDatasets(catalog, sources, loadConfig{shards: 2, reg: metrics.New()}, false, &banner)
+	err := mustParse(t, "-shards", "2").loadDatasets(catalog, list, false, &banner)
 	if err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("err = %v, want the bogus kind's error", err)
 	}

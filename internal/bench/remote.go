@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"time"
@@ -10,7 +11,6 @@ import (
 	"lotusx/internal/dataset"
 	"lotusx/internal/doc"
 	"lotusx/internal/faults"
-	lmetrics "lotusx/internal/metrics"
 	"lotusx/internal/remote"
 	"lotusx/internal/server"
 )
@@ -20,69 +20,58 @@ import (
 // engine (one index build) but get distinct HTTP servers and clients, so
 // hedging, failover and fault keys behave as they would across machines.
 type benchCluster struct {
-	corpus  *corpus.Corpus
-	met     *lmetrics.RemoteMetrics
+	*remote.Cluster
 	faults  *faults.Registry
-	servers []*httptest.Server
+	servers [][]*httptest.Server
+	// labels maps a replica's fault key — its address, the name the
+	// router's assembly gives it — to a stable "s<shard>-r<replica>", so a
+	// fault plan samples the same calls whatever ports the servers got.
+	labels map[string]string
 }
 
 func (b *benchCluster) close() {
-	for _, ts := range b.servers {
-		ts.Close()
+	for _, g := range b.servers {
+		for _, ts := range g {
+			ts.Close()
+		}
 	}
 }
 
-// newBenchCluster splits d into parts slices and serves each from
-// replication loopback servers behind one hedging remote shard.  Replica
-// fault keys are "s<shard>-r<replica>".  Breakers stay disabled so an
-// injected failure rate is measured, not quarantined away.
+// newBenchCluster splits d into parts slices, serves each from replication
+// loopback servers, and assembles the router's remote corpus over them as
+// lotusx-server -mode=router does.  Breakers stay disabled so an injected
+// failure rate is measured, not quarantined away.
 func newBenchCluster(d *doc.Document, parts, replication int, hedge time.Duration) (*benchCluster, error) {
 	docs, err := corpus.SplitDocument(d, parts)
 	if err != nil {
 		return nil, err
 	}
 	bc := &benchCluster{
-		met:    lmetrics.New().Remote("bench"),
-		faults: faults.New(),
+		faults:  faults.New(),
+		servers: make([][]*httptest.Server, len(docs)),
+		labels:  map[string]string{},
 	}
-	backends := make([]corpus.ShardBackend, parts)
+	groups := make([][]string, len(docs))
 	for i, slice := range docs {
 		h := server.New(core.FromDocument(slice))
-		clients := make([]*remote.Client, replication)
-		for j := range clients {
+		for j := 0; j < replication; j++ {
 			ts := httptest.NewServer(h)
-			bc.servers = append(bc.servers, ts)
-			cl, err := remote.NewClient(remote.ClientConfig{
-				BaseURL: ts.URL,
-				Name:    fmt.Sprintf("s%02d-r%d", i, j),
-				Faults:  bc.faults,
-				Metrics: bc.met,
-			})
-			if err != nil {
-				bc.close()
-				return nil, err
-			}
-			clients[j] = cl
+			bc.servers[i] = append(bc.servers[i], ts)
+			groups[i] = append(groups[i], ts.URL)
+			bc.labels[ts.Listener.Addr().String()] = fmt.Sprintf("s%02d-r%d", i, j)
 		}
-		sh, err := remote.NewShard(fmt.Sprintf("shard-%02d", i), clients, remote.ShardOptions{
-			HedgeDelay: hedge,
-			Metrics:    bc.met,
-		})
-		if err != nil {
-			bc.close()
-			return nil, err
-		}
-		backends[i] = sh
 	}
-	c, err := corpus.NewRemote("bench", backends, corpus.Config{
-		Faults: bc.faults,
-		Tuning: corpus.Tuning{BreakerThreshold: -1},
+	bc.Cluster, err = remote.NewCluster(remote.ClusterConfig{
+		Name:       "bench",
+		Groups:     groups,
+		HedgeDelay: hedge,
+		Tuning:     corpus.Tuning{BreakerThreshold: -1},
+		Faults:     bc.faults,
 	})
 	if err != nil {
 		bc.close()
 		return nil, err
 	}
-	bc.corpus = c
 	return bc, nil
 }
 
@@ -109,12 +98,13 @@ func (r *Runner) E17RemoteRouter() error {
 				return err
 			}
 			if rate > 0 {
+				plan := newFaultPlan(rate)
 				bc.faults.Enable(faults.Injection{
 					Site: remote.FaultRPC,
-					Hook: newFaultPlan(rate).hook,
+					Hook: func(ctx context.Context, key string) error { return plan.hook(ctx, bc.labels[key]) },
 				})
 			}
-			a := replay(bc.corpus, requests)
+			a := replay(bc.Corpus, requests)
 			bc.close()
 			fmt.Fprintf(tw, "%d\t2\t%d\t%d\t%d\t%d\t%.1f%%\t%s\t%s\n",
 				parts, rate, a.whole, a.partial, a.failed, a.percent(),
@@ -139,13 +129,14 @@ func (r *Runner) E17RemoteRouter() error {
 		if err != nil {
 			return err
 		}
+		// Slow replica 0 of each shard, keyed by its address.
 		bc.faults.Enable(faults.Injection{
 			Site:    remote.FaultRPC,
-			Keys:    []string{"s00-r0", "s01-r0"},
+			Keys:    []string{bc.servers[0][0].Listener.Addr().String(), bc.servers[1][0].Listener.Addr().String()},
 			Latency: 30 * time.Millisecond,
 		})
-		lat := replay(bc.corpus, requests).lat
-		fired, wins := bc.met.HedgesFired.Load(), bc.met.HedgeWins.Load()
+		lat := replay(bc.Corpus, requests).lat
+		fired, wins := bc.Metrics.HedgesFired.Load(), bc.Metrics.HedgeWins.Load()
 		bc.close()
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\n",
 			hc.name, ms(percentile(lat, 0.5)), ms(percentile(lat, 0.99)), fired, wins)

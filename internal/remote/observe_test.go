@@ -191,7 +191,7 @@ func TestTailSampledTraceRetrieval(t *testing.T) {
 	// Shard 1 down: the answer degrades to partial — an interesting trace.
 	cl.faults.Enable(faults.Injection{
 		Site: remote.FaultRPC,
-		Keys: []string{"r1-0"},
+		Keys: []string{cl.replica(1, 0)},
 		Err:  errors.New("injected connection failure"),
 	})
 
@@ -297,13 +297,12 @@ func TestTailSampledTraceRetrieval(t *testing.T) {
 func TestHedgedTraceRetained(t *testing.T) {
 	t.Parallel()
 	docs := slices(t, 1)
-	ts := shardServer(t, docs[0])
-	cl := newCluster(t, [][]*httptest.Server{{ts, ts}}, 5*time.Millisecond, corpus.Tuning{})
+	cl := newCluster(t, [][]*httptest.Server{{shardServer(t, docs[0]), shardServer(t, docs[0])}}, 5*time.Millisecond, corpus.Tuning{})
 	rt := routerServer(t, cl, server.Config{})
 
 	cl.faults.Enable(faults.Injection{
 		Site: remote.FaultRPC,
-		Keys: []string{"r0-0"},
+		Keys: []string{cl.replica(0, 0)},
 		Hook: func(ctx context.Context, key string) error {
 			<-ctx.Done() // hold the primary until the hedge wins
 			return ctx.Err()
@@ -359,7 +358,7 @@ func TestSLOBurnUnderShardFailure(t *testing.T) {
 
 	cl.faults.Enable(faults.Injection{
 		Site: remote.FaultRPC,
-		Keys: []string{"r0-0"},
+		Keys: []string{cl.replica(0, 0)},
 		Err:  errors.New("injected outage"),
 	})
 	body, _ := json.Marshal(map[string]any{"query": "//item/name", "k": 3})

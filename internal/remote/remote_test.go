@@ -20,7 +20,6 @@ import (
 	"lotusx/internal/doc"
 	"lotusx/internal/faults"
 	"lotusx/internal/httpmw"
-	"lotusx/internal/metrics"
 	"lotusx/internal/obs"
 	"lotusx/internal/remote"
 	"lotusx/internal/server"
@@ -48,54 +47,43 @@ func slices(t *testing.T, parts int) []*doc.Document {
 
 // cluster is a router-side remote corpus over in-process shard servers.
 type cluster struct {
-	corpus *corpus.Corpus
-	shards []*remote.Shard
+	*remote.Cluster
 	faults *faults.Registry
-	met    *metrics.RemoteMetrics
+	groups [][]*httptest.Server
 }
 
-// newCluster wires one remote.Shard per server group (group = the replica
-// set of one logical shard) into a remote corpus.  Replica names are
-// "r<shard>-<replica>" — the fault keys tests arm.  Breakers default off so
-// policy tests see raw failures; hedging defaults off for determinism.
+// newCluster assembles the router's remote corpus with remote.NewCluster
+// over server groups (group = the replica set of one logical shard).
+// Breakers default off so policy tests see raw failures; hedging defaults
+// off for determinism.
 func newCluster(t *testing.T, groups [][]*httptest.Server, hedge time.Duration, tuning corpus.Tuning) *cluster {
 	t.Helper()
-	reg := faults.New()
-	met := metrics.New().Remote("cluster")
-	backends := make([]corpus.ShardBackend, len(groups))
-	shards := make([]*remote.Shard, len(groups))
-	for i, g := range groups {
-		clients := make([]*remote.Client, len(g))
-		for j, ts := range g {
-			cl, err := remote.NewClient(remote.ClientConfig{
-				BaseURL: ts.URL,
-				Name:    fmt.Sprintf("r%d-%d", i, j),
-				Faults:  reg,
-				Metrics: met,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			clients[j] = cl
-		}
-		sh, err := remote.NewShard(fmt.Sprintf("cluster-%02d", i), clients, remote.ShardOptions{
-			HedgeDelay: hedge,
-			Metrics:    met,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards[i] = sh
-		backends[i] = sh
-	}
 	if tuning.BreakerThreshold == 0 {
 		tuning.BreakerThreshold = -1
 	}
-	c, err := corpus.NewRemote("cluster", backends, corpus.Config{Tuning: tuning, Faults: reg})
+	urls := make([][]string, len(groups))
+	for i, g := range groups {
+		for _, ts := range g {
+			urls[i] = append(urls[i], ts.URL)
+		}
+	}
+	reg := faults.New()
+	c, err := remote.NewCluster(remote.ClusterConfig{
+		Name:       "cluster",
+		Groups:     urls,
+		HedgeDelay: hedge,
+		Tuning:     tuning,
+		Faults:     reg,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &cluster{corpus: c, shards: shards, faults: reg, met: met}
+	return &cluster{Cluster: c, faults: reg, groups: groups}
+}
+
+// replica is the fault key of replica j of shard i: its URL's host.
+func (c *cluster) replica(i, j int) string {
+	return strings.TrimPrefix(c.groups[i][j].URL, "http://")
 }
 
 // shardServer serves one document slice as a single-engine shard server.
@@ -142,7 +130,7 @@ func TestRouterMatchesLocalCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := cl.corpus.SearchHits(ctx, parse(t, qs), opts)
+		got, err := cl.Corpus.SearchHits(ctx, parse(t, qs), opts)
 		if err != nil {
 			t.Fatalf("%s: remote search: %v", qs, err)
 		}
@@ -168,7 +156,7 @@ func TestRouterMatchesLocalCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.corpus.CompleteTags(ctx, parse(t, "//item"), anchor, twig.Child, "", 8)
+	got, err := cl.Corpus.CompleteTags(ctx, parse(t, "//item"), anchor, twig.Child, "", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +174,7 @@ func TestRouterMatchesLocalCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gOccs, err := cl.corpus.ExplainTags(ctx, parse(t, "//item"), anchor, twig.Child, "name", 3)
+	gOccs, err := cl.Corpus.ExplainTags(ctx, parse(t, "//item"), anchor, twig.Child, "name", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +202,10 @@ func TestDegradedPartialResults(t *testing.T) {
 	// retry.
 	cl.faults.Enable(faults.Injection{
 		Site: remote.FaultRPC,
-		Keys: []string{"r1-0"},
+		Keys: []string{cl.replica(1, 0)},
 		Err:  errors.New("injected connection failure"),
 	})
-	res, err := cl.corpus.SearchHits(context.Background(), parse(t, "//name"), core.SearchOptions{K: 50})
+	res, err := cl.Corpus.SearchHits(context.Background(), parse(t, "//name"), core.SearchOptions{K: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +220,7 @@ func TestDegradedPartialResults(t *testing.T) {
 			t.Fatalf("hit from %s, want only cluster-00 survivors", h.Shard)
 		}
 	}
-	if got := cl.met.RPCErrors.Load(); got != 2 {
+	if got := cl.Metrics.RPCErrors.Load(); got != 2 {
 		t.Fatalf("RPCErrors = %d, want 2 (attempt + retry)", got)
 	}
 }
@@ -242,25 +230,24 @@ func TestDegradedPartialResults(t *testing.T) {
 func TestFailoverToReplica(t *testing.T) {
 	t.Parallel()
 	docs := slices(t, 1)
-	ts := shardServer(t, docs[0])
-	cl := newCluster(t, [][]*httptest.Server{{ts, ts}}, -1, corpus.Tuning{})
+	cl := newCluster(t, [][]*httptest.Server{{shardServer(t, docs[0]), shardServer(t, docs[0])}}, -1, corpus.Tuning{})
 
 	cl.faults.Enable(faults.Injection{
 		Site: remote.FaultRPC,
-		Keys: []string{"r0-0"},
+		Keys: []string{cl.replica(0, 0)},
 		Err:  errors.New("injected connection failure"),
 	})
-	res, err := cl.corpus.SearchHits(context.Background(), parse(t, "//item/name"), core.SearchOptions{K: 5})
+	res, err := cl.Corpus.SearchHits(context.Background(), parse(t, "//item/name"), core.SearchOptions{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Partial || len(res.Hits) == 0 {
 		t.Fatalf("failover answer: partial=%v hits=%d, want full answer", res.Partial, len(res.Hits))
 	}
-	if got := cl.met.Failovers.Load(); got != 1 {
+	if got := cl.Metrics.Failovers.Load(); got != 1 {
 		t.Fatalf("Failovers = %d, want 1", got)
 	}
-	if got := cl.met.RPCErrors.Load(); got != 1 {
+	if got := cl.Metrics.RPCErrors.Load(); got != 1 {
 		t.Fatalf("RPCErrors = %d, want 1", got)
 	}
 }
@@ -271,22 +258,21 @@ func TestFailoverToReplica(t *testing.T) {
 func TestShortReadFailsOver(t *testing.T) {
 	t.Parallel()
 	docs := slices(t, 1)
-	ts := shardServer(t, docs[0])
-	cl := newCluster(t, [][]*httptest.Server{{ts, ts}}, -1, corpus.Tuning{})
+	cl := newCluster(t, [][]*httptest.Server{{shardServer(t, docs[0]), shardServer(t, docs[0])}}, -1, corpus.Tuning{})
 
 	cl.faults.Enable(faults.Injection{
 		Site:      remote.FaultBody,
-		Keys:      []string{"r0-0"},
+		Keys:      []string{cl.replica(0, 0)},
 		ShortRead: 16,
 	})
-	res, err := cl.corpus.SearchHits(context.Background(), parse(t, "//item/name"), core.SearchOptions{K: 5})
+	res, err := cl.Corpus.SearchHits(context.Background(), parse(t, "//item/name"), core.SearchOptions{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Partial || len(res.Hits) == 0 {
 		t.Fatalf("short-read failover: partial=%v hits=%d, want full answer", res.Partial, len(res.Hits))
 	}
-	if got := cl.met.Failovers.Load(); got != 1 {
+	if got := cl.Metrics.Failovers.Load(); got != 1 {
 		t.Fatalf("Failovers = %d, want 1", got)
 	}
 }
@@ -296,20 +282,19 @@ func TestShortReadFailsOver(t *testing.T) {
 func TestHedgeCancelsLoser(t *testing.T) {
 	t.Parallel()
 	docs := slices(t, 1)
-	ts := shardServer(t, docs[0])
-	cl := newCluster(t, [][]*httptest.Server{{ts, ts}}, 5*time.Millisecond, corpus.Tuning{})
+	cl := newCluster(t, [][]*httptest.Server{{shardServer(t, docs[0]), shardServer(t, docs[0])}}, 5*time.Millisecond, corpus.Tuning{})
 
 	cancelled := make(chan struct{}, 1)
 	cl.faults.Enable(faults.Injection{
 		Site: remote.FaultRPC,
-		Keys: []string{"r0-0"},
+		Keys: []string{cl.replica(0, 0)},
 		Hook: func(ctx context.Context, key string) error {
 			<-ctx.Done() // hold the primary until the race is decided
 			cancelled <- struct{}{}
 			return ctx.Err()
 		},
 	})
-	res, err := cl.corpus.SearchHits(context.Background(), parse(t, "//item/name"), core.SearchOptions{K: 5})
+	res, err := cl.Corpus.SearchHits(context.Background(), parse(t, "//item/name"), core.SearchOptions{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,10 +306,10 @@ func TestHedgeCancelsLoser(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("losing replica was never cancelled")
 	}
-	if got := cl.met.HedgesFired.Load(); got != 1 {
+	if got := cl.Metrics.HedgesFired.Load(); got != 1 {
 		t.Fatalf("HedgesFired = %d, want 1", got)
 	}
-	if got := cl.met.HedgeWins.Load(); got != 1 {
+	if got := cl.Metrics.HedgeWins.Load(); got != 1 {
 		t.Fatalf("HedgeWins = %d, want 1 (the backup answered first)", got)
 	}
 }
@@ -348,7 +333,7 @@ func TestBreakerTripAndProbe(t *testing.T) {
 	q := "//item/name"
 	opts := core.SearchOptions{K: 5}
 	for i := 0; i < 2; i++ {
-		if _, err := cl.corpus.SearchHits(ctx, parse(t, q), opts); err == nil {
+		if _, err := cl.Corpus.SearchHits(ctx, parse(t, q), opts); err == nil {
 			t.Fatalf("search %d should fail during the outage", i)
 		}
 	}
@@ -358,7 +343,7 @@ func TestBreakerTripAndProbe(t *testing.T) {
 	}
 
 	// Breaker open: the next search fails as quarantined without an RPC.
-	_, err := cl.corpus.SearchHits(ctx, parse(t, q), opts)
+	_, err := cl.Corpus.SearchHits(ctx, parse(t, q), opts)
 	if !errors.Is(err, corpus.ErrShardQuarantined) {
 		t.Fatalf("open-breaker search error = %v, want ErrShardQuarantined", err)
 	}
@@ -369,7 +354,7 @@ func TestBreakerTripAndProbe(t *testing.T) {
 	// After the cooldown a half-open probe goes through and heals the shard.
 	cl.faults.Reset()
 	time.Sleep(150 * time.Millisecond)
-	res, err := cl.corpus.SearchHits(ctx, parse(t, q), opts)
+	res, err := cl.Corpus.SearchHits(ctx, parse(t, q), opts)
 	if err != nil {
 		t.Fatalf("post-cooldown probe failed: %v", err)
 	}
@@ -469,14 +454,8 @@ func TestEnvelopeDecode(t *testing.T) {
 func routerServer(t *testing.T, cl *cluster, cfg server.Config) *httptest.Server {
 	t.Helper()
 	catalog := core.NewCatalog()
-	catalog.AddBackend("cluster", cl.corpus)
-	cfg.ClusterStatus = func() any {
-		sts := make([]remote.ShardStatus, len(cl.shards))
-		for i, sh := range cl.shards {
-			sts[i] = sh.Status()
-		}
-		return map[string]any{"dataset": "cluster", "shards": sts}
-	}
+	catalog.AddBackend("cluster", cl.Corpus)
+	cfg.ClusterStatus = cl.Status
 	ts := httptest.NewServer(server.NewCatalogConfig(catalog, cfg))
 	t.Cleanup(ts.Close)
 	return ts
@@ -637,7 +616,7 @@ func TestRouterRetryAfterOnQuarantine(t *testing.T) {
 	// Completions consult the same breaker: with every shard quarantined
 	// the router answers 503 + Retry-After instead of dialing a shard it
 	// knows is down and surfacing a raw transport error as a 500.
-	rpcs := cl.met.RPCErrors.Load()
+	rpcs := cl.Metrics.RPCErrors.Load()
 	c1, err := http.Get(rt.URL + "/api/v1/complete?kind=tag&path=//item&axis=child&prefix=na&k=5")
 	if err != nil {
 		t.Fatal(err)
@@ -656,7 +635,7 @@ func TestRouterRetryAfterOnQuarantine(t *testing.T) {
 	if cenv.Error.Code != httpmw.CodeOverloaded {
 		t.Fatalf("completion quarantine code = %q, want %q", cenv.Error.Code, httpmw.CodeOverloaded)
 	}
-	if got := cl.met.RPCErrors.Load(); got != rpcs {
+	if got := cl.Metrics.RPCErrors.Load(); got != rpcs {
 		t.Fatalf("quarantined completion dialed the shard: RPCErrors %d -> %d", rpcs, got)
 	}
 }
@@ -676,10 +655,10 @@ func TestCompletionDegradesAroundQuarantine(t *testing.T) {
 		BreakerCooldown:  30 * time.Second,
 	})
 	// Only shard cluster-01's replica fails; cluster-00 stays healthy.
-	cl.faults.Enable(faults.Injection{Site: remote.FaultRPC, Keys: []string{"r1-0"}, Err: errors.New("injected outage")})
+	cl.faults.Enable(faults.Injection{Site: remote.FaultRPC, Keys: []string{cl.replica(1, 0)}, Err: errors.New("injected outage")})
 
 	ctx := context.Background()
-	res, err := cl.corpus.SearchHits(ctx, parse(t, "//item"), core.SearchOptions{K: 3})
+	res, err := cl.Corpus.SearchHits(ctx, parse(t, "//item"), core.SearchOptions{K: 3})
 	if err != nil {
 		t.Fatalf("degraded search: %v", err)
 	}
@@ -689,24 +668,24 @@ func TestCompletionDegradesAroundQuarantine(t *testing.T) {
 
 	// The breaker for cluster-01 is now open; completion skips it and
 	// merges the survivor without spending an RPC on the dead shard.
-	rpcs := cl.met.RPCErrors.Load()
+	rpcs := cl.Metrics.RPCErrors.Load()
 	q := parse(t, "//item")
 	anchor := q.OutputNode().ID
-	cands, err := cl.corpus.CompleteTags(ctx, q, anchor, twig.Child, "", 8)
+	cands, err := cl.Corpus.CompleteTags(ctx, q, anchor, twig.Child, "", 8)
 	if err != nil {
 		t.Fatalf("completion around quarantined shard: %v", err)
 	}
 	if len(cands) == 0 {
 		t.Fatal("surviving shard should still propose candidates")
 	}
-	occs, err := cl.corpus.ExplainTags(ctx, parse(t, "//item"), anchor, twig.Child, "name", 3)
+	occs, err := cl.Corpus.ExplainTags(ctx, parse(t, "//item"), anchor, twig.Child, "name", 3)
 	if err != nil {
 		t.Fatalf("explain around quarantined shard: %v", err)
 	}
 	if len(occs) == 0 {
 		t.Fatal("surviving shard should still report occurrences")
 	}
-	if got := cl.met.RPCErrors.Load(); got != rpcs {
+	if got := cl.Metrics.RPCErrors.Load(); got != rpcs {
 		t.Fatalf("completion dialed the quarantined shard: RPCErrors %d -> %d", rpcs, got)
 	}
 }
@@ -725,7 +704,7 @@ func TestDeadlineBoundsRemoteShard(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := cl.corpus.SearchHits(ctx, parse(t, "//item"), core.SearchOptions{K: 3})
+	_, err := cl.Corpus.SearchHits(ctx, parse(t, "//item"), core.SearchOptions{K: 3})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("search against a hung shard should fail")
@@ -744,14 +723,14 @@ func TestRemoteCorpusIsReadOnly(t *testing.T) {
 	t.Parallel()
 	docs := slices(t, 1)
 	cl := newCluster(t, [][]*httptest.Server{{shardServer(t, docs[0])}}, -1, corpus.Tuning{})
-	if !cl.corpus.Remote() {
+	if !cl.Corpus.Remote() {
 		t.Fatal("remote corpus does not report Remote()")
 	}
 	d, err := dataset.Build(dataset.DBLP, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.corpus.AddSplit("extra", d, 1); err == nil {
+	if err := cl.Corpus.AddSplit("extra", d, 1); err == nil {
 		t.Fatal("AddSplit on a remote corpus must fail")
 	}
 }
@@ -764,7 +743,7 @@ func TestShardInfo(t *testing.T) {
 		{shardServer(t, docs[0])},
 		{shardServer(t, docs[1])},
 	}, -1, corpus.Tuning{})
-	info := cl.corpus.Info()
+	info := cl.Corpus.Info()
 	if info.Kind != "remote-corpus" || info.Shards != 2 {
 		t.Fatalf("info = %+v, want remote-corpus over 2 shards", info)
 	}
