@@ -280,7 +280,7 @@ func Open(dir string, cfg Config) (*Corpus, error) {
 // SplitDocument) named after the corpus.
 func FromDocument(name string, d *doc.Document, parts int, cfg Config) (*Corpus, error) {
 	c := New(name, cfg)
-	if err := c.AddSplit(name, d, parts); err != nil {
+	if err := c.addSplit(name, d, parts, false); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -1,9 +1,9 @@
 // Package ingest is the async ingestion pipeline behind the admin write API:
 // a bounded in-memory job queue with a fixed worker pool.  Admin handlers
-// spool the request body, enqueue a job and answer 202 immediately; workers
-// run the actual split+index+publish (internal/corpus) off the request path,
-// and clients poll GET /api/v1/jobs/{id} until the job reaches a terminal
-// state.
+// spool the request body, enqueue a job and answer 202 immediately (or, with
+// ?sync=1, Wait for it); workers run the actual split+index+publish
+// (internal/corpus) off the request path, and clients poll
+// GET /api/v1/jobs/{id} until the job reaches a terminal state.
 //
 // Concurrent identical submissions coalesce: a job carries a dedup key
 // (dataset name + content hash + split arity, computed by the handler), and
@@ -341,7 +341,7 @@ func (q *Queue) List() []Job {
 }
 
 // Wait blocks until the identified job reaches a terminal state (returning
-// its final snapshot) or ctx is done.  It backs the ?sync=1 escape hatch.
+// its final snapshot) or ctx is done.  It backs the admin ?sync=1 writes.
 func (q *Queue) Wait(ctx context.Context, id string) (Job, error) {
 	q.mu.Lock()
 	j := q.jobs[id]

@@ -17,11 +17,11 @@ import (
 )
 
 // The durable ingest journal makes 202 Accepted a promise that survives a
-// crash.  Before an async admin write answers 202, an accept record —
-// dataset, shard, split factor, spool path, content hash — is appended to a
-// journal file and fsync'd; when the job reaches a terminal state, a
-// terminal record is appended (fsync'd) and only then is the spooled body
-// deleted.  On restart, accepts without a terminal are the pending set: the
+// crash.  Before an admin ingest's job is enqueued (and so before its 202
+// goes out), an accept record — dataset, shard, split factor, spool path,
+// content hash — is appended to a journal file and fsync'd; when the job
+// reaches a terminal state, a terminal record is appended (fsync'd) and only
+// then is the spooled body deleted.  On restart, accepts without a terminal are the pending set: the
 // server re-enqueues each one from its retained spool.  Replay is idempotent
 // because corpus publication replaces same-name shards and groups — running
 // an accept twice converges on the same corpus state.

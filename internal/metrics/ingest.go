@@ -33,9 +33,6 @@ type IngestMetrics struct {
 // SetDepth records the number of queued (not yet running) jobs.
 func (m *IngestMetrics) SetDepth(n int) { m.depth.Store(int64(n)) }
 
-// SetRunning records the number of jobs currently on workers.
-func (m *IngestMetrics) SetRunning(n int) { m.running.Store(int64(n)) }
-
 // AddRunning adjusts the running-job gauge by d (workers call it with +1 on
 // pickup and -1 on finish).
 func (m *IngestMetrics) AddRunning(d int) { m.running.Add(int64(d)) }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -40,23 +39,25 @@ import (
 // directories under CorpusDir, so anything traversal-shaped is rejected
 // before it reaches the filesystem.
 //
-// # Async ingestion
+// # One write path
 //
-// The two ingest routes are asynchronous by default: the body is spooled to
-// a temp file (hashed while it streams), a job is enqueued on the bounded
-// worker pool (internal/ingest), and the response is 202 Accepted with a
-// {"job": ...} envelope plus a Location header pointing at
-// /api/v1/jobs/{id} for polling.  Identical concurrent submissions (same
-// dataset, same content hash, same split factor) coalesce onto one job.
-// ?sync=1 restores the blocking behavior: the work runs on the request
-// goroutine and the response is the final 201 + {"status": ...}.
+// Every ingest is a job on the bounded worker pool (internal/ingest): the
+// body is spooled to a temp file (hashed while it streams), the accept is
+// journaled when a CorpusDir exists, and the job is enqueued.  By default
+// the response is 202 Accepted with a {"job": ...} envelope plus a Location
+// header pointing at /api/v1/jobs/{id} for polling.  Identical concurrent
+// submissions (same dataset, same content hash, same split factor) coalesce
+// onto one job.  ?sync=1 submits the same job and waits for it: 201 +
+// {"status": ...} once it is done, 400 with its error when it failed, 503
+// when the queue is full, 504 when the request's deadline expires first
+// (the job still runs to completion).
 //
-// A dataset create replaces the whole shard set (base shards) either way; an
-// asynchronous shard add lands as a DELTA shard — a small independent shard
-// published without touching the base set — and a background compaction job
-// folds accumulated deltas into base shards once the dataset crosses the
-// compaction threshold (or on explicit POST .../compact).  See
-// docs/API.md for the jobs lifecycle.
+// A dataset create replaces the whole shard set (base shards); a shard add
+// lands as a DELTA shard — a small independent shard published without
+// touching the base set — and a background compaction job folds
+// accumulated deltas into base shards once the dataset crosses the
+// compaction threshold (or on explicit POST .../compact).  See docs/API.md
+// for the jobs lifecycle.
 
 // maxIngestSize bounds admin ingest bodies — far above query bodies, since
 // whole datasets arrive here.
@@ -106,8 +107,8 @@ func shardCount(r *http.Request) (int, error) {
 	return n, nil
 }
 
-// syncRequested reports the ?sync=1 escape hatch: run the write on the
-// request goroutine instead of the async job queue.
+// syncRequested reports ?sync=1: answer a write with its job's outcome
+// instead of 202.
 func syncRequested(r *http.Request) bool {
 	return r.URL.Query().Get("sync") == "1"
 }
@@ -117,7 +118,7 @@ func syncRequested(r *http.Request) bool {
 type datasetStatus struct {
 	Dataset string `json:"dataset"`
 	Shards  int    `json:"shards"`
-	// DeltaShards counts async-ingested delta shards awaiting compaction.
+	// DeltaShards counts shard-add delta shards awaiting compaction.
 	DeltaShards int      `json:"deltaShards,omitempty"`
 	Seq         uint64   `json:"seq"`
 	Names       []string `json:"shardNames,omitempty"`
@@ -153,21 +154,12 @@ func writeStatus(w http.ResponseWriter, code int, location string, st datasetSta
 	writeJSON(w, code, statusEnvelope{Status: st})
 }
 
-// spooled is a request body staged to disk for async ingestion: the handler
-// streams (and hashes) the body before answering 202, so the job needs no
-// live connection and identical uploads dedup by content.
-type spooled struct {
-	path string
-	size int64
-	hash string // hex sha256 of the body
-}
-
-// cleanup removes the spool file; safe to call more than once.
-func (sp *spooled) cleanup() { os.Remove(sp.path) }
-
-// spoolBody streams the request body to a temp file, hashing as it copies.
-// The caller owns the file and must arrange cleanup on every path.
-func (s *Server) spoolBody(w http.ResponseWriter, r *http.Request) (*spooled, error) {
+// spoolBody streams the request body to a temp file, hashing as it copies,
+// and records the file's path, size and hash in rec.  The handler spools
+// before it answers, so the job needs no live connection and identical
+// uploads dedup by content.  The caller owns the file and must arrange
+// cleanup on every path.
+func (s *Server) spoolBody(w http.ResponseWriter, r *http.Request, rec *ingest.JournalRecord) error {
 	dir := os.TempDir()
 	if s.corpusDir != "" {
 		// Spool next to the corpus directories: same filesystem as the final
@@ -178,7 +170,7 @@ func (s *Server) spoolBody(w http.ResponseWriter, r *http.Request) (*spooled, er
 	}
 	f, err := os.CreateTemp(dir, "ingest-spool-*.xml")
 	if err != nil {
-		return nil, fmt.Errorf("spooling ingest body: %w", err)
+		return fmt.Errorf("spooling ingest body: %w", err)
 	}
 	h := sha256.New()
 	n, err := io.Copy(io.MultiWriter(f, h), http.MaxBytesReader(w, r.Body, s.maxIngest))
@@ -188,65 +180,64 @@ func (s *Server) spoolBody(w http.ResponseWriter, r *http.Request) (*spooled, er
 	}
 	if err != nil {
 		os.Remove(f.Name())
-		return nil, err
+		return err
 	}
-	return &spooled{path: f.Name(), size: n, hash: hex.EncodeToString(h.Sum(nil))}, nil
+	rec.Spool, rec.Bytes, rec.Hash = f.Name(), n, hex.EncodeToString(h.Sum(nil))
+	return nil
 }
 
-// isTooLarge reports whether err came from the MaxBytesReader bound.
-func isTooLarge(err error) bool {
-	var mbe *http.MaxBytesError
-	return errors.As(err, &mbe)
-}
-
-// limitTracker remembers when the MaxBytesReader under it tripped.  The XML
-// lexer deliberately folds read errors into a truncation SyntaxError, which
-// would turn an over-limit body into a 400; the tracker lets the sync
-// handlers still answer 413.
-type limitTracker struct {
-	r       io.Reader
-	tripped bool
-}
-
-func (l *limitTracker) Read(p []byte) (int, error) {
-	n, err := l.r.Read(p)
-	if err != nil && isTooLarge(err) {
-		l.tripped = true
-	}
-	return n, err
-}
-
-// syncBody wraps the request body for a synchronous ingest: bounded, with
-// the bound's trip observable after the parse fails.
-func (s *Server) syncBody(w http.ResponseWriter, r *http.Request) *limitTracker {
-	return &limitTracker{r: http.MaxBytesReader(w, r.Body, s.maxIngest)}
-}
-
-// ingestErr substitutes the over-limit error when the tracker tripped, so
-// writeIngestError classifies it as 413 even though the parser rewrote it.
-func ingestErr(lt *limitTracker, err error) error {
-	if err != nil && lt.tripped && !isTooLarge(err) {
-		return &http.MaxBytesError{}
-	}
-	return err
-}
-
-// writeIngestError maps a sync-ingest failure to its envelope: 413 for an
-// over-limit body, 400 for everything else (parse errors, bad XML).
-func writeIngestError(w http.ResponseWriter, r *http.Request, err error) {
-	if isTooLarge(err) {
-		tooLarge(w, r, err)
+// submitIngest spools the request body into rec and submits the job that
+// applies it — the shared tail of the dataset-create and shard-add routes.
+func (s *Server) submitIngest(w http.ResponseWriter, r *http.Request, rec ingest.JournalRecord) {
+	if err := s.spoolBody(w, r, &rec); err != nil {
+		// 413 for an over-limit body, 400 for anything else (a truncated upload).
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			tooLarge(w, r, err)
+		} else {
+			badQuery(w, r, err)
+		}
 		return
 	}
-	badQuery(w, r, err)
+	s.submit(w, r, ingest.Request{
+		Kind:    rec.Kind,
+		Dataset: rec.Dataset,
+		Key:     fmt.Sprintf("%s:%s/%s:%s:%d", rec.Kind, rec.Dataset, rec.Shard, rec.Hash, rec.Parts),
+		Bytes:   rec.Bytes,
+	}, &rec)
+}
+
+// apply runs one ingest from its spooled body — the one body of every
+// dataset and shard job, live or replayed from the journal.
+func (s *Server) apply(rec ingest.JournalRecord) (ingest.Result, error) {
+	f, err := os.Open(rec.Spool)
+	if err != nil {
+		return ingest.Result{}, err
+	}
+	defer f.Close()
+	var st datasetStatus
+	switch rec.Kind {
+	case "dataset":
+		st, err = s.createDataset(rec.Dataset, f, rec.Parts)
+	case "shard":
+		if st, err = s.addShard(rec.Dataset, rec.Shard, f, rec.Parts); err == nil {
+			s.maybeCompact(rec.Dataset)
+		}
+	default:
+		err = fmt.Errorf("journal: unknown record kind %q", rec.Kind)
+	}
+	if err != nil {
+		return ingest.Result{}, err
+	}
+	return ingest.Result{Shards: st.Shards, Seq: st.Seq}, nil
 }
 
 // createDataset ingests body as a new (or replacement) corpus-backed dataset
-// split into parts shards — the shared core of the sync handler and the
-// async job.  Creates are serialized under adminMu: re-POSTing a live
-// corpus-backed name replaces its whole shard set through the existing
-// corpus object (one snapshot swap, the sequence keeps climbing), so two
-// creates can never interleave writes to the same persistence directory.
+// split into parts shards — the body of every "dataset" job (see apply).
+// Creates are serialized under adminMu: re-POSTing a live corpus-backed name
+// replaces its whole shard set through the existing corpus object (one
+// snapshot swap, the sequence keeps climbing), so two creates can never
+// interleave writes to the same persistence directory.
 func (s *Server) createDataset(name string, body io.Reader, parts int) (datasetStatus, error) {
 	s.adminMu.Lock()
 	defer s.adminMu.Unlock()
@@ -292,9 +283,8 @@ func (s *Server) createDataset(name string, body io.Reader, parts int) (datasetS
 }
 
 // handleDatasetCreate ingests the XML body as a new (or replacement)
-// corpus-backed dataset, optionally split into ?shards=N shards.  Default:
-// async — spool, enqueue, 202 + {"job": ...}.  ?sync=1: ingest on the
-// request goroutine, 201 + {"status": ...}.
+// corpus-backed dataset, optionally split into ?shards=N shards, as a
+// "dataset" job (see submit).
 func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := validSegment("dataset", name); err != nil {
@@ -306,39 +296,7 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) {
 		badQuery(w, r, err)
 		return
 	}
-	if syncRequested(r) {
-		lt := s.syncBody(w, r)
-		st, err := s.createDataset(name, lt, parts)
-		if err != nil {
-			writeIngestError(w, r, ingestErr(lt, err))
-			return
-		}
-		writeStatus(w, http.StatusCreated, "/api/v1/datasets/"+name, st)
-		return
-	}
-	sp, err := s.spoolBody(w, r)
-	if err != nil {
-		writeIngestError(w, r, err)
-		return
-	}
-	s.enqueueJournaled(w, r, sp, "", parts, ingest.Request{
-		Kind:    "dataset",
-		Dataset: name,
-		Key:     fmt.Sprintf("dataset:%s:%s:%d", name, sp.hash, parts),
-		Bytes:   sp.size,
-		Run: func(ctx context.Context) (ingest.Result, error) {
-			f, err := os.Open(sp.path)
-			if err != nil {
-				return ingest.Result{}, err
-			}
-			defer f.Close()
-			st, err := s.createDataset(name, f, parts)
-			if err != nil {
-				return ingest.Result{}, err
-			}
-			return ingest.Result{Shards: st.Shards, Seq: st.Seq}, nil
-		},
-	})
+	s.submitIngest(w, r, ingest.JournalRecord{Kind: "dataset", Dataset: name, Parts: parts})
 }
 
 // handleDatasetDelete drops a dataset (engine- or corpus-backed) from the
@@ -374,21 +332,18 @@ func (s *Server) handleDatasetDelete(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// addShard ingests body as one shard (or a ?shards=N split group) of an
-// existing corpus-backed dataset.  delta selects the async landing: a delta
-// shard published without touching the base set, left for compaction.
-func (s *Server) addShard(name, shard string, body io.Reader, parts int, delta bool) (datasetStatus, error) {
+// addShard ingests body as one delta shard (or a ?shards=N split group of
+// them) of an existing corpus-backed dataset — the body of every "shard" job
+// (see apply).  Delta shards are published without touching the base set
+// and left for compaction.
+func (s *Server) addShard(name, shard string, body io.Reader, parts int) (datasetStatus, error) {
 	c, err := s.corpusFor(name)
 	if err != nil {
 		return datasetStatus{}, err
 	}
-	add := c.AddSplit
-	if delta {
-		add = c.AddDeltaSplit
-	}
 	d, err := doc.FromReader(shard, body)
 	if err == nil {
-		err = add(shard, d, parts)
+		err = c.AddDeltaSplit(shard, d, parts)
 	}
 	if err != nil {
 		return datasetStatus{}, fmt.Errorf("ingesting shard %q: %w", shard, err)
@@ -396,12 +351,10 @@ func (s *Server) addShard(name, shard string, body io.Reader, parts int, delta b
 	return statusOf(name, c), nil
 }
 
-// handleShardAdd ingests the XML body as one shard (or, with ?shards=N, a
-// split group) of an existing corpus-backed dataset.  Default: async — the
-// shard lands as a delta shard and the response is 202 + {"job": ...};
-// crossing the compaction threshold schedules a background compaction.
-// ?sync=1: ingest on the request goroutine as a base shard, 201 +
-// {"status": ...}.
+// handleShardAdd ingests the XML body as one delta shard (or, with
+// ?shards=N, a split group) of an existing corpus-backed dataset, as a
+// "shard" job (see submit); crossing the compaction threshold schedules a
+// background compaction.
 func (s *Server) handleShardAdd(w http.ResponseWriter, r *http.Request) {
 	name, shard := r.PathValue("name"), r.PathValue("shard")
 	// Shard names never touch the filesystem (shard files are named by
@@ -420,40 +373,7 @@ func (s *Server) handleShardAdd(w http.ResponseWriter, r *http.Request) {
 		badQuery(w, r, err)
 		return
 	}
-	if syncRequested(r) {
-		lt := s.syncBody(w, r)
-		st, err := s.addShard(name, shard, lt, parts, false)
-		if err != nil {
-			writeIngestError(w, r, ingestErr(lt, err))
-			return
-		}
-		writeStatus(w, http.StatusCreated, "/api/v1/datasets/"+name+"/shards/"+shard, st)
-		return
-	}
-	sp, err := s.spoolBody(w, r)
-	if err != nil {
-		writeIngestError(w, r, err)
-		return
-	}
-	s.enqueueJournaled(w, r, sp, shard, parts, ingest.Request{
-		Kind:    "shard",
-		Dataset: name,
-		Key:     fmt.Sprintf("shard:%s/%s:%s:%d", name, shard, sp.hash, parts),
-		Bytes:   sp.size,
-		Run: func(ctx context.Context) (ingest.Result, error) {
-			f, err := os.Open(sp.path)
-			if err != nil {
-				return ingest.Result{}, err
-			}
-			defer f.Close()
-			st, err := s.addShard(name, shard, f, parts, true)
-			if err != nil {
-				return ingest.Result{}, err
-			}
-			s.maybeCompact(name)
-			return ingest.Result{Shards: st.Shards, Seq: st.Seq}, nil
-		},
-	})
+	s.submitIngest(w, r, ingest.JournalRecord{Kind: "shard", Dataset: name, Shard: shard, Parts: parts})
 }
 
 // handleShardDelete drops one shard (or a whole split group) from a

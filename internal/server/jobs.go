@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 
 	"lotusx/internal/ingest"
 )
@@ -32,13 +33,49 @@ type jobsEnvelope struct {
 // jobLocation is the poll URL of a job.
 func jobLocation(id string) string { return "/api/v1/jobs/" + id }
 
-// enqueue submits req to the ingest queue and answers for it: 202 +
-// {"job": ...} + Location normally (whether the job is fresh or the
-// submission coalesced onto a live identical one), 503 when the queue is
-// full or shutting down.  With ?sync=1 handled upstream, this is only
-// reached on the async path.
-func (s *Server) enqueue(w http.ResponseWriter, r *http.Request, req ingest.Request) {
-	job, _, err := s.queue.Enqueue(req)
+// submit is the admin surface's one write path: it enqueues req and answers
+// for it.  An ingest passes rec, its body already spooled: with a journal
+// the accept is recorded durably before the job is enqueued (and settled
+// when the job ends, see settle); without one the spool is the job's
+// Cleanup.  A submission that coalesces onto a live identical job, or that
+// the queue refuses, settles its accept at once.
+//
+// The answer is 202 + {"job": ...} + Location, or with ?sync=1 the job's
+// outcome once it is terminal: 201 + {"status": ...} for an ingest (400
+// with the job's error when it failed), 200 + {"job": ...} for a
+// compaction, 504 when the request's deadline expires first.  A full or
+// closed queue answers 503 either way.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, req ingest.Request, rec *ingest.JournalRecord) {
+	var j *ingest.Journal
+	if rec != nil {
+		if j = s.ensureJournal(); j == nil {
+			req.Cleanup = func() { os.Remove(rec.Spool) }
+		} else {
+			id, err := j.Accept(r.Context(), *rec)
+			if err != nil {
+				// The durable promise cannot be made, so no 202 is made either.
+				os.Remove(rec.Spool)
+				internalError(w, r, err)
+				return
+			}
+			rec.ID = id
+		}
+		req.Run = func(ctx context.Context) (ingest.Result, error) {
+			res, err := s.apply(*rec)
+			s.settle(ctx, rec.ID, err)
+			return res, err
+		}
+	}
+	job, created, err := s.queue.Enqueue(req)
+	switch {
+	case j == nil:
+	case err != nil:
+		j.Terminal(r.Context(), rec.ID, ingest.OpRejected, err)
+	case !created:
+		// Coalesced onto a live identical job: that job's terminal record is
+		// the one that matters; this accept is settled (and its spool freed).
+		j.Terminal(r.Context(), rec.ID, ingest.OpDeduped, nil)
+	}
 	if err != nil {
 		if errors.Is(err, ingest.ErrQueueFull) || errors.Is(err, ingest.ErrClosed) {
 			overloaded(w, r, err)
@@ -47,8 +84,29 @@ func (s *Server) enqueue(w http.ResponseWriter, r *http.Request, req ingest.Requ
 		}
 		return
 	}
-	w.Header().Set("Location", jobLocation(job.ID))
-	writeJSON(w, http.StatusAccepted, jobEnvelope{Job: job})
+	if !syncRequested(r) {
+		w.Header().Set("Location", jobLocation(job.ID))
+		writeJSON(w, http.StatusAccepted, jobEnvelope{Job: job})
+		return
+	}
+	final, err := s.queue.Wait(r.Context(), job.ID)
+	switch {
+	case isCtxError(err):
+		writeCtxError(w, r, err)
+	case err != nil: // the job aged out of retention before Wait found it
+		internalError(w, r, err)
+	case rec == nil:
+		writeJSON(w, http.StatusOK, jobEnvelope{Job: final})
+	case final.State == ingest.StateFailed:
+		badQuery(w, r, errors.New(final.Error))
+	default:
+		c, err := s.corpusFor(rec.Dataset)
+		if err != nil {
+			notFound(w, r, err)
+			return
+		}
+		writeStatus(w, http.StatusCreated, r.URL.Path, statusOf(rec.Dataset, c))
+	}
 }
 
 // handleJobs lists every retained job, newest enqueue first.
@@ -84,20 +142,19 @@ func (s *Server) maybeCompact(name string) {
 	if err != nil || c.DeltaShards() < s.compactThreshold {
 		return
 	}
-	s.enqueueCompact(name)
+	s.queue.Enqueue(s.compactJob(name))
 }
 
-// enqueueCompact submits the compaction job for name.
-func (s *Server) enqueueCompact(name string) (ingest.Job, error) {
-	job, _, err := s.queue.Enqueue(ingest.Request{
+// compactJob is the compaction job for name.
+func (s *Server) compactJob(name string) ingest.Request {
+	return ingest.Request{
 		Kind:    "compact",
 		Dataset: name,
 		Key:     "compact:" + name,
 		Run: func(ctx context.Context) (ingest.Result, error) {
 			return s.runCompaction(ctx, name)
 		},
-	})
-	return job, err
+	}
 }
 
 // runCompaction folds name's delta shards into base shards, recording the
@@ -123,9 +180,8 @@ func (s *Server) runCompaction(ctx context.Context, name string) (ingest.Result,
 	return ingest.Result{Shards: len(res.Into), Seq: res.Seq}, nil
 }
 
-// handleCompact explicitly folds a dataset's delta shards into base shards.
-// Default: async — 202 + {"job": ...}.  ?sync=1: enqueue and wait for the
-// job, answering 200 with its terminal state.
+// handleCompact explicitly folds a dataset's delta shards into base shards
+// as a "compact" job (see submit).
 //
 //	POST /api/v1/datasets/{name}/compact
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
@@ -134,24 +190,5 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		notFound(w, r, err)
 		return
 	}
-	job, err := s.enqueueCompact(name)
-	if err != nil {
-		if errors.Is(err, ingest.ErrQueueFull) || errors.Is(err, ingest.ErrClosed) {
-			overloaded(w, r, err)
-		} else {
-			internalError(w, r, err)
-		}
-		return
-	}
-	if syncRequested(r) {
-		final, err := s.queue.Wait(r.Context(), job.ID)
-		if err != nil {
-			writeCtxError(w, r, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, jobEnvelope{Job: final})
-		return
-	}
-	w.Header().Set("Location", jobLocation(job.ID))
-	writeJSON(w, http.StatusAccepted, jobEnvelope{Job: job})
+	s.submit(w, r, s.compactJob(name), nil)
 }

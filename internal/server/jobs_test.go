@@ -1,10 +1,13 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -323,4 +326,188 @@ func TestJobsAutoCompaction(t *testing.T) {
 	if len(qr.Answers) != 5 {
 		t.Fatalf("after auto-compaction: %d answers, want 5", len(qr.Answers))
 	}
+}
+
+// TestSyncWriteIsAJob: ?sync=1 submits the same job an async write does and
+// waits for it — the shard add lands as a delta shard, both writes are
+// listed as done jobs, and both count in the ingest metrics.
+func TestSyncWriteIsAJob(t *testing.T) {
+	reg := metrics.New()
+	ts, _ := adminServer(t, Config{Metrics: reg, CompactThreshold: -1})
+
+	if code := do(t, "POST", ts.URL+"/api/v1/datasets/lib?sync=1", tinyXML, nil); code != http.StatusCreated {
+		t.Fatalf("sync create: status %d", code)
+	}
+	var st statusEnvelope
+	res, code := doFull(t, "POST", ts.URL+"/api/v1/datasets/lib/shards/extra?sync=1", "<dblp><article><title>Delta</title></article></dblp>", &st)
+	if code != http.StatusCreated {
+		t.Fatalf("sync shard add: status %d", code)
+	}
+	if loc := res.Header.Get("Location"); loc != "/api/v1/datasets/lib/shards/extra" {
+		t.Fatalf("sync shard add Location %q", loc)
+	}
+	if st.Status.DeltaShards != 1 || st.Status.Shards != 2 {
+		t.Fatalf("sync shard add status %+v, want 2 shards, 1 of them a delta", st.Status)
+	}
+
+	var list struct {
+		Jobs []struct {
+			Kind  string `json:"kind"`
+			State string `json:"state"`
+		} `json:"jobs"`
+	}
+	if code := getJSON(t, ts.URL+"/api/v1/jobs", &list); code != http.StatusOK {
+		t.Fatalf("jobs listing: status %d", code)
+	}
+	done := map[string]int{}
+	for _, j := range list.Jobs {
+		if j.State == "done" {
+			done[j.Kind]++
+		}
+	}
+	if done["dataset"] != 1 || done["shard"] != 1 || len(list.Jobs) != 2 {
+		t.Fatalf("jobs after two sync writes: %+v, want one done dataset job and one done shard job", list.Jobs)
+	}
+
+	var snap metrics.Snapshot
+	if code := getJSON(t, ts.URL+"/api/v1/metrics", &snap); code != http.StatusOK {
+		t.Fatalf("metrics: status %d", code)
+	}
+	if snap.Ingest == nil || snap.Ingest.Enqueued != 2 {
+		t.Fatalf("ingest metrics %+v, want enqueued == 2", snap.Ingest)
+	}
+}
+
+// TestSyncWriteWaitsInTheQueue: a ?sync=1 write is bounded like an async
+// one.  A fault hook holds the single worker; with the one queue slot taken
+// a further sync write is refused 503, and a sync write stuck behind the
+// held worker answers 504 at its deadline while its job still runs once the
+// worker is free.
+func TestSyncWriteWaitsInTheQueue(t *testing.T) {
+	// holdWorker arms a hook that parks every job until the returned
+	// release is called; held waits for a job to arrive at the hook.
+	holdWorker := func(t *testing.T, freg *faults.Registry) (held, release func()) {
+		entered, gate := make(chan struct{}, 1), make(chan struct{})
+		freg.Enable(faults.Injection{
+			Site: ingest.FaultJob,
+			Hook: func(ctx context.Context, _ string) error {
+				select {
+				case entered <- struct{}{}:
+				default: // an arrival is already waiting to be seen
+				}
+				select {
+				case <-gate:
+					return nil
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			},
+		})
+		var once sync.Once
+		held = func() {
+			t.Helper()
+			select {
+			case <-entered:
+			case <-time.After(10 * time.Second):
+				t.Fatal("no job reached the worker: the write did not run as a job")
+			}
+		}
+		return held, func() { once.Do(func() { close(gate) }) }
+	}
+	shardURL := func(ts *httptest.Server, shard string) string {
+		return ts.URL + "/api/v1/datasets/lib/shards/" + shard + "?sync=1"
+	}
+	shardXML := func(title string) string {
+		return "<dblp><article><title>" + title + "</title></article></dblp>"
+	}
+
+	t.Run("full queue answers 503", func(t *testing.T) {
+		freg := faults.New()
+		reg := metrics.New()
+		ts, _ := adminServer(t, Config{Metrics: reg, Faults: freg, IngestWorkers: 1, IngestQueue: 1, CompactThreshold: -1})
+		if code := do(t, "POST", ts.URL+"/api/v1/datasets/lib?sync=1", tinyXML, nil); code != http.StatusCreated {
+			t.Fatalf("sync create: status %d", code)
+		}
+		held, release := holdWorker(t, freg)
+		defer release()
+
+		codes := make(chan int, 2)
+		for _, shard := range []string{"a", "b"} {
+			go func() {
+				req, _ := http.NewRequest("POST", shardURL(ts, shard), strings.NewReader(shardXML(shard)))
+				res, err := http.DefaultClient.Do(req)
+				if err != nil {
+					codes <- 0
+					return
+				}
+				res.Body.Close()
+				codes <- res.StatusCode
+			}()
+			if shard == "a" {
+				held() // a holds the worker
+			}
+		}
+		// b takes the one queue slot.
+		deadline := time.Now().Add(10 * time.Second)
+		for reg.Ingest().Enqueued.Load() < 3 {
+			if time.Now().After(deadline) {
+				t.Fatal("second sync shard add never reached the queue")
+			}
+			time.Sleep(time.Millisecond)
+		}
+
+		var env errEnvelope
+		res, code := doFull(t, "POST", shardURL(ts, "c"), shardXML("c"), &env)
+		if code != http.StatusServiceUnavailable || env.Error.Code != "overloaded" || res.Header.Get("Retry-After") == "" {
+			t.Fatalf("sync write into a full queue: status %d, code %q, Retry-After %q; want 503 overloaded with Retry-After",
+				code, env.Error.Code, res.Header.Get("Retry-After"))
+		}
+
+		release()
+		for range 2 {
+			if code := <-codes; code != http.StatusCreated {
+				t.Fatalf("held sync shard add: status %d, want 201", code)
+			}
+		}
+	})
+
+	t.Run("expired deadline answers 504", func(t *testing.T) {
+		freg := faults.New()
+		reg := metrics.New()
+		ts, _ := adminServer(t, Config{Metrics: reg, Faults: freg, IngestWorkers: 1, QueryTimeout: 100 * time.Millisecond, CompactThreshold: -1})
+		// The create goes async: only the write under test races the deadline.
+		var jb jobBody
+		if _, code := doFull(t, "POST", ts.URL+"/api/v1/datasets/lib", tinyXML, &jb); code != http.StatusAccepted {
+			t.Fatalf("async create: status %d", code)
+		}
+		pollJob(t, ts.URL, jb.Job.ID)
+		held, release := holdWorker(t, freg)
+		defer release()
+
+		if _, code := doFull(t, "POST", ts.URL+"/api/v1/datasets/lib/shards/a", shardXML("a"), &jb); code != http.StatusAccepted {
+			t.Fatalf("async shard add: status %d", code)
+		}
+		held() // a holds the worker
+
+		var env errEnvelope
+		if _, code := doFull(t, "POST", shardURL(ts, "b"), shardXML("b"), &env); code != http.StatusGatewayTimeout || env.Error.Code != "timeout" {
+			t.Fatalf("sync write behind a held worker: status %d, code %q; want 504 timeout", code, env.Error.Code)
+		}
+
+		release()
+		deadline := time.Now().Add(10 * time.Second)
+		for reg.Ingest().Done.Load() < 3 {
+			if time.Now().After(deadline) {
+				t.Fatalf("the timed-out sync write's job never finished: %d jobs done", reg.Ingest().Done.Load())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		c, err := ts.Config.Handler.(*Server).corpusFor("lib")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := c.DeltaShards(); n != 2 {
+			t.Fatalf("after release: %d delta shards, want 2", n)
+		}
+	})
 }

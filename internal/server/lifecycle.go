@@ -2,9 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
 
@@ -25,9 +22,9 @@ import (
 //
 // # Journal
 //
-// With EnableAdmin and a CorpusDir, accepted async ingests are recorded in a
-// crash-safe journal under <CorpusDir>/_journal/ before their 202 goes out
-// (see ingest.Journal).  On startup the server replays accepts that never
+// With EnableAdmin and a CorpusDir, every accepted ingest — ?sync=1 or not —
+// is recorded in a crash-safe journal under <CorpusDir>/_journal/ before its
+// job is enqueued (see ingest.Journal and submit).  On startup the server replays accepts that never
 // reached a terminal record — one sequential job per dataset, preserving the
 // create-before-shard order within it — and sweeps spool files no pending
 // record references.
@@ -140,7 +137,8 @@ func (s *Server) replayJournal() {
 			Run: func(ctx context.Context) (ingest.Result, error) {
 				var last ingest.Result
 				for _, rec := range recs {
-					res, err := s.replayRecord(ctx, rec)
+					res, err := s.apply(rec)
+					s.settle(ctx, rec.ID, err)
 					if err != nil {
 						return last, err
 					}
@@ -158,45 +156,21 @@ func (s *Server) replayJournal() {
 	}
 }
 
-// replayRecord re-executes one journaled accept from its retained spool and
-// writes its terminal record.  A missing spool is terminal: the body is
-// gone, the promise cannot be kept, and retrying forever would not bring it
-// back.  A context error (drain during replay) leaves the record pending.
-func (s *Server) replayRecord(ctx context.Context, rec ingest.JournalRecord) (ingest.Result, error) {
-	run := func(ctx context.Context) (ingest.Result, error) {
-		f, err := os.Open(rec.Spool)
-		if err != nil {
-			return ingest.Result{}, err
-		}
-		defer f.Close()
-		switch rec.Kind {
-		case "dataset":
-			st, err := s.createDataset(rec.Dataset, f, rec.Parts)
-			if err != nil {
-				return ingest.Result{}, err
-			}
-			return ingest.Result{Shards: st.Shards, Seq: st.Seq}, nil
-		case "shard":
-			st, err := s.addShard(rec.Dataset, rec.Shard, f, rec.Parts, true)
-			if err != nil {
-				return ingest.Result{}, err
-			}
-			s.maybeCompact(rec.Dataset)
-			return ingest.Result{Shards: st.Shards, Seq: st.Seq}, nil
-		default:
-			return ingest.Result{}, fmt.Errorf("journal: unknown record kind %q", rec.Kind)
-		}
-	}
-	res, err := run(ctx)
+// settle writes the terminal journal record of accept id for a job that
+// ended with err — for live jobs and replayed ones alike; id "" (no
+// journal) is a no-op.  A job killed by shutdown writes no terminal: the
+// accept stays pending, its spool stays on disk, and the next start replays
+// it.  A failure is terminal, a missing spool included: the body is gone,
+// the promise cannot be kept, and retrying forever would not bring it back.
+func (s *Server) settle(ctx context.Context, id string, err error) {
 	switch {
+	case id == "":
 	case err == nil:
-		s.journal.Terminal(ctx, rec.ID, ingest.OpDone, nil)
+		s.journalRef().Terminal(ctx, id, ingest.OpDone, nil)
 	case isCtxError(err) && ctx.Err() != nil:
-		// Shutdown mid-replay: no terminal record, the next start retries.
 	default:
-		s.journal.Terminal(ctx, rec.ID, ingest.OpFailed, err)
+		s.journalRef().Terminal(ctx, id, ingest.OpFailed, err)
 	}
-	return res, err
 }
 
 // sweepOrphanSpools removes ingest spool files in the corpus directory that
@@ -222,66 +196,4 @@ func (s *Server) sweepOrphanSpools() {
 		lc.OrphansSwept.Add(int64(swept))
 		s.logger.Info("swept orphaned ingest spool files", "count", swept)
 	}
-}
-
-// enqueueJournaled is enqueue with the durable-202 contract: the accept is
-// journaled (fsync'd) before the job is enqueued and before the 202 goes
-// out, the spool is retained until the job's terminal record lands, and a
-// job killed by shutdown writes no terminal — it replays on restart.
-// Without a journal (no CorpusDir: nothing would survive a restart anyway)
-// this degrades to the plain in-memory enqueue.
-func (s *Server) enqueueJournaled(w http.ResponseWriter, r *http.Request, sp *spooled, shard string, parts int, req ingest.Request) {
-	j := s.ensureJournal()
-	if j == nil {
-		req.Cleanup = sp.cleanup
-		s.enqueue(w, r, req)
-		return
-	}
-	id, err := j.Accept(r.Context(), ingest.JournalRecord{
-		Kind:    req.Kind,
-		Dataset: req.Dataset,
-		Shard:   shard,
-		Parts:   parts,
-		Spool:   sp.path,
-		Bytes:   sp.size,
-		Hash:    sp.hash,
-	})
-	if err != nil {
-		// The durable promise cannot be made, so no 202 is made either.
-		sp.cleanup()
-		internalError(w, r, err)
-		return
-	}
-	inner := req.Run
-	req.Cleanup = nil // the spool now belongs to the journal's lifecycle
-	req.Run = func(ctx context.Context) (ingest.Result, error) {
-		res, err := inner(ctx)
-		switch {
-		case err == nil:
-			j.Terminal(ctx, id, ingest.OpDone, nil)
-		case isCtxError(err) && ctx.Err() != nil:
-			// Shutdown cancelled the job: keep the accept pending (and the
-			// spool on disk) so the next start replays it.
-		default:
-			j.Terminal(ctx, id, ingest.OpFailed, err)
-		}
-		return res, err
-	}
-	job, created, err := s.queue.Enqueue(req)
-	if err != nil {
-		j.Terminal(r.Context(), id, ingest.OpRejected, err)
-		if errors.Is(err, ingest.ErrQueueFull) || errors.Is(err, ingest.ErrClosed) {
-			overloaded(w, r, err)
-		} else {
-			internalError(w, r, err)
-		}
-		return
-	}
-	if !created {
-		// Coalesced onto a live identical job: that job's terminal record is
-		// the one that matters; this accept is settled (and its spool freed).
-		j.Terminal(r.Context(), id, ingest.OpDeduped, nil)
-	}
-	w.Header().Set("Location", jobLocation(job.ID))
-	writeJSON(w, http.StatusAccepted, jobEnvelope{Job: job})
 }

@@ -106,8 +106,8 @@ type Config struct {
 	// IngestQueue bounds the queued-but-not-running ingest backlog; enqueues
 	// beyond it answer 503 (0 means the default of 32).
 	IngestQueue int
-	// CompactThreshold is the delta-shard count at which a finished async
-	// ingest schedules a background compaction of its dataset.  0 means the
+	// CompactThreshold is the delta-shard count at which a finished shard-add
+	// job schedules a background compaction of its dataset.  0 means the
 	// default (4); negative disables automatic compaction (the explicit
 	// POST .../compact route still works).
 	CompactThreshold int
@@ -142,7 +142,7 @@ type Config struct {
 }
 
 // defaultCompactThreshold is the delta-shard backlog that triggers an
-// automatic background compaction after an async ingest completes.
+// automatic background compaction after a shard-add job completes.
 const defaultCompactThreshold = 4
 
 // Server handles the LotusX HTTP API.  It serves one or more datasets from
@@ -168,14 +168,14 @@ type Server struct {
 	// slo tracks the declared service-level objectives; nil when none are.
 	slo *slo.Tracker
 
-	// queue is the async ingestion pipeline (nil unless EnableAdmin): admin
-	// writes enqueue jobs here and answer 202; see internal/ingest.
+	// queue is the async ingestion pipeline (nil unless EnableAdmin): every
+	// admin write runs as a job here, ?sync=1 or not; see submit.
 	queue            *ingest.Queue
 	compactThreshold int
 	maxIngest        int64
-	// journal is the durable accept/terminal log behind the async admin
-	// writes, opened lazily under journalMu on the first accepted write (or
-	// at startup when the corpus dir already exists); nil unless EnableAdmin
+	// journal is the durable accept/terminal log behind the admin ingests,
+	// opened lazily under journalMu on the first accepted write (or at
+	// startup when the corpus dir already exists); nil unless EnableAdmin
 	// with a CorpusDir.  journalOff latches an open failure so the server
 	// keeps serving (without durability) instead of retrying forever.  See
 	// lifecycle.go.

@@ -269,12 +269,6 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	metrics.WritePrometheus(w, s.metricsSnapshot())
 }
 
-// metricsPath reports whether path is one of the metrics endpoints, which
-// stay exempt from load shedding: observability must survive overload.
-func metricsPath(path string) bool {
-	return path == "/api/v1/metrics" || path == "/metrics"
-}
-
 // annotateSearch enriches the access log — and, for degraded answers, the
 // request's root span — with the facts the handler learned doing the work:
 // the resolved algorithm, the result count, and partial-coverage details.
