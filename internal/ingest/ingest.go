@@ -283,6 +283,9 @@ func (q *Queue) Enqueue(req Request) (Job, bool, error) {
 		enqueued: time.Now(),
 		done:     make(chan struct{}),
 	}
+	// The snapshot is taken before a worker can see j: the caller learns
+	// the accepted state, not whatever state the race with the worker left.
+	accepted := j.snapshot()
 	select {
 	case q.intake <- j:
 	default:
@@ -305,7 +308,7 @@ func (q *Queue) Enqueue(req Request) (Job, bool, error) {
 		m.Enqueued.Add(1)
 		m.SetDepth(depth)
 	}
-	return j.snapshot(), true, nil
+	return accepted, true, nil
 }
 
 // Get returns the status snapshot of the identified job.

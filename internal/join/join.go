@@ -140,7 +140,7 @@ func Run(ix *index.Index, q *twig.Query, alg Algorithm, opts Options) (*Result, 
 	var sp *obs.Span
 	if ev.ctx != nil {
 		// Fail fast on a context that is already dead — a request whose
-		// deadline expired in middleware never starts the join at all.
+		// deadline expired before the handler ran never starts the join.
 		if err := ev.ctx.Err(); err != nil {
 			return nil, err
 		}

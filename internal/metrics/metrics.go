@@ -170,10 +170,10 @@ type Endpoint struct {
 	Requests atomic.Int64 // all requests routed to the endpoint
 	Errors   atomic.Int64 // responses with status >= 400 (including the two below)
 	Timeouts atomic.Int64 // responses that hit the per-request deadline (504)
-	// Shed counts responses refused by admission control: per-client rate
-	// limiting (429, tallied by Record) plus the in-flight limiter's and the
-	// drain gate's 503s (tallied explicitly by their OnShed hooks, so
-	// handler-path 503s like shard quarantine are never conflated in).
+	// Shed counts requests refused by admission control: the drain and the
+	// in-flight limit (503) and the per-client rate limit (429).  The
+	// server's admission outcome tallies it, so handler-path 503s like shard
+	// quarantine are never conflated in.
 	Shed    atomic.Int64
 	Latency Histogram
 }
@@ -185,11 +185,8 @@ func (e *Endpoint) Record(status int, d time.Duration) {
 	if status >= 400 {
 		e.Errors.Add(1)
 	}
-	switch status {
-	case 504:
+	if status == 504 {
 		e.Timeouts.Add(1)
-	case 429:
-		e.Shed.Add(1)
 	}
 }
 

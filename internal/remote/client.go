@@ -298,8 +298,8 @@ func (c *Client) doHeader(ctx context.Context, method, path string, qv url.Value
 		req.Header.Set("Content-Type", "application/json")
 	}
 	// One request ID names the whole router->shard tree: the shard server's
-	// RequestID middleware adopts an inbound X-Request-Id, so its logs and
-	// trace join the router's under the same ID.
+	// request envelope adopts an inbound X-Request-Id, so its logs and trace
+	// join the router's under the same ID.
 	if id := httpmw.RequestIDFrom(ctx); id != "" {
 		req.Header.Set("X-Request-Id", id)
 	}

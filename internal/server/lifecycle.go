@@ -13,9 +13,9 @@ import (
 // # Drain
 //
 // BeginDrain flips the server into draining: /readyz reports not ready (so
-// load balancers stop routing here), and the drain gate in the middleware
-// chain answers new non-exempt requests 503 + Retry-After while requests
-// already past the gate finish normally.  Drain then waits for the ingest
+// load balancers stop routing here), and admission in the request envelope
+// answers new non-exempt requests 503 + Retry-After while requests already
+// admitted finish normally.  Drain then waits for the ingest
 // queue to empty under the caller's deadline.  cmd/lotusx-server wires
 // SIGTERM to BeginDrain + http.Server.Shutdown + Drain, so a rolling restart
 // completes in-flight queries and accepted ingests instead of dropping them.
@@ -36,16 +36,13 @@ import (
 const journalDirName = "_journal"
 
 // BeginDrain flips the server into draining (idempotent).  New non-exempt
-// requests are refused by the drain gate; /readyz reports not ready.
+// requests are refused at admission; /readyz reports not ready.
 func (s *Server) BeginDrain() {
 	if s.draining.CompareAndSwap(false, true) {
 		s.reg.Lifecycle().SetDraining(true)
 		s.logger.Info("drain started: refusing new work, finishing in-flight requests and queued ingests")
 	}
 }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain begins draining (if not already begun) and waits, up to ctx's
 // deadline, for the ingest queue to finish queued and running jobs.  The

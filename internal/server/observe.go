@@ -6,15 +6,13 @@ import (
 	"strconv"
 	"time"
 
-	"lotusx/internal/httpmw"
 	"lotusx/internal/obs"
-	"lotusx/internal/slo"
 )
 
 // The cluster observability surface: the tail-sampled trace store behind
 // GET /api/v1/traces, the federated cluster rollup behind
-// GET /api/v1/cluster/metrics, and the SLO middleware feeding the declared
-// objectives.  See docs/OBSERVABILITY.md, "The cluster tier".
+// GET /api/v1/cluster/metrics, and the SLO objectives the request envelope
+// feeds.  See docs/OBSERVABILITY.md, "The cluster tier".
 
 // tracesResponse is the payload of GET /api/v1/traces: summaries (no span
 // trees) newest-first, plus the store's retention counters.
@@ -96,23 +94,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // snapshots (mounted only in router mode, next to GET /api/v1/cluster).
 func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.reg.Cluster().Snapshot())
-}
-
-// sloObserve feeds every finished response on a serving route into the SLO
-// tracker: the endpoint name, final status, and wall-clock latency.
-func sloObserve(t *slo.Tracker, endpoint string) httpmw.Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			sw := httpmw.NewStatusWriter(w)
-			start := time.Now()
-			next.ServeHTTP(sw, r)
-			status := sw.Status()
-			if status == 0 {
-				status = http.StatusOK
-			}
-			t.Observe(endpoint, status, time.Since(start))
-		})
-	}
 }
 
 // SLOBurning reports the objectives currently burning their fast window, ""

@@ -2,11 +2,11 @@
 // serving layer that grew out of the demo paper's web GUI.  The versioned
 // JSON API under /api/v1 mirrors the GUI's interactions one-to-one:
 // statistics, position-aware completion while a twig grows, query evaluation
-// with ranking and rewriting, and answer snippets.  Every request runs under
-// a configurable deadline with cooperative mid-join cancellation, behind a
-// middleware stack (request IDs, structured logging, panic recovery, load
-// shedding) with per-endpoint metrics at /api/v1/metrics.  See README.md in
-// this directory for the full v1 surface.
+// with ranking and rewriting, and answer snippets.  Every request passes one
+// envelope (request IDs, admission control, a configurable deadline with
+// cooperative mid-join cancellation, panic recovery, per-endpoint metrics at
+// /api/v1/metrics, the access log) driven by the route table.  See README.md
+// in this directory for the full v1 surface.
 package server
 
 import (
@@ -153,7 +153,6 @@ const defaultCompactThreshold = 4
 type Server struct {
 	catalog      *core.Catalog
 	mux          *http.ServeMux
-	handler      http.Handler
 	reg          *metrics.Registry
 	corpusDir    string
 	corpusTuning corpus.Tuning
@@ -182,9 +181,16 @@ type Server struct {
 	journal    *ingest.Journal
 	journalMu  sync.Mutex
 	journalOff bool
-	// draining flips on BeginDrain: the drain gate refuses new non-exempt
+	// draining flips on BeginDrain: admission refuses new non-exempt
 	// requests and /readyz reports not ready.
 	draining atomic.Bool
+	// The request envelope (envelope.go): the endpoints by name, the
+	// in-flight slots (nil without -max-inflight), the per-client rate
+	// limiter (nil without -rate-qps) and the per-request deadline.
+	endpoints map[string]*endpoint
+	slots     chan struct{}
+	rate      *httpmw.RateLimiter
+	timeout   time.Duration
 
 	// routes is the mounted route table — the single source of truth for the
 	// HTTP surface, kept for the API contract dump (see contract.go).
@@ -219,7 +225,7 @@ func NewConfig(engine *core.Engine, cfg Config) *Server {
 func NewCatalog(catalog *core.Catalog) *Server { return NewCatalogConfig(catalog, Config{}) }
 
 // NewCatalogConfig returns a Server over several named datasets, wiring the
-// middleware stack and per-endpoint metrics from cfg.
+// request envelope and per-endpoint metrics from cfg.
 func NewCatalogConfig(catalog *core.Catalog, cfg Config) *Server {
 	reg := cfg.Metrics
 	if reg == nil {
@@ -257,6 +263,13 @@ func NewCatalogConfig(catalog *core.Catalog, cfg Config) *Server {
 		maxIngest:        cfg.MaxIngestBytes,
 		clusterStatus:    cfg.ClusterStatus,
 		slo:              cfg.SLO,
+		timeout:          cfg.QueryTimeout,
+	}
+	if cfg.MaxInflight > 0 {
+		s.slots = make(chan struct{}, cfg.MaxInflight)
+	}
+	if cfg.RateQPS > 0 {
+		s.rate = httpmw.NewRateLimiter(cfg.RateQPS, cfg.RateBurst, reg.Admission())
 	}
 	if cfg.TraceCapacity >= 0 {
 		s.traces = obs.NewStore(obs.StoreConfig{
@@ -270,7 +283,7 @@ func NewCatalogConfig(catalog *core.Catalog, cfg Config) *Server {
 	}
 	// Lifecycle metrics exist on every server so the exposition is uniform
 	// (draining 0 until a drain starts, journal counters 0 without admin).
-	lifecycle := reg.Lifecycle()
+	reg.Lifecycle()
 	if cfg.EnableAdmin {
 		s.queue = ingest.New(ingest.Config{
 			Workers:  cfg.IngestWorkers,
@@ -287,68 +300,21 @@ func NewCatalogConfig(catalog *core.Catalog, cfg Config) *Server {
 
 	s.routes = routeTable(s)
 	s.mount(cfg)
-
-	exempt := shedExemptMatcher(s.routes)
-	mws := []httpmw.Middleware{
-		httpmw.RequestID(),
-		httpmw.Logging(cfg.Logger),
-		httpmw.Recover(cfg.Logger),
-		// The drain gate sits ahead of the limiters: once BeginDrain flips,
-		// new non-exempt requests answer 503 immediately while requests
-		// already past the gate finish on their own time.
-		httpmw.DrainGate(s.draining.Load, httpmw.DrainGateOptions{
-			RetryAfter: time.Second,
-			OnReject: func(r *http.Request) {
-				lifecycle.DrainRejected.Add(1)
-				ep := reg.Endpoint(endpointName(r.URL.Path))
-				ep.Record(http.StatusServiceUnavailable, 0)
-				ep.Shed.Add(1)
-			},
-			Exempt: exempt,
-		}),
-		httpmw.Limit(cfg.MaxInflight, httpmw.LimitOptions{
-			RetryAfter: time.Second,
-			OnShed: func(r *http.Request) {
-				// Shed requests never reach per-endpoint instrumentation;
-				// record them here so the endpoint's counters stay honest.
-				ep := reg.Endpoint(endpointName(r.URL.Path))
-				ep.Record(http.StatusServiceUnavailable, 0)
-				ep.Shed.Add(1)
-			},
-			// Shed-exempt routes (marked in the route table) bypass the
-			// limiter: observability must survive overload, and job polls
-			// must answer while the ingest that created them loads the box.
-			Exempt: exempt,
-		}),
-	}
-	if cfg.RateQPS > 0 {
-		mws = append(mws, httpmw.RateLimit(httpmw.RateLimitOptions{
-			QPS:     cfg.RateQPS,
-			Burst:   cfg.RateBurst,
-			Metrics: reg.Admission(),
-			OnLimited: func(r *http.Request, client string) {
-				// Record tallies 429s into Shed itself.
-				reg.Endpoint(endpointName(r.URL.Path)).Record(http.StatusTooManyRequests, 0)
-			},
-			Exempt: exempt,
-		}))
-	}
-	mws = append(mws, httpmw.Deadline(cfg.QueryTimeout))
-	s.handler = httpmw.Chain(s.mux, mws...)
 	return s
 }
 
 // route is one row of the server's route table — the single source of truth
 // for the HTTP surface.  Everything derives from it: the mux registrations,
-// the per-path 405 fallbacks with their Allow headers, the load-shedding
-// exemptions, and the API contract dump (contract.go).
+// the per-path 405 fallbacks with their Allow headers, the endpoint each
+// request is admitted and recorded under, and the API contract dump
+// (contract.go).
 type route struct {
 	method string // HTTP method
 	path   string // Go 1.22 ServeMux pattern
 	name   string // metrics endpoint name
 	h      http.HandlerFunc
 	admin  bool // mounted only with Config.EnableAdmin
-	exempt bool // bypasses the load limiter
+	exempt bool // bypasses admission control
 	router bool // mounted only with Config.ClusterStatus (router mode)
 }
 
@@ -391,13 +357,16 @@ func routeTable(s *Server) []route {
 // through GET patterns).
 var fallbackMethods = []string{"GET", "HEAD", "POST", "PUT", "DELETE", "PATCH", "OPTIONS"}
 
-// mount derives the full mux from the route table: instrumented method
-// registrations and 405+Allow fallbacks for every known path under each
-// unregistered method.
+// mount derives the full mux from the route table: method registrations
+// and 405+Allow fallbacks for every known path under each unregistered
+// method, plus GET / as the page, each wrapped in admitted under its
+// endpoint.
 func (s *Server) mount(cfg Config) {
+	s.endpoints = map[string]*endpoint{"page": {name: "page", metrics: s.reg.Endpoint("page")}}
 	// methodsByPath collects, per mounted path, the methods it serves — the
 	// source of both the Allow headers and the fallback registrations.
 	methodsByPath := make(map[string][]string)
+	endpointByPath := make(map[string]*endpoint)
 	for _, rt := range s.routes {
 		if rt.admin && !cfg.EnableAdmin {
 			continue
@@ -405,14 +374,17 @@ func (s *Server) mount(cfg Config) {
 		if rt.router && s.clusterStatus == nil {
 			continue
 		}
-		h := httpmw.Chain(rt.h, httpmw.Instrument(s.reg.Endpoint(rt.name)))
-		if s.slo != nil && !rt.admin && !rt.exempt {
+		e := s.endpoints[rt.name]
+		if e == nil {
 			// The serving surface feeds the SLO engine; admin writes and the
 			// observability routes are operations, not the product.
-			h = sloObserve(s.slo, rt.name)(h)
+			e = &endpoint{name: rt.name, exempt: rt.exempt, slo: s.slo != nil && !rt.admin && !rt.exempt,
+				metrics: s.reg.Endpoint(rt.name)}
+			s.endpoints[rt.name] = e
 		}
-		s.mux.Handle(rt.method+" "+rt.path, h)
+		s.mux.Handle(rt.method+" "+rt.path, s.admitted(e, rt.h))
 		methodsByPath[rt.path] = append(methodsByPath[rt.path], rt.method)
+		endpointByPath[rt.path] = e
 	}
 	for path, methods := range methodsByPath {
 		sort.Strings(methods)
@@ -425,11 +397,10 @@ func (s *Server) mount(cfg Config) {
 			if serves[m] || (m == "HEAD" && serves["GET"]) {
 				continue
 			}
-			s.mux.Handle(m+" "+path, methodNotAllowed(allow))
+			s.mux.Handle(m+" "+path, s.admitted(endpointByPath[path], methodNotAllowed(allow)))
 		}
 	}
-	s.mux.Handle("GET /", httpmw.Chain(http.HandlerFunc(s.handleIndex),
-		httpmw.Instrument(s.reg.Endpoint("page"))))
+	s.mux.Handle("GET /", s.admitted(s.endpoints["page"], http.HandlerFunc(s.handleIndex)))
 }
 
 // methodNotAllowed answers 405 with the Allow header and the v1 envelope —
@@ -443,36 +414,6 @@ func methodNotAllowed(allow string) http.Handler {
 	})
 }
 
-// shedExemptMatcher compiles the route table's exempt marks into the load
-// limiter's bypass predicate.  Wildcard segments match any path with the
-// pattern's literal prefix (the table's exempt patterns put wildcards last).
-func shedExemptMatcher(routes []route) func(*http.Request) bool {
-	exact := make(map[string]bool)
-	var prefixes []string
-	for _, rt := range routes {
-		if !rt.exempt {
-			continue
-		}
-		if i := strings.IndexByte(rt.path, '{'); i >= 0 {
-			prefixes = append(prefixes, rt.path[:i])
-		} else {
-			exact[rt.path] = true
-		}
-	}
-	return func(r *http.Request) bool {
-		p := r.URL.Path
-		if exact[p] {
-			return true
-		}
-		for _, pre := range prefixes {
-			if strings.HasPrefix(p, pre) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
 // Close stops the async-ingestion pipeline (waiting for running jobs'
 // contexts to unwind) and closes the ingest journal.  The HTTP handler
 // itself is stateless.
@@ -483,19 +424,6 @@ func (s *Server) Close() {
 	if j := s.journalRef(); j != nil {
 		j.Close()
 	}
-}
-
-// endpointName maps a request path to its metrics endpoint name.
-func endpointName(path string) string {
-	p := strings.TrimPrefix(path, "/api/v1/")
-	p = strings.TrimPrefix(p, "/api/")
-	if p == "" || p == "/" {
-		return "page"
-	}
-	if i := strings.IndexByte(p, '/'); i > 0 {
-		p = p[:i]
-	}
-	return p
 }
 
 // Metrics returns the server's metrics registry.
@@ -584,9 +512,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.clusterStatus())
 }
 
-// ServeHTTP implements http.Handler, serving through the middleware stack.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -616,8 +541,7 @@ func tooLarge(w http.ResponseWriter, r *http.Request, err error) {
 
 // overloaded answers 503 for writes the ingest queue cannot absorb.
 func overloaded(w http.ResponseWriter, r *http.Request, err error) {
-	w.Header().Set("Retry-After", "1")
-	httpmw.WriteErrorCtx(r.Context(), w, http.StatusServiceUnavailable, httpmw.CodeOverloaded, err.Error())
+	refuse(w, r, http.StatusServiceUnavailable, time.Second, err.Error())
 }
 
 // writeBackendError maps a failed search, completion or explain to its
@@ -638,9 +562,7 @@ func writeBackendError(w http.ResponseWriter, r *http.Request, err error, fallba
 	case isCtxError(err):
 		writeCtxError(w, r, err)
 	case errors.As(err, &qe):
-		secs := max(1, int((qe.RetryAfter+time.Second-1)/time.Second))
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		httpmw.WriteErrorCtx(r.Context(), w, http.StatusServiceUnavailable, httpmw.CodeOverloaded, err.Error())
+		refuse(w, r, http.StatusServiceUnavailable, qe.RetryAfter, err.Error())
 	case errors.As(err, &se):
 		httpmw.WriteErrorCtx(r.Context(), w, http.StatusBadGateway, httpmw.CodeUpstream, err.Error())
 	default:

@@ -71,8 +71,7 @@ func (s *Server) finishTrace(r *http.Request, tr *obs.Trace, q *twig.Query) *obs
 		return nil
 	}
 	tr.Finish()
-	foldTrace(s.reg, tr)
-	facts := traceFacts(tr)
+	facts := foldTrace(s.reg, tr)
 	d := tr.Root().Duration()
 	if s.slowQuery > 0 && d >= s.slowQuery {
 		s.logSlowQuery(r, tr, q, d, facts)
@@ -111,31 +110,6 @@ type requestFacts struct {
 	hedgeWon     bool   // a hedged RPC answered first
 }
 
-// traceFacts walks the finished trace for the request's classification.
-func traceFacts(tr *obs.Trace) requestFacts {
-	root := tr.Root()
-	f := requestFacts{
-		err:          root.Attr("error"),
-		partial:      root.Attr("partial") == "true",
-		failedShards: root.Attr("failedShards"),
-		quarantined:  root.Attr("quarantined") == "true",
-		cache:        root.Attr("cache"),
-	}
-	tr.Each(func(sp *obs.Span) {
-		switch sp.Name() {
-		case "rpc":
-			if sp.Attr("hedged") == "true" {
-				f.hedged = true
-			}
-		case "shard":
-			if sp.Attr("hedge") == "won" {
-				f.hedgeWon = true
-			}
-		}
-	})
-	return f
-}
-
 // annotateTraceError records a failed request on its root span so the trace
 // store retains the trace: the error text, and the quarantine classification
 // when the failure was open shard circuit breakers.
@@ -147,20 +121,37 @@ func annotateTraceError(r *http.Request, err error) {
 	}
 }
 
-// foldTrace feeds every finished span's duration into the registry's
-// per-stage histograms, so stage aggregates are always on whether or not a
-// client asked to see a trace.  The root span (the whole request, already
-// covered by endpoint latency) and per-shard spans (covered by the corpus's
-// per-shard histograms, which would explode stage cardinality here) are
-// skipped.
-func foldTrace(reg *metrics.Registry, tr *obs.Trace) {
+// foldTrace walks the finished trace once.  It feeds every span's duration
+// into the registry's per-stage histograms, so stage aggregates are always
+// on whether or not a client asked to see a trace, and it collects the
+// request's classification facts.  The root span (the whole request,
+// already covered by endpoint latency) and per-shard spans (covered by the
+// corpus's per-shard histograms, which would explode stage cardinality
+// here) are not folded.
+func foldTrace(reg *metrics.Registry, tr *obs.Trace) requestFacts {
 	root := tr.Root()
+	f := requestFacts{
+		err:          root.Attr("error"),
+		partial:      root.Attr("partial") == "true",
+		failedShards: root.Attr("failedShards"),
+		quarantined:  root.Attr("quarantined") == "true",
+		cache:        root.Attr("cache"),
+	}
 	tr.Each(func(sp *obs.Span) {
-		if sp == root || sp.Name() == "shard" {
-			return
+		switch {
+		case sp == root:
+		case sp.Name() == "shard":
+			if sp.Attr("hedge") == "won" {
+				f.hedgeWon = true
+			}
+		default:
+			if sp.Name() == "rpc" && sp.Attr("hedged") == "true" {
+				f.hedged = true
+			}
+			reg.Stage(sp.Name()).Observe(sp.Duration())
 		}
-		reg.Stage(sp.Name()).Observe(sp.Duration())
 	})
+	return f
 }
 
 // logSlowQuery emits one structured warning for a query that exceeded the
