@@ -3,6 +3,7 @@ package doc
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 
 	"lotusx/internal/labeling"
@@ -79,14 +80,18 @@ func (b *Builder) StartFrom(src *Document, n NodeID) {
 // Chunks are trimmed and joined by one space, as the parser's text events
 // are, so one that trims to nothing still adds a space after earlier text.
 // Outside every element Text does nothing.
-func (b *Builder) Text(s string) {
+func (b *Builder) Text(s string) { addText(b, strings.TrimSpace(s)) }
+
+// addText is Text over a chunk trimmed already; FromReader hands it a slice
+// of the parser's window, which End copies into the value.
+func addText[S ~string | ~[]byte](b *Builder, s S) {
 	if len(b.open) == 0 {
 		return
 	}
 	if len(b.text) > b.open[len(b.open)-1].text {
 		b.text = append(b.text, ' ')
 	}
-	b.text = append(b.text, strings.TrimSpace(s)...)
+	b.text = append(b.text, s...)
 }
 
 // End closes the innermost open element.
@@ -113,6 +118,18 @@ func (b *Builder) Copy(src *Document, n NodeID) {
 	}
 	b.d.values[b.open[len(b.open)-1].id] = src.Value(n)
 	b.End()
+}
+
+// reserve grows the node arrays and the Dewey arena once, by what the nodes
+// built from the first consumed bytes of a total-byte source predict for the
+// rest of it, with a little to spare; Done gives back what is left over.
+// A source longer than it said only grows by append on the way.
+func (b *Builder) reserve(consumed, total int) {
+	more := func(n int) int { return max(0, n*(total-consumed)/consumed) + n/16 }
+	nodes, digits := more(len(b.d.nodes)), more(b.d.dewey.Digits())
+	b.d.nodes = slices.Grow(b.d.nodes, nodes)
+	b.d.values = slices.Grow(b.d.values, nodes)
+	b.d.dewey.Grow(nodes, digits)
 }
 
 // Done returns the document once its root element has ended.

@@ -8,7 +8,9 @@
 package doc
 
 import (
+	"bytes"
 	"io"
+	"io/fs"
 	"strings"
 
 	"lotusx/internal/labeling"
@@ -179,39 +181,60 @@ func (d *Document) Path(n NodeID) string {
 
 // FromReader parses src into a Document named name.
 func FromReader(name string, src io.Reader) (*Document, error) {
-	// An in-memory source knows its length, which sizes the node arrays up
-	// front instead of regrowing them a dozen times on the way.
-	nodes := 1024
-	if l, ok := src.(interface{ Len() int }); ok {
-		nodes += l.Len() / sourceBytesPerNode
-	}
-	b := NewBuilder(name, nodes)
+	// An in-memory source or a file knows its length.  The node arrays
+	// start sized for a sample of it; once the sample is parsed they are
+	// grown once to what its density of nodes and Dewey digits predicts for
+	// the whole source, instead of regrowing a dozen times on the way.
+	total := sourceLen(src)
+	b := NewBuilder(name, 1024+min(total, sampleBytes)/minBytesPerNode)
+	sized := total < 2*sampleBytes
 	p := xmlparse.NewParser(src)
 	for {
-		ev, err := p.Next()
+		t, err := p.NextToken()
 		if err == io.EOF {
 			return b.Done()
 		}
 		if err != nil {
 			return nil, err
 		}
-		switch ev.Kind {
+		switch t.Kind {
 		case xmlparse.StartElement:
-			b.Start(ev.Name, ev.Attrs)
+			b.Start(t.Name, t.Attrs)
 		case xmlparse.EndElement:
 			b.End()
 		case xmlparse.Text:
-			b.Text(ev.Value)
+			addText(b, bytes.TrimSpace(t.Value))
 		case xmlparse.Comment, xmlparse.ProcInst:
 			// Comments and PIs carry no query-relevant content.
+		}
+		if !sized && p.Offset() >= sampleBytes {
+			sized = true
+			b.reserve(p.Offset(), total)
 		}
 	}
 }
 
-// sourceBytesPerNode estimates a document's node count from its XML length:
-// record-oriented data (DBLP, XMark) spends about 30 bytes per element or
-// attribute.  A low estimate only leaves the last growth steps to append.
-const sourceBytesPerNode = 32
+// sourceLen returns the length of src when it knows it, or 0.
+func sourceLen(src io.Reader) int {
+	switch s := src.(type) {
+	case interface{ Len() int }:
+		return s.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := s.Stat(); err == nil && fi.Mode().IsRegular() {
+			return int(fi.Size())
+		}
+	}
+	return 0
+}
+
+// sampleBytes is how much of an in-memory source FromReader parses before
+// sizing the document from it.  minBytesPerNode is the density the first
+// allocation is made for: record data spends about 30 bytes per node,
+// TreeBank's deep markup 12.
+const (
+	sampleBytes     = 64 << 10
+	minBytesPerNode = 8
+)
 
 // FromString parses src into a Document, convenient in tests.
 func FromString(name, src string) (*Document, error) {

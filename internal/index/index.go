@@ -12,6 +12,7 @@ package index
 
 import (
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -106,7 +107,6 @@ func newRaw(d *doc.Document) *Index {
 		document:   d,
 		streams:    make([][]doc.NodeID, ntags),
 		exact:      make(map[string][]doc.NodeID),
-		tagTrie:    trie.New(),
 		valueTries: make(map[doc.TagID]*trie.Trie),
 	}
 	counts := make([]int, ntags)
@@ -124,14 +124,17 @@ func newRaw(d *doc.Document) *Index {
 		tag := d.Tag(n)
 		ix.streams[tag] = append(ix.streams[tag], n)
 	}
-	for id := doc.TagID(0); int(id) < ntags; id++ {
-		ix.tagTrie.Insert(d.Tags().Name(id), int64(counts[id]), int32(id))
+	tags := make([]trie.Entry, ntags)
+	for id := range tags {
+		tags[id] = trie.Entry{Word: d.Tags().Name(doc.TagID(id)), Weight: int64(counts[id]), Datum: int32(id)}
 	}
+	ix.tagTrie = trie.Build(tags)
 	return ix
 }
 
-// scanValues fills the exact map and the per-tag value tries from every
-// valued node in document order, handing each to visit as well.
+// scanValues fills the exact map from every valued node in document order,
+// handing each to visit as well, then builds the per-tag value tries from
+// it.
 func (ix *Index) scanValues(visit func(n doc.NodeID, v string)) {
 	d := ix.document
 	for i := 0; i < d.Len(); i++ {
@@ -142,14 +145,42 @@ func (ix *Index) scanValues(visit func(n doc.NodeID, v string)) {
 		}
 		lower := foldValue(v)
 		ix.exact[lower] = append(ix.exact[lower], n)
-		tag := d.Tag(n)
-		vt := ix.valueTries[tag]
-		if vt == nil {
-			vt = trie.New()
-			ix.valueTries[tag] = vt
-		}
-		vt.Insert(lower, 1, int32(n))
 		visit(n, v)
+	}
+	ix.buildValueTries()
+}
+
+// buildValueTries gives every tag with a valued node the trie of its folded
+// values: one entry per distinct value, weighted by how many of the tag's
+// nodes carry it, with the first such node as its datum.  The exact map
+// holds each value's nodes in document order, so one pass over it collects
+// the entries, a value's entry for a tag being the last one appended while
+// that value is visited.
+func (ix *Index) buildValueTries() {
+	d := ix.document
+	entries := make([][]trie.Entry, d.Tags().Len())
+	visit := make([]int, d.Tags().Len()) // the value visit that last appended to a tag
+	seq := 0
+	for v, nodes := range ix.exact {
+		seq++
+		for _, n := range nodes {
+			tag := d.Tag(n)
+			if visit[tag] == seq {
+				entries[tag][len(entries[tag])-1].Weight++
+				continue
+			}
+			visit[tag] = seq
+			entries[tag] = append(entries[tag], trie.Entry{Word: v, Weight: 1, Datum: int32(n)})
+		}
+	}
+	for tag, es := range entries {
+		if len(es) == 0 {
+			continue
+		}
+		// Folded values are valid UTF-8 (strings.ToLower rewrites an invalid
+		// byte as U+FFFD) and distinct, so Build merges none of them.
+		slices.SortFunc(es, func(a, b trie.Entry) int { return strings.Compare(a.Word, b.Word) })
+		ix.valueTries[doc.TagID(tag)] = trie.Build(es)
 	}
 }
 

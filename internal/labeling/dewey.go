@@ -1,5 +1,7 @@
 package labeling
 
+import "slices"
+
 // Dewey is a Dewey order code: the sequence of zero-based child ordinals on
 // the path from the root to a node.  The root's Dewey label is the empty
 // slice.  Dewey labels sort lexicographically in document order, with a
@@ -78,6 +80,16 @@ func (a *DeweyArena) Append(label Dewey) int32 {
 	a.offs = append(a.offs, int32(len(a.digits)))
 	return int32(len(a.offs) - 2)
 }
+
+// Grow reserves room for n more labels of digits digits in all, so that
+// many appends allocate nothing.
+func (a *DeweyArena) Grow(n, digits int) {
+	a.offs = slices.Grow(a.offs, n)
+	a.digits = slices.Grow(a.digits, digits)
+}
+
+// Digits returns the number of digits stored over all labels.
+func (a *DeweyArena) Digits() int { return len(a.digits) }
 
 // Fit releases capacity that NewDeweyArena's hints reserved well beyond the
 // labels appended (a text-heavy document has far fewer nodes than its size

@@ -27,7 +27,8 @@ func benchWords(n int) []string {
 	return words
 }
 
-// BenchmarkInsert builds one trie of 20000 phrases per iteration.
+// BenchmarkInsert builds one trie of 20000 phrases per iteration with the
+// Insert reference.
 func BenchmarkInsert(b *testing.B) {
 	words := benchWords(20000)
 	b.ReportAllocs()
@@ -36,5 +37,19 @@ func BenchmarkInsert(b *testing.B) {
 		for j, w := range words {
 			t.Insert(w, 1, int32(j))
 		}
+	}
+}
+
+// BenchmarkBuild builds the trie of the same 20000 phrases, entries merged
+// and sorted by Build, per iteration.
+func BenchmarkBuild(b *testing.B) {
+	words := benchWords(20000)
+	entries := make([]Entry, len(words))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j, w := range words {
+			entries[j] = Entry{Word: w, Weight: 1, Datum: int32(j)}
+		}
+		Build(entries)
 	}
 }

@@ -7,10 +7,11 @@ import (
 )
 
 func ExampleTrie_Complete() {
-	t := trie.New()
-	t.Insert("author", 50, -1)
-	t.Insert("auction", 30, -1)
-	t.Insert("austria", 7, -1)
+	t := trie.Build([]trie.Entry{
+		{Word: "author", Weight: 50, Datum: -1},
+		{Word: "auction", Weight: 30, Datum: -1},
+		{Word: "austria", Weight: 7, Datum: -1},
+	})
 	for _, e := range t.Complete("au", 2) {
 		fmt.Println(e.Word, e.Weight)
 	}
@@ -20,9 +21,10 @@ func ExampleTrie_Complete() {
 }
 
 func ExampleTrie_FuzzyComplete() {
-	t := trie.New()
-	t.Insert("author", 50, -1)
-	t.Insert("title", 20, -1)
+	t := trie.Build([]trie.Entry{
+		{Word: "author", Weight: 50, Datum: -1},
+		{Word: "title", Weight: 20, Datum: -1},
+	})
 	// One edit of slack rescues the typo.
 	for _, e := range t.FuzzyComplete("athor", 1, 3) {
 		fmt.Println(e.Word)

@@ -159,3 +159,64 @@ func TestQuickFuzzySupersetOfExact(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// buildSet is a quick-generatable list of entries for Build: short words
+// over ASCII, multi-byte runes and invalid UTF-8 bytes (several of which
+// decode to the same U+FFFD), repeats included, weights from zero up.
+type buildSet struct{ entries []Entry }
+
+// Generate implements quick.Generator.
+func (buildSet) Generate(rng *rand.Rand, size int) reflect.Value {
+	pieces := []string{"a", "b", "é", "日", "\xff", "\xfe", "\xc3", "�"}
+	n := rng.Intn(size + 1)
+	var bs buildSet
+	for i := 0; i < n; i++ {
+		var b strings.Builder
+		for j := rng.Intn(5); j > 0; j-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		bs.entries = append(bs.entries, Entry{Word: b.String(), Weight: int64(rng.Intn(9)), Datum: int32(i)})
+	}
+	return reflect.ValueOf(bs)
+}
+
+// TestQuickBuildMatchesInsert: Build yields the node graph of inserting the
+// same entries one by one — payloads, maxWeight, child runes, nil children
+// maps — and so answers every read the same way.
+func TestQuickBuildMatchesInsert(t *testing.T) {
+	prefixes := []string{"", "a", "b", "é", "日", "\xff", "�", "ab", "aé", "x"}
+	f := func(bs buildSet) bool {
+		ref := New()
+		for _, e := range bs.entries {
+			ref.Insert(e.Word, e.Weight, e.Datum)
+		}
+		got := Build(append([]Entry(nil), bs.entries...))
+		if d := Diff(got, ref); d != "" {
+			t.Logf("%q: %s", bs.entries, d)
+			return false
+		}
+		walk := func(tr *Trie) (out []Entry) {
+			tr.Walk(func(e Entry) bool { out = append(out, e); return true })
+			return out
+		}
+		if got.Len() != ref.Len() || !reflect.DeepEqual(walk(got), walk(ref)) {
+			return false
+		}
+		for _, p := range prefixes {
+			if !reflect.DeepEqual(got.Complete(p, 3), ref.Complete(p, 3)) ||
+				!reflect.DeepEqual(got.FuzzyComplete(p, 1, 4), ref.FuzzyComplete(p, 1, 4)) ||
+				got.Contains(p) != ref.Contains(p) || got.Weight(p) != ref.Weight(p) {
+				return false
+			}
+		}
+		for _, e := range bs.entries {
+			if got.Contains(e.Word) != ref.Contains(e.Word) || got.Weight(e.Word) != ref.Weight(e.Word) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -6,7 +6,10 @@ package trie
 
 import (
 	"container/heap"
+	"slices"
 	"sort"
+	"strings"
+	"unicode/utf8"
 )
 
 // Entry is a completion result.
@@ -22,65 +25,116 @@ type node struct {
 	// readers must treat a nil map as empty (lookups and range both do).
 	children map[rune]*node
 	// entry payload; present iff terminal.
-	terminal bool
 	weight   int64
 	datum    int32
+	terminal bool
 	// maxWeight is the largest terminal weight in this subtree; it lets
 	// top-k completion explore best-first and stop early.
 	maxWeight int64
 }
 
-func newNode() *node { return &node{datum: -1} }
-
-// Trie is a weighted prefix tree.  It is not safe for concurrent mutation;
-// after the last Insert it is safe for concurrent readers.
+// Trie is a weighted prefix tree.  It is immutable once built and safe for
+// concurrent readers.
 type Trie struct {
 	root *node
 	size int
 }
 
-// New returns an empty Trie.
-func New() *Trie { return &Trie{root: newNode()} }
-
 // Len returns the number of distinct words stored.
 func (t *Trie) Len() int { return t.size }
 
-// insertPathHint sizes Insert's on-stack root path; longer words spill to
-// the heap.
-const insertPathHint = 64
-
-// Insert adds word with the given weight and payload.  Inserting an existing
-// word adds the weight to the stored weight (and keeps the existing payload),
-// so repeated insertions accumulate occurrence counts.
-func (t *Trie) Insert(word string, weight int64, datum int32) {
-	cur := t.root
-	var buf [insertPathHint]*node
-	path := append(buf[:0], cur)
-	for _, r := range word {
-		next, ok := cur.children[r]
-		if !ok {
-			next = newNode()
+// Build returns the trie of entries: each word with its weight and datum.
+// Words that decode to the same runes are one word — an invalid UTF-8 byte
+// decodes to U+FFFD, as ranging over a string does — whose weight is their
+// sum and whose datum is the first one's in entries.  Weights must not be
+// negative.  Build rewrites an invalid word in entries as it decodes, and
+// sorts entries in place, stably, unless they come sorted.
+//
+// It is one pass over the sorted words: each word adds only the nodes past
+// its longest common prefix with the word before it, all taken from one
+// slab, and a node's maxWeight is settled when the pass leaves its subtree.
+func Build(entries []Entry) *Trie {
+	for i := range entries {
+		if !utf8.ValidString(entries[i].Word) {
+			entries[i].Word = string([]rune(entries[i].Word))
+		}
+	}
+	byWord := func(a, b Entry) int { return strings.Compare(a.Word, b.Word) }
+	if !slices.IsSortedFunc(entries, byWord) {
+		slices.SortStableFunc(entries, byWord)
+	}
+	nodes, prev := 1, ""
+	for _, e := range entries {
+		nodes += utf8.RuneCountInString(e.Word[commonPrefix(prev, e.Word):])
+		prev = e.Word
+	}
+	slab := make([]node, nodes)
+	for i := range slab {
+		slab[i].datum = -1
+	}
+	t := &Trie{root: &slab[0]}
+	slab = slab[1:]
+	// path holds the nodes of the previous word's runes, the root first;
+	// ends[d] is where the word's first d runes end.
+	path, ends := []*node{t.root}, []int{0}
+	prev = ""
+	for _, e := range entries {
+		lcp := commonPrefix(prev, e.Word)
+		d := len(ends) - 1
+		for ends[d] > lcp {
+			leave(path[d], path[d-1])
+			d--
+		}
+		path, ends = path[:d+1], ends[:d+1]
+		cur := path[d]
+		for i, r := range e.Word[lcp:] {
+			next := &slab[0]
+			slab = slab[1:]
 			if cur.children == nil {
 				cur.children = make(map[rune]*node)
 			}
 			cur.children[r] = next
+			cur = next
+			path = append(path, cur)
+			ends = append(ends, lcp+i+utf8.RuneLen(r))
 		}
-		cur = next
-		path = append(path, cur)
-	}
-	if cur.terminal {
-		cur.weight += weight
-	} else {
-		cur.terminal = true
-		cur.weight = weight
-		cur.datum = datum
-		t.size++
-	}
-	for _, n := range path {
-		if cur.weight > n.maxWeight {
-			n.maxWeight = cur.weight
+		if cur.terminal {
+			cur.weight += e.Weight
+		} else {
+			cur.terminal, cur.weight, cur.datum = true, e.Weight, e.Datum
+			t.size++
 		}
+		prev = e.Word
 	}
+	for d := len(path) - 1; d > 0; d-- {
+		leave(path[d], path[d-1])
+	}
+	leave(t.root, nil)
+	return t
+}
+
+// leave settles n's maxWeight once its subtree is complete and raises its
+// parent's with it.
+func leave(n, parent *node) {
+	if n.terminal && n.weight > n.maxWeight {
+		n.maxWeight = n.weight
+	}
+	if parent != nil && n.maxWeight > parent.maxWeight {
+		parent.maxWeight = n.maxWeight
+	}
+}
+
+// commonPrefix returns the length in bytes of the longest common prefix of
+// the valid UTF-8 strings a and b that ends on a rune boundary.
+func commonPrefix(a, b string) int {
+	n := 0
+	for n < len(a) && n < len(b) && a[n] == b[n] {
+		n++
+	}
+	for n > 0 && n < len(b) && !utf8.RuneStart(b[n]) {
+		n--
+	}
+	return n
 }
 
 // Contains reports whether word was inserted.

@@ -6,29 +6,31 @@ import (
 	"testing"
 )
 
+// fuzzSeeds seeds FuzzParser and FuzzParserMatchesReference.
+var fuzzSeeds = []string{
+	"",
+	"<a/>",
+	"<a><b x='1'>hi</b></a>",
+	`<?xml version="1.0"?><!DOCTYPE d [ <!ENTITY x "y"> ]><d/>`,
+	"<a>&lt;&#65;&#x42;</a>",
+	"<a><![CDATA[<raw>]]></a>",
+	"<a><!-- c --><?pi data?></a>",
+	"<a><b></a>",     // mismatched
+	"<a x=1/>",       // unquoted
+	"<a>&bogus;</a>", // unknown entity
+	"<",
+	"<a ",
+	"\xff\xfe<a/>",
+	strings.Repeat("<d>", 100) + strings.Repeat("</d>", 100),
+	"<a>" + strings.Repeat("&amp;", 50) + "</a>",
+}
+
 // FuzzParser checks that arbitrary byte input never makes the parser panic,
 // loop, or succeed-then-contradict itself: any input that parses completely
 // must re-parse to the same event sequence.  The seed corpus runs on every
 // plain `go test`; `go test -fuzz=FuzzParser` explores further.
 func FuzzParser(f *testing.F) {
-	seeds := []string{
-		"",
-		"<a/>",
-		"<a><b x='1'>hi</b></a>",
-		`<?xml version="1.0"?><!DOCTYPE d [ <!ENTITY x "y"> ]><d/>`,
-		"<a>&lt;&#65;&#x42;</a>",
-		"<a><![CDATA[<raw>]]></a>",
-		"<a><!-- c --><?pi data?></a>",
-		"<a><b></a>",     // mismatched
-		"<a x=1/>",       // unquoted
-		"<a>&bogus;</a>", // unknown entity
-		"<",
-		"<a ",
-		"\xff\xfe<a/>",
-		strings.Repeat("<d>", 100) + strings.Repeat("</d>", 100),
-		"<a>" + strings.Repeat("&amp;", 50) + "</a>",
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

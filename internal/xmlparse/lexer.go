@@ -10,9 +10,18 @@
 // balance, attribute uniqueness, name syntax — and reports errors with line
 // and column positions.  DTD-defined entities and external references are
 // out of scope (the paper's datasets do not need them).
+//
+// The parser scans spans, not bytes: it keeps a window of the source and
+// finds the end of each construct in it with bytes.IndexByte, bytes.Index
+// and a 256-entry byte class table, reading more only when a construct
+// runs past the window.  Names are interned, character data is handed out
+// as a slice of the window when it needs no decoding (see NextToken), and
+// line and column are counted over consumed spans only when an event's
+// position or an error asks for them.
 package xmlparse
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -71,6 +80,17 @@ type Event struct {
 	Col   int // 1-based column (in runes) of the event's first character
 }
 
+// Token is an event as the parser holds it: no position, and its value a
+// slice of the parser's window (or of its decoding buffer) instead of a
+// string.  Value and Attrs are valid until the next call to NextToken or
+// Next.  Name is interned: every occurrence of a name is the same string.
+type Token struct {
+	Kind  EventKind
+	Name  string
+	Value []byte
+	Attrs []Attr
+}
+
 // SyntaxError describes a well-formedness violation with its position.
 type SyntaxError struct {
 	Line int
@@ -83,25 +103,37 @@ func (e *SyntaxError) Error() string {
 }
 
 // Parser is a pull parser over a byte source.  Create one with NewParser and
-// call Next until it returns io.EOF.
+// call Next (or NextToken) until it returns io.EOF.  The first error is
+// final: every later call returns it again.
 type Parser struct {
 	src  io.Reader
-	buf  []byte
-	r, w int  // read/write cursors into buf
-	eof  bool // src exhausted
+	buf  []byte // the window: buf[r:w] is buffered and unread
+	r, w int
+	base int   // source offset of buf[0]
+	eof  bool  // src exhausted
+	rerr error // src's read error, when it ended with one other than io.EOF
+	err  error // the error every call returns once parsing has failed
 
-	line, col int // position of the next unread byte
+	// line and col are the position of source offset mark; pos moves the
+	// mark forward over consumed bytes.
+	mark, line, col int
 
-	stack []string // open element names
-	attrs []Attr   // reusable attribute buffer
-	text  strings.Builder
+	stack   []string          // open element names
+	names   map[string]string // interned names
+	attrs   []Attr            // reusable attribute buffer
+	seen    map[string]bool   // attribute names of a tag with many attributes
+	scratch []byte            // decoded character data or attribute value
 
-	started bool // a root element has been seen
-	rooted  bool // the root element has been closed
+	tok      Token // the token step produced
+	tokStart int   // source offset of its first byte
+	rooted   bool
 
-	pending            *Event // synthesized EndElement for a self-closing tag
-	rootedAfterPending bool   // the pending end closes the root element
-	bomChecked         bool   // a leading UTF-8 BOM has been looked for
+	// A self-closing tag queues its end event.
+	pending            bool
+	pendingName        string
+	pendingOff         int
+	rootedAfterPending bool
+	bomChecked         bool
 
 	// KeepWhitespace retains whitespace-only text events instead of
 	// suppressing them.  Set before the first call to Next.
@@ -109,12 +141,16 @@ type Parser struct {
 }
 
 // NewParser returns a Parser reading from src.
-func NewParser(src io.Reader) *Parser {
+func NewParser(src io.Reader) *Parser { return newParser(src, 64<<10) }
+
+// newParser returns a Parser whose window starts at size bytes.
+func newParser(src io.Reader, size int) *Parser {
 	return &Parser{
-		src:  src,
-		buf:  make([]byte, 0, 64<<10),
-		line: 1,
-		col:  1,
+		src:   src,
+		buf:   make([]byte, size),
+		line:  1,
+		col:   1,
+		names: make(map[string]string),
 	}
 }
 
@@ -124,133 +160,241 @@ func NewParserString(s string) *Parser { return NewParser(strings.NewReader(s)) 
 // Depth returns the number of currently open elements.
 func (p *Parser) Depth() int { return len(p.stack) }
 
-func (p *Parser) errf(format string, args ...any) error {
-	return &SyntaxError{Line: p.line, Col: p.col, Msg: fmt.Sprintf(format, args...)}
-}
+// Offset returns how many bytes of the source have been consumed: the
+// source offset just past the last token returned.
+func (p *Parser) Offset() int { return p.base + p.r }
 
-// fill ensures at least n unread bytes are buffered, unless the source ends
-// first.  It reports whether n bytes are available.
-func (p *Parser) fill(n int) bool {
-	for p.w-p.r < n && !p.eof {
-		if p.r > 0 && p.r == p.w {
-			p.r, p.w = 0, 0
-			p.buf = p.buf[:0]
+// more reads more of the source into the window, keeping every unread byte
+// where the cursor offsets of the token being scanned still find it.  It
+// reports false once the source is exhausted.  A read error ends the source
+// like EOF does; it is kept in rerr and reported instead of whatever the
+// truncated input would have been.
+func (p *Parser) more() bool {
+	if p.eof {
+		return false
+	}
+	if len(p.buf)-p.w <= len(p.buf)/4 {
+		keep := p.w - p.r
+		p.pos(p.base + p.r) // count what is about to be dropped
+		buf := p.buf
+		if keep > len(buf)/2 {
+			buf = make([]byte, 2*len(buf))
 		}
-		if cap(p.buf)-p.w < 4096 {
-			nb := make([]byte, p.w-p.r, max(2*cap(p.buf), 8192))
-			copy(nb, p.buf[p.r:p.w])
-			p.w -= p.r
-			p.r = 0
-			p.buf = nb[:p.w]
-		}
-		chunk := p.buf[p.w:cap(p.buf)]
-		m, err := p.src.Read(chunk)
-		p.buf = p.buf[:p.w+m]
-		p.w += m
-		if err == io.EOF {
+		copy(buf, p.buf[p.r:p.w])
+		p.buf, p.base, p.r, p.w = buf, p.base+p.r, 0, keep
+	}
+	for empty := 0; empty < 100; empty++ {
+		n, err := p.src.Read(p.buf[p.w:])
+		p.w += n
+		if err != nil {
 			p.eof = true
-		} else if err != nil {
-			p.eof = true // surface read errors as truncation
+			if err != io.EOF {
+				p.rerr = err
+			}
+			return n > 0
+		}
+		if n > 0 {
+			return true
 		}
 	}
-	return p.w-p.r >= n
+	p.eof, p.rerr = true, io.ErrNoProgress
+	return false
 }
 
-// peek returns the next unread byte without consuming it, or 0, false at EOF.
-func (p *Parser) peek() (byte, bool) {
-	if !p.fill(1) {
-		return 0, false
+// avail reports whether n bytes past the cursor are buffered, reading more
+// of the source if they are not yet.
+func (p *Parser) avail(n int) bool {
+	for p.w-p.r < n {
+		if !p.more() {
+			return false
+		}
 	}
-	return p.buf[p.r], true
+	return true
 }
 
-// peekAt returns the byte at offset i from the cursor.
-func (p *Parser) peekAt(i int) (byte, bool) {
-	if !p.fill(i + 1) {
+// at returns the byte at offset i from the cursor, or false at the end of
+// the input.
+func (p *Parser) at(i int) (byte, bool) {
+	if !p.avail(i + 1) {
 		return 0, false
 	}
 	return p.buf[p.r+i], true
 }
 
-// next consumes and returns one byte, tracking line/column.
-func (p *Parser) next() (byte, bool) {
-	if !p.fill(1) {
-		return 0, false
-	}
-	c := p.buf[p.r]
-	p.r++
-	if c == '\n' {
-		p.line++
-		p.col = 1
-	} else if c&0xC0 != 0x80 { // don't count UTF-8 continuation bytes
-		p.col++
-	}
-	return c, true
+// hasAt reports whether the input at offset i from the cursor starts with s.
+func (p *Parser) hasAt(i int, s string) bool {
+	return p.avail(i+len(s)) && string(p.buf[p.r+i:p.r+i+len(s)]) == s
 }
 
-// skipSpace consumes XML whitespace.
-func (p *Parser) skipSpace() {
-	for {
-		c, ok := p.peek()
-		if !ok || !isSpace(c) {
-			return
+// end is the cursor offset of the end of the input, once more has failed.
+func (p *Parser) end() int { return p.w - p.r }
+
+// pos returns the line and column of source offset off, counting newlines
+// and runes over the bytes between the mark and off.  Offsets are asked
+// for in increasing order, and never for a byte already dropped from the
+// window.  A column counts every byte that is not a UTF-8 continuation
+// byte, invalid ones included.
+func (p *Parser) pos(off int) (line, col int) {
+	if off > p.mark {
+		span := p.buf[p.mark-p.base : off-p.base]
+		if nl := bytes.LastIndexByte(span, '\n'); nl >= 0 {
+			p.line += bytes.Count(span[:nl], newline) + 1
+			p.col = 1
+			span = span[nl+1:]
 		}
-		p.next()
+		for _, c := range span {
+			if c&0xC0 != 0x80 {
+				p.col++
+			}
+		}
+		p.mark = off
+	}
+	return p.line, p.col
+}
+
+var newline = []byte{'\n'}
+
+// fail returns a SyntaxError at offset i from the cursor — or, when the
+// source failed, that read error, since the input it saw was cut short.
+// Positions are those of the byte-at-a-time parser this one replaced (kept
+// as the reference in test code): just past a byte it had to read to
+// reject, such as a misplaced one where '=' or '>' belongs, and at a byte
+// it only peeked at.
+func (p *Parser) fail(i int, format string, args ...any) error {
+	if p.rerr != nil {
+		return p.readError()
+	}
+	line, col := p.pos(p.base + p.r + i)
+	return &SyntaxError{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
+}
+
+// readError wraps the source's read error with where reading stopped.
+func (p *Parser) readError() error {
+	line, col := p.pos(p.base + p.w)
+	return fmt.Errorf("xmlparse: line %d col %d: reading input: %w", line, col, p.rerr)
+}
+
+// Byte classes: which constructs a byte continues or ends.
+const (
+	cSpace     = 1 << iota // XML whitespace
+	cNameStart             // may begin a name
+	cName                  // may continue a name
+	cTextStop              // ends a run of plain character data
+	cAttrStop              // ends a run of a plain attribute value
+)
+
+var class = func() (t [256]uint8) {
+	for _, c := range " \t\r\n" {
+		t[c] |= cSpace
+	}
+	// Multi-byte UTF-8 lead and continuation bytes are accepted wholesale:
+	// full Unicode name classes are overkill for the target datasets.
+	for c := 0; c < 256; c++ {
+		if c == '_' || c == ':' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c >= 0x80 {
+			t[c] |= cNameStart | cName
+		}
+		if c == '-' || c == '.' || (c >= '0' && c <= '9') {
+			t[c] |= cName
+		}
+		if c < 0x20 && t[c]&cSpace == 0 {
+			t[c] |= cTextStop | cAttrStop
+		}
+	}
+	for _, c := range "<&]" {
+		t[c] |= cTextStop
+	}
+	for _, c := range "<&\"'\t\r\n" {
+		t[c] |= cAttrStop
+	}
+	return t
+}()
+
+// skipSpace returns the offset of the first non-space byte at or after i.
+func (p *Parser) skipSpace(i int) int {
+	for {
+		for b := p.buf[p.r:p.w]; i < len(b); i++ {
+			if class[b[i]]&cSpace == 0 {
+				return i
+			}
+		}
+		if !p.more() {
+			return i
+		}
 	}
 }
 
-// expect consumes the literal s or returns an error.
-func (p *Parser) expect(s string) error {
-	for i := 0; i < len(s); i++ {
-		c, ok := p.next()
+// name reads the XML name at offset i and returns it interned, with the
+// offset just past it.
+func (p *Parser) name(i int) (string, int, error) {
+	c, ok := p.at(i)
+	if !ok || class[c]&cNameStart == 0 {
+		return "", 0, p.fail(min(i, p.end()), "expected a name")
+	}
+	j := i + 1
+	for {
+		for b := p.buf[p.r:p.w]; j < len(b); j++ {
+			if class[b[j]]&cName == 0 {
+				return p.intern(b[i:j]), j, nil
+			}
+		}
+		if !p.more() {
+			return p.intern(p.buf[p.r+i : p.w]), j, nil
+		}
+	}
+}
+
+// intern returns the one string the parser keeps for the name b.
+func (p *Parser) intern(b []byte) string {
+	if s, ok := p.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	p.names[s] = s
+	return s
+}
+
+// maxRefBody bounds the body of an entity or character reference.
+const maxRefBody = 11
+
+// reference expands the entity or character reference whose body starts at
+// offset i (just past its '&'), appending the expansion to dst, and returns
+// the offset just past its ';'.
+func (p *Parser) reference(i int, dst []byte) ([]byte, int, error) {
+	n := 0
+	for ; ; n++ {
+		c, ok := p.at(i + n)
 		if !ok {
-			return p.errf("unexpected end of input, expected %q", s)
+			return dst, 0, p.fail(p.end(), "unterminated entity reference")
 		}
-		if c != s[i] {
-			return p.errf("expected %q", s)
-		}
-	}
-	return nil
-}
-
-// hasPrefix reports whether the unread input starts with s.
-func (p *Parser) hasPrefix(s string) bool {
-	if !p.fill(len(s)) {
-		return false
-	}
-	return string(p.buf[p.r:p.r+len(s)]) == s
-}
-
-func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
-
-// isNameStart reports whether c may begin an XML name.  Multi-byte UTF-8
-// lead bytes are accepted wholesale; full Unicode name classes are overkill
-// for the target datasets.
-func isNameStart(c byte) bool {
-	return c == '_' || c == ':' ||
-		(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c >= 0x80
-}
-
-func isNameChar(c byte) bool {
-	return isNameStart(c) || c == '-' || c == '.' || (c >= '0' && c <= '9')
-}
-
-// readName consumes an XML name.
-func (p *Parser) readName() (string, error) {
-	c, ok := p.peek()
-	if !ok || !isNameStart(c) {
-		return "", p.errf("expected a name")
-	}
-	var b strings.Builder
-	for {
-		c, ok := p.peek()
-		if !ok || !isNameChar(c) {
+		if c == ';' {
 			break
 		}
-		p.next()
-		b.WriteByte(c)
+		if n >= maxRefBody {
+			return dst, 0, p.fail(i+n+1, "entity reference too long")
+		}
 	}
-	return b.String(), nil
+	body := p.buf[p.r+i : p.r+i+n]
+	next := i + n + 1
+	switch string(body) {
+	case "lt":
+		return append(dst, '<'), next, nil
+	case "gt":
+		return append(dst, '>'), next, nil
+	case "amp":
+		return append(dst, '&'), next, nil
+	case "apos":
+		return append(dst, '\''), next, nil
+	case "quot":
+		return append(dst, '"'), next, nil
+	}
+	if len(body) > 1 && body[0] == '#' {
+		r, ok := resolveCharRef(string(body[1:]))
+		if !ok {
+			return dst, 0, p.fail(next, "invalid character reference &%s;", body)
+		}
+		return utf8.AppendRune(dst, r), next, nil
+	}
+	return dst, 0, p.fail(next, "unknown entity &%s;", body)
 }
 
 // resolveCharRef decodes the body of a &#...; reference.
@@ -317,47 +461,4 @@ func isValidXMLChar(r rune) bool {
 		return false
 	}
 	return true
-}
-
-// readReference consumes an entity or character reference after the '&' has
-// already been consumed and appends its expansion to b.
-func (p *Parser) readReference(b *strings.Builder) error {
-	var body strings.Builder
-	for i := 0; ; i++ {
-		c, ok := p.next()
-		if !ok {
-			return p.errf("unterminated entity reference")
-		}
-		if c == ';' {
-			break
-		}
-		if i > 10 {
-			return p.errf("entity reference too long")
-		}
-		body.WriteByte(c)
-	}
-	s := body.String()
-	switch s {
-	case "lt":
-		b.WriteByte('<')
-	case "gt":
-		b.WriteByte('>')
-	case "amp":
-		b.WriteByte('&')
-	case "apos":
-		b.WriteByte('\'')
-	case "quot":
-		b.WriteByte('"')
-	default:
-		if len(s) > 1 && s[0] == '#' {
-			r, ok := resolveCharRef(s[1:])
-			if !ok {
-				return p.errf("invalid character reference &%s;", s)
-			}
-			b.WriteRune(r)
-			return nil
-		}
-		return p.errf("unknown entity &%s;", s)
-	}
-	return nil
 }

@@ -1,225 +1,290 @@
 package xmlparse
 
 import (
+	"bytes"
 	"io"
 	"strings"
 )
 
 // Next returns the next parse event, or io.EOF after the root element has
 // been closed and only trailing misc content remains.  Any other error is a
-// *SyntaxError.
+// *SyntaxError, or the source's read error wrapped.
 func (p *Parser) Next() (Event, error) {
+	t, err := p.NextToken()
+	if err != nil {
+		return Event{}, err
+	}
+	line, col := p.pos(p.tokStart)
+	return Event{Kind: t.Kind, Name: t.Name, Value: string(t.Value), Attrs: t.Attrs, Line: line, Col: col}, nil
+}
+
+// NextToken returns the next event as a Token: what Next returns, without
+// the position and without copying the value out of the parser's window.
+func (p *Parser) NextToken() (Token, error) {
+	if p.err != nil {
+		return Token{}, p.err
+	}
 	for {
-		ev, ok, err := p.step()
+		ok, err := p.step()
 		if err != nil {
-			return Event{}, err
+			p.err = err
+			return Token{}, err
 		}
 		if ok {
-			return ev, nil
+			return p.tok, nil
 		}
 	}
 }
 
-// step tries to produce one event; ok is false when the scanned construct is
-// skipped (declaration, doctype, suppressed whitespace).
-func (p *Parser) step() (Event, bool, error) {
+// step tries to produce one token into p.tok; ok is false when the scanned
+// construct is skipped (declaration, doctype, suppressed whitespace).
+func (p *Parser) step() (bool, error) {
 	if !p.bomChecked {
 		p.bomChecked = true
 		// A UTF-8 byte order mark before the document is legal; skip it.
-		if p.hasPrefix("\xEF\xBB\xBF") {
-			p.next()
-			p.next()
-			p.next()
-			p.col = 1
+		// It takes no column.
+		if p.hasAt(0, "\xEF\xBB\xBF") {
+			p.r += 3
+			p.mark += 3
 		}
 	}
-	if p.pending != nil {
-		ev := *p.pending
-		p.pending = nil
+	if p.pending {
+		p.pending = false
 		if p.rootedAfterPending {
 			p.rooted = true
 			p.rootedAfterPending = false
 		}
-		return ev, true, nil
+		p.tokStart = p.pendingOff
+		p.tok = Token{Kind: EndElement, Name: p.pendingName}
+		return true, nil
 	}
-	startLine, startCol := p.line, p.col
-	c, ok := p.peek()
+	p.tokStart = p.base + p.r
+	c, ok := p.at(0)
 	if !ok {
+		if p.rerr != nil {
+			return false, p.readError()
+		}
 		if len(p.stack) > 0 {
-			return Event{}, false, p.errf("unexpected end of input: %d unclosed element(s), innermost <%s>", len(p.stack), p.stack[len(p.stack)-1])
+			return false, p.fail(0, "unexpected end of input: %d unclosed element(s), innermost <%s>", len(p.stack), p.stack[len(p.stack)-1])
 		}
 		if !p.rooted {
-			return Event{}, false, p.errf("document has no root element")
+			return false, p.fail(0, "document has no root element")
 		}
-		return Event{}, false, io.EOF
+		return false, io.EOF
 	}
 
 	if c != '<' {
-		return p.scanText(startLine, startCol)
+		return p.scanText()
 	}
 
 	// Dispatch on what follows '<'.
-	c1, _ := p.peekAt(1)
+	c1, _ := p.at(1)
 	switch {
 	case c1 == '?':
-		return p.scanProcInst(startLine, startCol)
+		return p.scanProcInst()
 	case c1 == '!':
-		if p.hasPrefix("<!--") {
-			return p.scanComment(startLine, startCol)
+		if p.hasAt(0, "<!--") {
+			return p.scanComment()
 		}
-		if p.hasPrefix("<![CDATA[") {
-			return p.scanText(startLine, startCol)
+		if p.hasAt(0, cdataOpen) {
+			return p.scanText()
 		}
-		if p.hasPrefix("<!DOCTYPE") {
-			return Event{}, false, p.skipDoctype()
+		if p.hasAt(0, "<!DOCTYPE") {
+			return false, p.skipDoctype()
 		}
-		return Event{}, false, p.errf("unsupported markup declaration")
+		return false, p.fail(0, "unsupported markup declaration")
 	case c1 == '/':
-		return p.scanEndTag(startLine, startCol)
+		return p.scanEndTag()
 	default:
-		return p.scanStartTag(startLine, startCol)
+		return p.scanStartTag()
 	}
 }
 
-func (p *Parser) scanText(line, col int) (Event, bool, error) {
+const cdataOpen = "<![CDATA["
+
+// scanText scans character data up to the next markup other than a CDATA
+// section, which it takes in.  The value is a slice of the window unless a
+// reference or a CDATA section made it need decoding into scratch.
+func (p *Parser) scanText() (bool, error) {
 	if len(p.stack) == 0 {
-		// Character data outside the root: only whitespace is legal.
-		for {
-			c, ok := p.peek()
-			if !ok || c == '<' {
-				return Event{}, false, nil
-			}
-			if !isSpace(c) {
-				return Event{}, false, p.errf("character data outside root element")
-			}
-			p.next()
-		}
+		return false, p.skipOutside()
 	}
-	p.text.Reset()
-	allSpace := true
+	p.scratch = p.scratch[:0]
+	decoded, allSpace := false, true
+	i := 0
 	for {
-		c, ok := p.peek()
-		if !ok {
-			break
+		b := p.buf[p.r:p.w]
+		j := i
+		for j < len(b) && class[b[j]]&cTextStop == 0 {
+			j++
 		}
-		if c == '<' {
-			if p.hasPrefix("<![CDATA[") {
-				if err := p.scanCDATA(&allSpace); err != nil {
-					return Event{}, false, err
+		if allSpace {
+			for _, c := range b[i:j] {
+				if class[c]&cSpace == 0 {
+					allSpace = false
+					break
 				}
+			}
+		}
+		if decoded {
+			p.scratch = append(p.scratch, b[i:j]...)
+		}
+		i = j
+		if i == len(b) {
+			if p.more() {
 				continue
 			}
 			break
 		}
-		if c == ']' && p.hasPrefix("]]>") {
-			// "]]>" must not appear bare in character data (XML 1.0 §2.4).
-			return Event{}, false, p.errf(`"]]>" not allowed in character data`)
-		}
-		if c < 0x20 && c != '\t' && c != '\n' && c != '\r' {
-			return Event{}, false, p.errf("control character 0x%02X not allowed in character data", c)
-		}
-		p.next()
-		switch c {
-		case '&':
-			if err := p.readReference(&p.text); err != nil {
-				return Event{}, false, err
+		c := b[i]
+		if c == ']' {
+			if p.hasAt(i, "]]>") {
+				// "]]>" must not appear bare in character data (XML 1.0 §2.4).
+				return false, p.fail(i, `"]]>" not allowed in character data`)
+			}
+			if decoded {
+				p.scratch = append(p.scratch, c)
 			}
 			allSpace = false
-		default:
-			if !isSpace(c) {
-				allSpace = false
-			}
-			p.text.WriteByte(c)
+			i++
+			continue
 		}
-	}
-	if allSpace && !p.KeepWhitespace {
-		return Event{}, false, nil
-	}
-	return Event{Kind: Text, Value: p.text.String(), Line: line, Col: col}, true, nil
-}
-
-// scanCDATA consumes a <![CDATA[ ... ]]> section, appending its raw content
-// to the current text buffer.
-func (p *Parser) scanCDATA(allSpace *bool) error {
-	if err := p.expect("<![CDATA["); err != nil {
-		return err
-	}
-	for {
-		if p.hasPrefix("]]>") {
-			p.expect("]]>")
-			return nil
+		if c != '<' && c != '&' {
+			return false, p.fail(i, "control character 0x%02X not allowed in character data", c)
 		}
-		c, ok := p.next()
-		if !ok {
-			return p.errf("unterminated CDATA section")
-		}
-		if !isSpace(c) {
-			*allSpace = false
-		}
-		p.text.WriteByte(c)
-	}
-}
-
-func (p *Parser) scanComment(line, col int) (Event, bool, error) {
-	if err := p.expect("<!--"); err != nil {
-		return Event{}, false, err
-	}
-	var b strings.Builder
-	for {
-		if p.hasPrefix("-->") {
-			p.expect("-->")
-			return Event{Kind: Comment, Value: b.String(), Line: line, Col: col}, true, nil
-		}
-		if p.hasPrefix("--") {
-			return Event{}, false, p.errf("'--' not allowed inside comment")
-		}
-		c, ok := p.next()
-		if !ok {
-			return Event{}, false, p.errf("unterminated comment")
-		}
-		b.WriteByte(c)
-	}
-}
-
-func (p *Parser) scanProcInst(line, col int) (Event, bool, error) {
-	if err := p.expect("<?"); err != nil {
-		return Event{}, false, err
-	}
-	name, err := p.readName()
-	if err != nil {
-		return Event{}, false, err
-	}
-	p.skipSpace()
-	var b strings.Builder
-	for {
-		if p.hasPrefix("?>") {
-			p.expect("?>")
+		if c == '<' && !p.hasAt(i, cdataOpen) {
 			break
 		}
-		c, ok := p.next()
-		if !ok {
-			return Event{}, false, p.errf("unterminated processing instruction")
+		if !decoded {
+			p.scratch = append(p.scratch, p.buf[p.r:p.r+i]...)
+			decoded = true
 		}
-		b.WriteByte(c)
+		var err error
+		if c == '&' {
+			p.scratch, i, err = p.reference(i+1, p.scratch)
+			allSpace = false
+		} else {
+			i, err = p.cdata(i+len(cdataOpen), &allSpace)
+		}
+		if err != nil {
+			return false, err
+		}
 	}
+	value := p.buf[p.r : p.r+i]
+	if decoded {
+		value = p.scratch
+	}
+	p.r += i
+	if allSpace && !p.KeepWhitespace {
+		return false, nil
+	}
+	p.tok = Token{Kind: Text, Value: value}
+	return true, nil
+}
+
+// cdata appends the raw content of the CDATA section whose content starts
+// at offset i to scratch and returns the offset just past its "]]>".
+func (p *Parser) cdata(i int, allSpace *bool) (int, error) {
+	from := i
+	for {
+		b := p.buf[p.r:p.w]
+		if k := bytes.Index(b[from:], cdataClose); k >= 0 {
+			content := b[i : from+k]
+			if *allSpace {
+				*allSpace = len(bytes.TrimLeft(content, " \t\r\n")) == 0
+			}
+			p.scratch = append(p.scratch, content...)
+			return from + k + len(cdataClose), nil
+		}
+		from = max(i, len(b)-len(cdataClose)+1)
+		if !p.more() {
+			return 0, p.fail(p.end(), "unterminated CDATA section")
+		}
+	}
+}
+
+var cdataClose = []byte("]]>")
+
+// skipOutside consumes the whitespace between top-level constructs; any
+// other character data there — a CDATA section included — is an error.
+func (p *Parser) skipOutside() error {
+	i := 0
+	for {
+		for b := p.buf[p.r:p.w]; i < len(b); i++ {
+			if b[i] == '<' && i > 0 {
+				p.r += i
+				return nil
+			}
+			if class[b[i]]&cSpace == 0 {
+				return p.fail(i, "character data outside root element")
+			}
+		}
+		if !p.more() {
+			p.r += i
+			return nil
+		}
+	}
+}
+
+// find returns the offset of the first sep at or after offset i, or -1 when
+// the input ends first.
+func (p *Parser) find(i int, sep string) int {
+	from := i
+	for {
+		b := p.buf[p.r:p.w]
+		if k := bytes.Index(b[from:], []byte(sep)); k >= 0 {
+			return from + k
+		}
+		from = max(i, len(b)-len(sep)+1)
+		if !p.more() {
+			return -1
+		}
+	}
+}
+
+func (p *Parser) scanComment() (bool, error) {
+	i := len("<!--")
+	k := p.find(i, "--")
+	if k < 0 {
+		return false, p.fail(p.end(), "unterminated comment")
+	}
+	if c, _ := p.at(k + 2); c != '>' {
+		return false, p.fail(k, "'--' not allowed inside comment")
+	}
+	value := p.buf[p.r+i : p.r+k]
+	p.r += k + len("-->")
+	p.tok = Token{Kind: Comment, Value: value}
+	return true, nil
+}
+
+func (p *Parser) scanProcInst() (bool, error) {
+	name, i, err := p.name(len("<?"))
+	if err != nil {
+		return false, err
+	}
+	i = p.skipSpace(i)
+	k := p.find(i, "?>")
+	if k < 0 {
+		return false, p.fail(p.end(), "unterminated processing instruction")
+	}
+	value := p.buf[p.r+i : p.r+k]
+	p.r += k + len("?>")
 	if strings.EqualFold(name, "xml") {
 		// The XML declaration is structural, not content; skip it.
-		return Event{}, false, nil
+		return false, nil
 	}
-	return Event{Kind: ProcInst, Name: name, Value: b.String(), Line: line, Col: col}, true, nil
+	p.tok = Token{Kind: ProcInst, Name: name, Value: value}
+	return true, nil
 }
 
 // skipDoctype consumes a DOCTYPE declaration including a bracketed internal
 // subset, honouring nested brackets and quoted strings.
 func (p *Parser) skipDoctype() error {
-	if err := p.expect("<!DOCTYPE"); err != nil {
-		return err
-	}
 	depth := 0
-	for {
-		c, ok := p.next()
+	for i := len("<!DOCTYPE"); ; i++ {
+		c, ok := p.at(i)
 		if !ok {
-			return p.errf("unterminated DOCTYPE")
+			return p.fail(i, "unterminated DOCTYPE")
 		}
 		switch c {
 		case '[':
@@ -227,148 +292,202 @@ func (p *Parser) skipDoctype() error {
 		case ']':
 			depth--
 		case '"', '\'':
-			quote := c
-			for {
-				q, ok := p.next()
-				if !ok {
-					return p.errf("unterminated literal in DOCTYPE")
-				}
-				if q == quote {
-					break
-				}
+			k := p.find(i+1, string(c))
+			if k < 0 {
+				return p.fail(p.end(), "unterminated literal in DOCTYPE")
 			}
+			i = k
 		case '>':
 			if depth <= 0 {
+				p.r += i + 1
 				return nil
 			}
 		}
 	}
 }
 
-func (p *Parser) scanStartTag(line, col int) (Event, bool, error) {
-	if err := p.expect("<"); err != nil {
-		return Event{}, false, err
-	}
-	name, err := p.readName()
+// manyAttrs is the attribute count past which the duplicate check moves
+// from comparing with every earlier attribute to a set.
+const manyAttrs = 8
+
+func (p *Parser) scanStartTag() (bool, error) {
+	name, i, err := p.name(len("<"))
 	if err != nil {
-		return Event{}, false, err
+		return false, err
 	}
 	if p.rooted {
-		return Event{}, false, p.errf("element <%s> after document root closed", name)
+		return false, p.fail(i, "element <%s> after document root closed", name)
 	}
 	p.attrs = p.attrs[:0]
 	selfClose := false
 	for {
-		p.skipSpace()
-		c, ok := p.peek()
+		i = p.skipSpace(i)
+		c, ok := p.at(i)
 		if !ok {
-			return Event{}, false, p.errf("unterminated start tag <%s>", name)
+			return false, p.fail(i, "unterminated start tag <%s>", name)
 		}
 		if c == '>' {
-			p.next()
+			i++
 			break
 		}
 		if c == '/' {
-			p.next()
-			if err := p.expect(">"); err != nil {
-				return Event{}, false, err
+			c, ok := p.at(i + 1)
+			if !ok {
+				return false, p.fail(i+1, `unexpected end of input, expected ">"`)
 			}
+			if c != '>' {
+				return false, p.fail(i+2, `expected ">"`)
+			}
+			i += 2
 			selfClose = true
 			break
 		}
-		attr, err := p.scanAttr()
-		if err != nil {
-			return Event{}, false, err
+		var attr Attr
+		if attr, i, err = p.scanAttr(i); err != nil {
+			return false, err
 		}
-		for _, a := range p.attrs {
-			if a.Name == attr.Name {
-				return Event{}, false, p.errf("duplicate attribute %q on <%s>", attr.Name, name)
-			}
+		if p.duplicate(attr.Name) {
+			return false, p.fail(i, "duplicate attribute %q on <%s>", attr.Name, name)
 		}
 		p.attrs = append(p.attrs, attr)
 	}
-	p.started = true
-	ev := Event{Kind: StartElement, Name: name, Attrs: p.attrs, Line: line, Col: col}
+	p.r += i
 	if selfClose {
-		// Queue the matching end event by pushing then immediately noting a
-		// pending pop: we synthesize the end on the next step via a
-		// one-element pending queue.
-		p.pending = &Event{Kind: EndElement, Name: name, Line: p.line, Col: p.col}
-		if len(p.stack) == 0 {
-			p.rootedAfterPending = true
-		}
+		// The matching end event comes from the next step.
+		p.pending, p.pendingName, p.pendingOff = true, name, p.base+p.r
+		p.rootedAfterPending = len(p.stack) == 0
 	} else {
 		p.stack = append(p.stack, name)
 	}
-	return ev, true, nil
+	p.tok = Token{Kind: StartElement, Name: name, Attrs: p.attrs}
+	return true, nil
 }
 
-func (p *Parser) scanAttr() (Attr, error) {
-	name, err := p.readName()
-	if err != nil {
-		return Attr{}, err
-	}
-	p.skipSpace()
-	if err := p.expect("="); err != nil {
-		return Attr{}, p.errf("attribute %q missing '='", name)
-	}
-	p.skipSpace()
-	q, ok := p.next()
-	if !ok || (q != '"' && q != '\'') {
-		return Attr{}, p.errf("attribute %q value must be quoted", name)
-	}
-	var b strings.Builder
-	for {
-		c, ok := p.next()
-		if !ok {
-			return Attr{}, p.errf("unterminated value for attribute %q", name)
+// duplicate reports whether the tag being scanned already has an attribute
+// called name.  Names are interned, so a few are compared directly; past
+// manyAttrs they go into a set, which keeps a tag with a great many
+// attributes linear.
+func (p *Parser) duplicate(name string) bool {
+	n := len(p.attrs)
+	if n < manyAttrs {
+		for _, a := range p.attrs {
+			if a.Name == name {
+				return true
+			}
 		}
+		return false
+	}
+	if n == manyAttrs {
+		if p.seen == nil {
+			p.seen = make(map[string]bool)
+		}
+		clear(p.seen)
+		for _, a := range p.attrs {
+			p.seen[a.Name] = true
+		}
+	}
+	if p.seen[name] {
+		return true
+	}
+	p.seen[name] = true
+	return false
+}
+
+// scanAttr scans the attribute at offset i and returns it with the offset
+// just past its closing quote.
+func (p *Parser) scanAttr(i int) (Attr, int, error) {
+	name, i, err := p.name(i)
+	if err != nil {
+		return Attr{}, 0, err
+	}
+	i = p.skipSpace(i)
+	if c, ok := p.at(i); !ok || c != '=' {
+		return Attr{}, 0, p.fail(min(i+1, p.end()), "attribute %q missing '='", name)
+	}
+	i = p.skipSpace(i + 1)
+	q, ok := p.at(i)
+	if !ok || (q != '"' && q != '\'') {
+		return Attr{}, 0, p.fail(min(i+1, p.end()), "attribute %q value must be quoted", name)
+	}
+	i++
+	start := i
+	p.scratch = p.scratch[:0]
+	decoded := false
+	for {
+		b := p.buf[p.r:p.w]
+		j := i
+		for j < len(b) && class[b[j]]&cAttrStop == 0 {
+			j++
+		}
+		if decoded {
+			p.scratch = append(p.scratch, b[i:j]...)
+		}
+		i = j
+		if i == len(b) {
+			if !p.more() {
+				return Attr{}, 0, p.fail(i, "unterminated value for attribute %q", name)
+			}
+			continue
+		}
+		c := b[i]
 		if c == q {
-			break
+			value := b[start:i]
+			if decoded {
+				value = p.scratch
+			}
+			return Attr{Name: name, Value: string(value)}, i + 1, nil
+		}
+		if !decoded {
+			p.scratch = append(p.scratch, b[start:i]...)
+			decoded = true
 		}
 		switch c {
 		case '<':
-			return Attr{}, p.errf("'<' not allowed in attribute value")
+			return Attr{}, 0, p.fail(i+1, "'<' not allowed in attribute value")
 		case '&':
-			if err := p.readReference(&b); err != nil {
-				return Attr{}, err
+			if p.scratch, i, err = p.reference(i+1, p.scratch); err != nil {
+				return Attr{}, 0, err
 			}
 		case '\t', '\n', '\r':
 			// Attribute-value normalization (XML 1.0 §3.3.3): literal
 			// whitespace characters become spaces.
-			b.WriteByte(' ')
+			p.scratch = append(p.scratch, ' ')
+			i++
+		case '"', '\'': // the other quote
+			p.scratch = append(p.scratch, c)
+			i++
 		default:
-			if c < 0x20 {
-				return Attr{}, p.errf("control character 0x%02X not allowed in attribute value", c)
-			}
-			b.WriteByte(c)
+			return Attr{}, 0, p.fail(i+1, "control character 0x%02X not allowed in attribute value", c)
 		}
 	}
-	return Attr{Name: name, Value: b.String()}, nil
 }
 
-func (p *Parser) scanEndTag(line, col int) (Event, bool, error) {
-	if err := p.expect("</"); err != nil {
-		return Event{}, false, err
-	}
-	name, err := p.readName()
+func (p *Parser) scanEndTag() (bool, error) {
+	name, i, err := p.name(len("</"))
 	if err != nil {
-		return Event{}, false, err
+		return false, err
 	}
-	p.skipSpace()
-	if err := p.expect(">"); err != nil {
-		return Event{}, false, err
+	i = p.skipSpace(i)
+	c, ok := p.at(i)
+	if !ok {
+		return false, p.fail(i, `unexpected end of input, expected ">"`)
 	}
+	if c != '>' {
+		return false, p.fail(i+1, `expected ">"`)
+	}
+	i++
 	if len(p.stack) == 0 {
-		return Event{}, false, p.errf("closing tag </%s> with no open element", name)
+		return false, p.fail(i, "closing tag </%s> with no open element", name)
 	}
 	open := p.stack[len(p.stack)-1]
 	if open != name {
-		return Event{}, false, p.errf("closing tag </%s> does not match open <%s>", name, open)
+		return false, p.fail(i, "closing tag </%s> does not match open <%s>", name, open)
 	}
 	p.stack = p.stack[:len(p.stack)-1]
 	if len(p.stack) == 0 {
 		p.rooted = true
 	}
-	return Event{Kind: EndElement, Name: name, Line: line, Col: col}, true, nil
+	p.r += i
+	p.tok = Token{Kind: EndElement, Name: name}
+	return true, nil
 }
