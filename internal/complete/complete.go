@@ -428,16 +428,21 @@ func (e *Engine) explainTag(c *canceller, q *twig.Query, anchorID int, axis twig
 }
 
 // SuggestTagsNaive is the position-blind baseline: global tag-trie prefix
-// completion ranked by global frequency.  Experiments E5/E6 compare it with
+// completion ranked by global frequency, case-insensitive like SuggestTags.
+// When no tag matches the prefix, candidates within edit distance 1 are
+// returned with Fuzzy set.  Tags whose names differ only in case are one
+// candidate, named by the first of them.  Experiments E5/E6 compare it with
 // SuggestTags.
 func (e *Engine) SuggestTagsNaive(prefix string, k int) []Candidate {
-	entries := e.ix.TagTrie().Complete(strings.ToLower(prefix), k)
+	lower := strings.ToLower(prefix)
+	entries, fuzzy := e.ix.TagTrie().Complete(lower, k), false
 	if len(entries) == 0 && prefix != "" {
-		entries = e.ix.TagTrie().FuzzyComplete(strings.ToLower(prefix), 1, k)
+		entries, fuzzy = e.ix.TagTrie().FuzzyComplete(lower, 1, k), true
 	}
+	tags := e.ix.Document().Tags()
 	out := make([]Candidate, 0, len(entries))
 	for _, en := range entries {
-		out = append(out, Candidate{Text: en.Word, Count: en.Weight, Kind: TagCandidate})
+		out = append(out, Candidate{Text: tags.Name(doc.TagID(en.Datum)), Count: en.Weight, Kind: TagCandidate, Fuzzy: fuzzy})
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lotusx/internal/dataguide"
+	"lotusx/internal/dataset"
 	"lotusx/internal/doc"
 	"lotusx/internal/index"
 	"lotusx/internal/twig"
@@ -97,6 +98,43 @@ func TestPositionAwareTagSuggestions(t *testing.T) {
 	naive := e.SuggestTagsNaive("p", 10)
 	if !contains(naive, "price") || !contains(naive, "person") {
 		t.Fatalf("naive p* = %v", texts(naive))
+	}
+}
+
+// TestNaiveTagsFoldCase: the naive baseline matches a prefix regardless of
+// case, as SuggestTags does.  On TreeBank, whose tags are upper case, "np"
+// ranks NP first as an exact match; a prefix no tag starts with falls back
+// to one edit of slack, marked Fuzzy; and tags that differ only in case are
+// one candidate, named by the first of them, counting both.
+func TestNaiveTagsFoldCase(t *testing.T) {
+	d, err := dataset.Build(dataset.TreeBank, 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(index.Build(d), dataguide.Build(d))
+	got := e.SuggestTagsNaive("np", 5)
+	if len(got) == 0 || got[0].Text != "NP" || got[0].Fuzzy {
+		t.Fatalf("naive np* = %+v, want NP first and exact", got)
+	}
+	for _, c := range e.SuggestTagsNaive("n", 5) {
+		if !strings.HasPrefix(c.Text, "N") || c.Fuzzy {
+			t.Errorf("naive n* offers %+v, want exact N* tags only", c)
+		}
+	}
+	got = e.SuggestTagsNaive("nx", 5)
+	if len(got) == 0 {
+		t.Fatal("naive nx* found nothing within one edit")
+	}
+	for _, c := range got {
+		if !c.Fuzzy {
+			t.Errorf("fallback candidate %+v not marked Fuzzy", c)
+		}
+	}
+
+	e = mustEngine(t, `<r><Item/><item/><item/><items/></r>`)
+	got = e.SuggestTagsNaive("ITEM", 5)
+	if len(got) != 2 || got[0].Text != "Item" || got[0].Count != 3 || got[1].Text != "items" {
+		t.Fatalf("naive ITEM* = %+v, want Item×3 then items", got)
 	}
 }
 

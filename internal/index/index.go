@@ -126,7 +126,7 @@ func newRaw(d *doc.Document) *Index {
 	}
 	tags := make([]trie.Entry, ntags)
 	for id := range tags {
-		tags[id] = trie.Entry{Word: d.Tags().Name(doc.TagID(id)), Weight: int64(counts[id]), Datum: int32(id)}
+		tags[id] = trie.Entry{Word: strings.ToLower(d.Tags().Name(doc.TagID(id))), Weight: int64(counts[id]), Datum: int32(id)}
 	}
 	ix.tagTrie = trie.Build(tags)
 	return ix
@@ -243,7 +243,10 @@ func (ix *Index) DF(token string) int {
 // ValuedNodes returns the number of nodes carrying a non-empty value.
 func (ix *Index) ValuedNodes() int { return ix.valued }
 
-// TagTrie returns the completion trie over tag names.
+// TagTrie returns the completion trie over lowercased tag names, each
+// weighted by its node count, with its TagID as datum.  Tags whose names
+// differ only in case are one entry: the sum of their counts, with the
+// lowest of their TagIDs.
 func (ix *Index) TagTrie() *trie.Trie { return ix.tagTrie }
 
 // ValueTrie returns the completion trie over the values of nodes tagged tag,

@@ -1,16 +1,20 @@
 package trie
 
-import "sort"
+import (
+	"slices"
+	"unicode/utf8"
+)
 
 // FuzzyComplete returns words whose prefix is within edit distance maxDist
-// of the query prefix, heaviest first, at most k.  It powers LotusX's
-// tolerance to typos while the user grows a query node: "athor" still
-// suggests "author".  Exact-prefix matches sort before fuzzy ones of equal
-// weight (distance is a secondary key).
+// of the query prefix, at most k: nearest first, then heaviest, then
+// lexicographically.  It powers LotusX's tolerance to typos while the user
+// grows a query node: "athor" still suggests "author".
 //
-// The search runs the classic trie × dynamic-programming-row algorithm: each
-// trie edge extends a Levenshtein row against the query; branches whose row
-// minimum exceeds maxDist are pruned.
+// It is the classic trie × dynamic-programming-row search, run over the
+// implicit trie: the sorted words are visited in order, each extending the
+// Levenshtein rows of the word before it past their common prefix, and a
+// prefix whose distance is settled, or out of budget, skips its whole range
+// of words by binary search.
 func (t *Trie) FuzzyComplete(prefix string, maxDist, k int) []Entry {
 	if k <= 0 {
 		return nil
@@ -19,84 +23,97 @@ func (t *Trie) FuzzyComplete(prefix string, maxDist, k int) []Entry {
 		return t.Complete(prefix, k)
 	}
 	q := []rune(prefix)
-	row := make([]int, len(q)+1)
-	for i := range row {
-		row[i] = i
-	}
+	m := len(q) + 1
 	type hit struct {
-		Entry
+		i    int32
 		dist int
 	}
 	var hits []hit
+	emit := func(lo, hi, dist int) {
+		for _, i := range t.top(lo, hi, k) {
+			hits = append(hits, hit{i, dist})
+		}
+	}
 
-	// The prefix edit distance of a word w is min over w's prefixes p of
-	// levenshtein(q, p); at each trie node it equals the minimum of
-	// row[len(q)] along the root path so far ("best").  Because row minima
-	// are nondecreasing as the path extends, once minOf(row) >= best the
-	// distance of every word below is settled at best and the subtree can be
-	// emitted wholesale; otherwise we keep descending to find improvements.
-	var walk func(n *node, soFar string, prev []int, best int)
-	walk = func(n *node, soFar string, prev []int, best int) {
-		if d := prev[len(q)]; d < best {
-			best = d
+	// The prefix edit distance of a word w is the minimum over w's prefixes
+	// p of levenshtein(q, p): at each trie node it is the minimum of the
+	// last row entry along the path so far ("best").  Row minima never fall
+	// as a path extends, so once a row's minimum reaches best, every word
+	// below has distance best, and once it passes maxDist none is in budget.
+	//
+	// rows holds one row per rune of path, the word last descended, row d
+	// against its first d runes; best[d] and ends[d], the byte length of
+	// those runes, go with it.
+	rows := make([]int, m)
+	for i := range rows {
+		rows[i] = i
+	}
+	best, ends := []int{len(q)}, []int{0}
+	path := ""
+	n := len(t.entries)
+	switch {
+	case len(q) == 0:
+		emit(0, n, 0)
+		n = 0
+	case n > 0 && t.entries[0].Word == "" && len(q) <= maxDist:
+		hits = append(hits, hit{0, len(q)})
+	}
+	for i := 0; i < n; {
+		w := t.entries[i].Word
+		lcp := commonPrefix(path, w)
+		for ends[len(ends)-1] > lcp {
+			best, ends = best[:len(best)-1], ends[:len(ends)-1]
+			rows = rows[:len(rows)-m]
 		}
-		if best == 0 || minOf(prev) >= best {
-			if best <= maxDist {
-				for _, e := range completeFrom(n, soFar, k) {
-					hits = append(hits, hit{e, best})
-				}
-			}
-			return
-		}
-		if n.terminal && best <= maxDist {
-			hits = append(hits, hit{Entry{Word: soFar, Weight: n.weight, Datum: n.datum}, best})
-		}
-		cur := make([]int, len(q)+1)
-		for r, c := range n.children {
+		path = w
+		next := i + 1
+		for off := ends[len(ends)-1]; off < len(w); {
+			r, size := utf8.DecodeRuneInString(w[off:])
+			off += size
+			d := len(rows)
+			rows = slices.Grow(rows, m)[:d+m]
+			prev, cur := rows[d-m:d], rows[d:]
 			cur[0] = prev[0] + 1
-			for i := 1; i <= len(q); i++ {
+			low := cur[0]
+			for j := 1; j < m; j++ {
 				cost := 1
-				if q[i-1] == r {
+				if q[j-1] == r {
 					cost = 0
 				}
-				cur[i] = min(prev[i]+1, min(cur[i-1]+1, prev[i-1]+cost))
+				cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+				low = min(low, cur[j])
 			}
-			walk(c, soFar+string(r), cur, best)
+			b := min(best[len(best)-1], cur[m-1])
+			best, ends = append(best, b), append(ends, off)
+			if b == 0 || low >= b || low > maxDist {
+				_, end := t.below(w[:off])
+				if b <= maxDist {
+					emit(i, end, b)
+				}
+				next = end
+				break
+			}
+			if off == len(w) && b <= maxDist {
+				hits = append(hits, hit{int32(i), b})
+			}
 		}
+		i = next
 	}
-	walk(t.root, "", row, len(q)+1)
 
-	sort.SliceStable(hits, func(i, j int) bool {
-		if hits[i].dist != hits[j].dist {
-			return hits[i].dist < hits[j].dist
+	slices.SortFunc(hits, func(a, b hit) int {
+		switch {
+		case a.dist != b.dist:
+			return a.dist - b.dist
+		case a.i == b.i:
+			return 0
+		case t.heavier(a.i, b.i) == a.i:
+			return -1
 		}
-		if hits[i].Weight != hits[j].Weight {
-			return hits[i].Weight > hits[j].Weight
-		}
-		return hits[i].Word < hits[j].Word
+		return 1
 	})
-	if len(hits) > k {
-		hits = hits[:k]
+	idx := make([]int32, min(k, len(hits)))
+	for j := range idx {
+		idx[j] = hits[j].i
 	}
-	out := make([]Entry, len(hits))
-	for i, h := range hits {
-		out[i] = h.Entry
-	}
-	return out
-}
-
-// completeFrom lists up to k heaviest terminals under n, with soFar as the
-// accumulated prefix.
-func completeFrom(n *node, soFar string, k int) []Entry {
-	return completeNode(n, soFar, k)
-}
-
-func minOf(xs []int) int {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
+	return t.entriesAt(idx)
 }

@@ -32,15 +32,23 @@ func (wordSet) Generate(rng *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(ws)
 }
 
+// entries returns the words as Build's entries, datum the position.
+func (ws wordSet) entries() []Entry {
+	es := make([]Entry, len(ws.words))
+	for i, w := range ws.words {
+		es[i] = Entry{Word: w, Weight: ws.weights[i], Datum: int32(i)}
+	}
+	return es
+}
+
 // TestQuickCompleteMatchesReference: for arbitrary word sets and prefixes,
 // Complete returns exactly the top-k prefix matches of a map-based
 // reference implementation.
 func TestQuickCompleteMatchesReference(t *testing.T) {
 	f := func(ws wordSet, prefixSeed uint8, kSeed uint8) bool {
-		tr := New()
+		tr := Build(ws.entries())
 		ref := make(map[string]int64)
 		for i, w := range ws.words {
-			tr.Insert(w, ws.weights[i], int32(i))
 			ref[w] += ws.weights[i]
 		}
 		prefixes := []string{"", "a", "b", "ab", "ba", "aa"}
@@ -86,10 +94,9 @@ func TestQuickCompleteMatchesReference(t *testing.T) {
 // regardless of insertion order and repetition.
 func TestQuickLenMatchesDistinctWords(t *testing.T) {
 	f := func(ws wordSet) bool {
-		tr := New()
+		tr := Build(ws.entries())
 		distinct := make(map[string]struct{})
-		for i, w := range ws.words {
-			tr.Insert(w, ws.weights[i], -1)
+		for _, w := range ws.words {
 			distinct[w] = struct{}{}
 		}
 		return tr.Len() == len(distinct)
@@ -103,10 +110,9 @@ func TestQuickLenMatchesDistinctWords(t *testing.T) {
 // set in strictly increasing lexicographic order.
 func TestQuickWalkVisitsAllInsertedWords(t *testing.T) {
 	f := func(ws wordSet) bool {
-		tr := New()
+		tr := Build(ws.entries())
 		distinct := make(map[string]struct{})
-		for i, w := range ws.words {
-			tr.Insert(w, ws.weights[i], -1)
+		for _, w := range ws.words {
 			distinct[w] = struct{}{}
 		}
 		var visited []string
@@ -136,10 +142,7 @@ func TestQuickWalkVisitsAllInsertedWords(t *testing.T) {
 // every exact-prefix completion.
 func TestQuickFuzzySupersetOfExact(t *testing.T) {
 	f := func(ws wordSet, prefixSeed uint8) bool {
-		tr := New()
-		for i, w := range ws.words {
-			tr.Insert(w, ws.weights[i], -1)
-		}
+		tr := Build(ws.entries())
 		prefixes := []string{"a", "b", "ab", "aa"}
 		prefix := prefixes[int(prefixSeed)%len(prefixes)]
 		exact := tr.Complete(prefix, 100)
@@ -180,43 +183,60 @@ func (buildSet) Generate(rng *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(bs)
 }
 
-// TestQuickBuildMatchesInsert: Build yields the node graph of inserting the
-// same entries one by one — payloads, maxWeight, child runes, nil children
-// maps — and so answers every read the same way.
+// TestQuickBuildMatchesInsert: the trie Build makes answers every read as
+// the map-trie reference grown by inserting the same entries one by one —
+// Len, Walk, Contains, Weight, and Complete and FuzzyComplete from prefixes
+// of the stored words, invalid UTF-8 prefixes and prefixes of no word.
 func TestQuickBuildMatchesInsert(t *testing.T) {
-	prefixes := []string{"", "a", "b", "é", "日", "\xff", "�", "ab", "aé", "x"}
 	f := func(bs buildSet) bool {
-		ref := New()
+		ref := NewReference()
 		for _, e := range bs.entries {
 			ref.Insert(e.Word, e.Weight, e.Datum)
 		}
 		got := Build(append([]Entry(nil), bs.entries...))
-		if d := Diff(got, ref); d != "" {
+		prefixes := []string{"", "a", "b", "é", "日", "\xff", "\xc3", "a\xfe", "�", "ab", "aé", "x"}
+		for _, e := range bs.entries {
+			prefixes = append(prefixes, e.Word, e.Word+"a")
+		}
+		if d := Mismatch(got, ref, prefixes); d != "" {
 			t.Logf("%q: %s", bs.entries, d)
 			return false
 		}
-		walk := func(tr *Trie) (out []Entry) {
-			tr.Walk(func(e Entry) bool { out = append(out, e); return true })
-			return out
-		}
-		if got.Len() != ref.Len() || !reflect.DeepEqual(walk(got), walk(ref)) {
-			return false
-		}
-		for _, p := range prefixes {
-			if !reflect.DeepEqual(got.Complete(p, 3), ref.Complete(p, 3)) ||
-				!reflect.DeepEqual(got.FuzzyComplete(p, 1, 4), ref.FuzzyComplete(p, 1, 4)) ||
-				got.Contains(p) != ref.Contains(p) || got.Weight(p) != ref.Weight(p) {
-				return false
-			}
-		}
-		for _, e := range bs.entries {
-			if got.Contains(e.Word) != ref.Contains(e.Word) || got.Weight(e.Word) != ref.Weight(e.Word) {
-				return false
-			}
-		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzTrieMatchesReference: for fuzzed words (one per line of words, the
+// weight of each a byte of weights) and a fuzzed prefix, the trie Build
+// makes answers every read as the map-trie reference does.
+func FuzzTrieMatchesReference(f *testing.F) {
+	f.Add("author\nauth\nauction\nauthor", []byte{5, 1, 0, 3}, "au")
+	f.Add("日本語\n日本\n\xff\xfe\n�", []byte{3, 5, 1, 1}, "\xff")
+	f.Add("\na\nab\nb", []byte{0, 9, 9, 2}, "ax")
+	f.Fuzz(func(t *testing.T, words string, weights []byte, prefix string) {
+		lines := strings.Split(words, "\n")
+		if len(lines) > 64 {
+			lines = lines[:64]
+		}
+		ref := NewReference()
+		entries := make([]Entry, len(lines))
+		for i, w := range lines {
+			var wt int64
+			if i < len(weights) {
+				wt = int64(weights[i])
+			}
+			entries[i] = Entry{Word: w, Weight: wt, Datum: int32(i)}
+			ref.Insert(w, wt, int32(i))
+		}
+		prefixes := []string{prefix, ""}
+		for i := range prefix {
+			prefixes = append(prefixes, prefix[:i])
+		}
+		if d := Mismatch(Build(entries), ref, prefixes); d != "" {
+			t.Fatal(d)
+		}
+	})
 }

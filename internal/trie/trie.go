@@ -1,11 +1,16 @@
-// Package trie implements a weighted rune trie with top-k prefix completion
-// and bounded-edit-distance (fuzzy) completion.  LotusX keeps one trie over
-// tag names and one over value tokens; the auto-completion engine intersects
-// trie candidates with the position-feasible set from the DataGuide.
+// Package trie implements weighted top-k prefix completion and
+// bounded-edit-distance (fuzzy) completion over a fixed set of words.
+// LotusX keeps one trie over tag names and one over the values of each tag;
+// the auto-completion engine intersects trie candidates with the
+// position-feasible set from the DataGuide.
+//
+// The trie is implicit: its words are kept sorted, so the words below any
+// trie node — the words sharing a prefix — are one contiguous range of the
+// array, found by two binary searches.  An argmax tree over the weights
+// names each range's heaviest word in logarithmic time.
 package trie
 
 import (
-	"container/heap"
 	"slices"
 	"sort"
 	"strings"
@@ -19,108 +24,190 @@ type Entry struct {
 	Datum  int32 // caller-defined payload, e.g. a TagID; -1 if unused
 }
 
-type node struct {
-	// children is nil until the first child arrives: most nodes of a value
-	// trie sit on an unshared tail and the last one never has a child, so
-	// readers must treat a nil map as empty (lookups and range both do).
-	children map[rune]*node
-	// entry payload; present iff terminal.
-	weight   int64
-	datum    int32
-	terminal bool
-	// maxWeight is the largest terminal weight in this subtree; it lets
-	// top-k completion explore best-first and stop early.
-	maxWeight int64
-}
-
 // Trie is a weighted prefix tree.  It is immutable once built and safe for
 // concurrent readers.
 type Trie struct {
-	root *node
-	size int
+	entries []Entry // distinct words, sorted
+	// heavy is an argmax tree over the entries' weights: heavy[n+i] is i
+	// for n entries, and heavy[j] is the heavier of heavy[2j] and
+	// heavy[2j+1], the lower index on a tie.
+	heavy []int32
 }
 
 // Len returns the number of distinct words stored.
-func (t *Trie) Len() int { return t.size }
+func (t *Trie) Len() int { return len(t.entries) }
 
 // Build returns the trie of entries: each word with its weight and datum.
 // Words that decode to the same runes are one word — an invalid UTF-8 byte
 // decodes to U+FFFD, as ranging over a string does — whose weight is their
 // sum and whose datum is the first one's in entries.  Weights must not be
-// negative.  Build rewrites an invalid word in entries as it decodes, and
-// sorts entries in place, stably, unless they come sorted.
-//
-// It is one pass over the sorted words: each word adds only the nodes past
-// its longest common prefix with the word before it, all taken from one
-// slab, and a node's maxWeight is settled when the pass leaves its subtree.
+// negative.  Build rewrites an invalid word in entries as it decodes, sorts
+// entries in place, stably, unless they come sorted, and keeps their backing
+// array: the caller must not touch entries afterwards.
 func Build(entries []Entry) *Trie {
 	for i := range entries {
-		if !utf8.ValidString(entries[i].Word) {
-			entries[i].Word = string([]rune(entries[i].Word))
-		}
+		entries[i].Word = decoded(entries[i].Word)
 	}
 	byWord := func(a, b Entry) int { return strings.Compare(a.Word, b.Word) }
 	if !slices.IsSortedFunc(entries, byWord) {
 		slices.SortStableFunc(entries, byWord)
 	}
-	nodes, prev := 1, ""
+	merged := entries[:0]
 	for _, e := range entries {
-		nodes += utf8.RuneCountInString(e.Word[commonPrefix(prev, e.Word):])
-		prev = e.Word
-	}
-	slab := make([]node, nodes)
-	for i := range slab {
-		slab[i].datum = -1
-	}
-	t := &Trie{root: &slab[0]}
-	slab = slab[1:]
-	// path holds the nodes of the previous word's runes, the root first;
-	// ends[d] is where the word's first d runes end.
-	path, ends := []*node{t.root}, []int{0}
-	prev = ""
-	for _, e := range entries {
-		lcp := commonPrefix(prev, e.Word)
-		d := len(ends) - 1
-		for ends[d] > lcp {
-			leave(path[d], path[d-1])
-			d--
+		if n := len(merged); n > 0 && merged[n-1].Word == e.Word {
+			merged[n-1].Weight += e.Weight
+			continue
 		}
-		path, ends = path[:d+1], ends[:d+1]
-		cur := path[d]
-		for i, r := range e.Word[lcp:] {
-			next := &slab[0]
-			slab = slab[1:]
-			if cur.children == nil {
-				cur.children = make(map[rune]*node)
-			}
-			cur.children[r] = next
-			cur = next
-			path = append(path, cur)
-			ends = append(ends, lcp+i+utf8.RuneLen(r))
-		}
-		if cur.terminal {
-			cur.weight += e.Weight
-		} else {
-			cur.terminal, cur.weight, cur.datum = true, e.Weight, e.Datum
-			t.size++
-		}
-		prev = e.Word
+		merged = append(merged, e)
 	}
-	for d := len(path) - 1; d > 0; d-- {
-		leave(path[d], path[d-1])
+	n := len(merged)
+	t := &Trie{entries: merged, heavy: make([]int32, 2*n)}
+	for i := 0; i < n; i++ {
+		t.heavy[n+i] = int32(i)
 	}
-	leave(t.root, nil)
+	for j := n - 1; j > 0; j-- {
+		t.heavy[j] = t.heavier(t.heavy[2*j], t.heavy[2*j+1])
+	}
 	return t
 }
 
-// leave settles n's maxWeight once its subtree is complete and raises its
-// parent's with it.
-func leave(n, parent *node) {
-	if n.terminal && n.weight > n.maxWeight {
-		n.maxWeight = n.weight
+// decoded returns s with every invalid UTF-8 byte replaced by U+FFFD.
+func decoded(s string) string {
+	if utf8.ValidString(s) {
+		return s
 	}
-	if parent != nil && n.maxWeight > parent.maxWeight {
-		parent.maxWeight = n.maxWeight
+	return string([]rune(s))
+}
+
+// heavier returns whichever of the entries a and b ranks first in a
+// completion, heavier and then lexicographically smaller; -1 is no entry.
+func (t *Trie) heavier(a, b int32) int32 {
+	if a < 0 {
+		return b
+	}
+	wa, wb := t.entries[a].Weight, t.entries[b].Weight
+	if wa > wb || wa == wb && a < b {
+		return a
+	}
+	return b
+}
+
+// heaviest returns the index of the heaviest entry in [lo, hi), which must
+// not be empty.
+func (t *Trie) heaviest(lo, hi int) int32 {
+	n := len(t.entries)
+	top := int32(-1)
+	for lo, hi = lo+n, hi+n; lo < hi; lo, hi = lo>>1, hi>>1 {
+		if lo&1 == 1 {
+			top = t.heavier(top, t.heavy[lo])
+			lo++
+		}
+		if hi&1 == 1 {
+			hi--
+			top = t.heavier(top, t.heavy[hi])
+		}
+	}
+	return top
+}
+
+// below returns the range of entries that start with prefix, a valid UTF-8
+// string.
+func (t *Trie) below(prefix string) (int, int) {
+	lo := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].Word >= prefix })
+	rest := t.entries[lo:]
+	return lo, lo + sort.Search(len(rest), func(i int) bool { return !strings.HasPrefix(rest[i].Word, prefix) })
+}
+
+// Complete returns up to k words starting with prefix, heaviest first and
+// lexicographically among equal weights.  Prefix decodes as Build decodes
+// words.  It costs two binary searches and O(k log n) after them, however
+// many words the prefix matches.
+func (t *Trie) Complete(prefix string, k int) []Entry {
+	if k <= 0 {
+		return nil
+	}
+	lo, hi := t.below(decoded(prefix))
+	return t.entriesAt(t.top(lo, hi, k))
+}
+
+// entriesAt returns the entries at the indices idx, or nil for none.
+func (t *Trie) entriesAt(idx []int32) []Entry {
+	if len(idx) == 0 {
+		return nil
+	}
+	out := make([]Entry, len(idx))
+	for j, i := range idx {
+		out[j] = t.entries[i]
+	}
+	return out
+}
+
+// part is a range of entries keyed by its heaviest entry.
+type part struct{ lo, hi, top int32 }
+
+// top returns the indices of the k heaviest entries in [lo, hi) in
+// completion order.  A heap holds disjoint ranges keyed by their heaviest
+// entries: popping one yields the next result and pushes the two sides of
+// it, so the heap never holds more than k+1 ranges.
+func (t *Trie) top(lo, hi, k int) []int32 {
+	if lo >= hi {
+		return nil
+	}
+	out := make([]int32, 0, min(k, hi-lo))
+	h := []part{{int32(lo), int32(hi), t.heaviest(lo, hi)}}
+	for len(h) > 0 && len(out) < k {
+		p := h[0]
+		out = append(out, p.top)
+		h[0] = h[len(h)-1]
+		h = t.down(h[:len(h)-1])
+		for _, s := range [2]part{{lo: p.lo, hi: p.top}, {lo: p.top + 1, hi: p.hi}} {
+			if s.lo < s.hi {
+				s.top = t.heaviest(int(s.lo), int(s.hi))
+				h = t.up(append(h, s))
+			}
+		}
+	}
+	return out
+}
+
+// up restores the heap order of h after its last range was appended.
+func (t *Trie) up(h []part) []part {
+	for i := len(h) - 1; i > 0; {
+		j := (i - 1) / 2
+		if t.heavier(h[i].top, h[j].top) != h[i].top {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	return h
+}
+
+// down restores the heap order of h after its first range was replaced.
+func (t *Trie) down(h []part) []part {
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= len(h) {
+			return h
+		}
+		if j+1 < len(h) && t.heavier(h[j].top, h[j+1].top) != h[j].top {
+			j++
+		}
+		if t.heavier(h[i].top, h[j].top) == h[i].top {
+			return h
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// Walk calls fn for every stored word in lexicographic order; fn returning
+// false stops the walk.
+func (t *Trie) Walk(fn func(Entry) bool) {
+	for _, e := range t.entries {
+		if !fn(e) {
+			return
+		}
 	}
 }
 
@@ -135,134 +222,4 @@ func commonPrefix(a, b string) int {
 		n--
 	}
 	return n
-}
-
-// Contains reports whether word was inserted.
-func (t *Trie) Contains(word string) bool {
-	n := t.descend(word)
-	return n != nil && n.terminal
-}
-
-// Weight returns the accumulated weight of word, or 0 if absent.
-func (t *Trie) Weight(word string) int64 {
-	n := t.descend(word)
-	if n == nil || !n.terminal {
-		return 0
-	}
-	return n.weight
-}
-
-func (t *Trie) descend(prefix string) *node {
-	cur := t.root
-	for _, r := range prefix {
-		next, ok := cur.children[r]
-		if !ok {
-			return nil
-		}
-		cur = next
-	}
-	return cur
-}
-
-// frontierItem is one unit of best-first exploration: either a subtree to
-// expand (emit == false, bound == subtree max weight) or a concrete terminal
-// to output (emit == true, bound == its exact weight).
-type frontierItem struct {
-	n      *node
-	prefix string
-	bound  int64
-	emit   bool
-}
-
-type frontier []frontierItem
-
-func (f frontier) Len() int { return len(f) }
-func (f frontier) Less(i, j int) bool {
-	if f[i].bound != f[j].bound {
-		return f[i].bound > f[j].bound
-	}
-	return f[i].prefix < f[j].prefix // deterministic tie-break
-}
-func (f frontier) Swap(i, j int) { f[i], f[j] = f[j], f[i] }
-func (f *frontier) Push(x any)   { *f = append(*f, x.(frontierItem)) }
-func (f *frontier) Pop() any {
-	old := *f
-	n := len(old)
-	it := old[n-1]
-	*f = old[:n-1]
-	return it
-}
-
-// Complete returns up to k words starting with prefix, heaviest first.
-// Best-first exploration over subtree weight bounds makes the cost
-// proportional to the answer size, not the subtree size.  Ties are broken
-// lexicographically for determinism.
-func (t *Trie) Complete(prefix string, k int) []Entry {
-	if k <= 0 {
-		return nil
-	}
-	start := t.descend(prefix)
-	if start == nil {
-		return nil
-	}
-	return completeNode(start, prefix, k)
-}
-
-// completeNode runs best-first top-k completion from start, whose
-// accumulated word so far is prefix.
-func completeNode(start *node, prefix string, k int) []Entry {
-	var out []Entry
-	f := &frontier{{n: start, prefix: prefix, bound: start.maxWeight}}
-	heap.Init(f)
-	for f.Len() > 0 && len(out) < k {
-		it := heap.Pop(f).(frontierItem)
-		if it.emit {
-			out = append(out, Entry{Word: it.prefix, Weight: it.bound, Datum: it.n.datum})
-			continue
-		}
-		if it.n.terminal {
-			heap.Push(f, frontierItem{n: it.n, prefix: it.prefix, bound: it.n.weight, emit: true})
-		}
-		for r, c := range it.n.children {
-			heap.Push(f, frontierItem{n: c, prefix: it.prefix + string(r), bound: c.maxWeight})
-		}
-	}
-	stabilize(out)
-	return out
-}
-
-// stabilize sorts equal-weight runs lexicographically so completion output
-// is deterministic across map iteration orders.
-func stabilize(out []Entry) {
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Weight != out[j].Weight {
-			return out[i].Weight > out[j].Weight
-		}
-		return out[i].Word < out[j].Word
-	})
-}
-
-// Walk calls fn for every stored word in lexicographic order; fn returning
-// false stops the walk.
-func (t *Trie) Walk(fn func(Entry) bool) {
-	t.walk(t.root, "", fn)
-}
-
-func (t *Trie) walk(n *node, prefix string, fn func(Entry) bool) bool {
-	if n.terminal {
-		if !fn(Entry{Word: prefix, Weight: n.weight, Datum: n.datum}) {
-			return false
-		}
-	}
-	runes := make([]rune, 0, len(n.children))
-	for r := range n.children {
-		runes = append(runes, r)
-	}
-	sort.Slice(runes, func(i, j int) bool { return runes[i] < runes[j] })
-	for _, r := range runes {
-		if !t.walk(n.children[r], prefix+string(r), fn) {
-			return false
-		}
-	}
-	return true
 }

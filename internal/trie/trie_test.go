@@ -3,17 +3,19 @@ package trie
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
 )
 
+// TestInsertContainsWeight: a word given twice is one word whose weight is
+// the sum and whose datum is the first one's.
 func TestInsertContainsWeight(t *testing.T) {
-	tr := New()
-	tr.Insert("author", 3, 7)
-	tr.Insert("auth", 1, 8)
-	tr.Insert("author", 2, 99) // accumulates, keeps first datum
+	tr := Build([]Entry{
+		{Word: "author", Weight: 3, Datum: 7},
+		{Word: "auth", Weight: 1, Datum: 8},
+		{Word: "author", Weight: 2, Datum: 99}, // accumulates, keeps first datum
+	})
 
 	if !tr.Contains("author") || !tr.Contains("auth") {
 		t.Fatal("inserted words missing")
@@ -30,17 +32,16 @@ func TestInsertContainsWeight(t *testing.T) {
 	if w := tr.Weight("missing"); w != 0 {
 		t.Fatalf("Weight(missing) = %d, want 0", w)
 	}
+	if got := tr.Complete("author", 1); len(got) != 1 || got[0].Datum != 7 {
+		t.Fatalf("Complete(author) = %v, want datum 7", got)
+	}
 }
 
 func TestCompleteOrdering(t *testing.T) {
-	tr := New()
-	words := map[string]int64{
-		"author": 50, "auction": 30, "austria": 30, "authority": 10,
-		"title": 100, "auth": 5,
-	}
-	for w, wt := range words {
-		tr.Insert(w, wt, -1)
-	}
+	tr := Build([]Entry{
+		{"author", 50, -1}, {"auction", 30, -1}, {"austria", 30, -1},
+		{"authority", 10, -1}, {"title", 100, -1}, {"auth", 5, -1},
+	})
 	got := tr.Complete("au", 10)
 	var names []string
 	for _, e := range got {
@@ -54,10 +55,11 @@ func TestCompleteOrdering(t *testing.T) {
 }
 
 func TestCompleteK(t *testing.T) {
-	tr := New()
+	var es []Entry
 	for i := 0; i < 100; i++ {
-		tr.Insert(fmt.Sprintf("word%03d", i), int64(i), int32(i))
+		es = append(es, Entry{fmt.Sprintf("word%03d", i), int64(i), int32(i)})
 	}
+	tr := Build(es)
 	got := tr.Complete("word", 5)
 	if len(got) != 5 {
 		t.Fatalf("len = %d", len(got))
@@ -79,9 +81,7 @@ func TestCompleteK(t *testing.T) {
 }
 
 func TestCompleteEmptyPrefixListsAll(t *testing.T) {
-	tr := New()
-	tr.Insert("a", 1, -1)
-	tr.Insert("b", 2, -1)
+	tr := Build([]Entry{{"a", 1, -1}, {"b", 2, -1}})
 	got := tr.Complete("", 10)
 	if len(got) != 2 || got[0].Word != "b" {
 		t.Fatalf("got %v", got)
@@ -89,8 +89,7 @@ func TestCompleteEmptyPrefixListsAll(t *testing.T) {
 }
 
 func TestExactWordIsItsOwnCompletion(t *testing.T) {
-	tr := New()
-	tr.Insert("year", 1, -1)
+	tr := Build([]Entry{{"year", 1, -1}})
 	got := tr.Complete("year", 3)
 	if len(got) != 1 || got[0].Word != "year" {
 		t.Fatalf("got %v", got)
@@ -101,7 +100,7 @@ func TestCompleteAgainstBruteForceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	alphabet := []rune("abc")
 	for trial := 0; trial < 50; trial++ {
-		tr := New()
+		var es []Entry
 		ref := make(map[string]int64)
 		n := 1 + rng.Intn(60)
 		for i := 0; i < n; i++ {
@@ -112,9 +111,10 @@ func TestCompleteAgainstBruteForceProperty(t *testing.T) {
 			}
 			w := b.String()
 			wt := int64(1 + rng.Intn(20))
-			tr.Insert(w, wt, -1)
+			es = append(es, Entry{w, wt, -1})
 			ref[w] += wt
 		}
+		tr := Build(es)
 		prefix := ""
 		if rng.Intn(2) == 0 {
 			prefix = string(alphabet[rng.Intn(len(alphabet))])
@@ -154,11 +154,7 @@ func TestCompleteAgainstBruteForceProperty(t *testing.T) {
 }
 
 func TestWalkLexicographic(t *testing.T) {
-	tr := New()
-	words := []string{"b", "a", "ab", "aa", "ba"}
-	for _, w := range words {
-		tr.Insert(w, 1, -1)
-	}
+	tr := Build([]Entry{{"b", 1, -1}, {"a", 1, -1}, {"ab", 1, -1}, {"aa", 1, -1}, {"ba", 1, -1}})
 	var got []string
 	tr.Walk(func(e Entry) bool {
 		got = append(got, e.Word)
@@ -181,10 +177,7 @@ func TestWalkLexicographic(t *testing.T) {
 }
 
 func TestFuzzyCompleteTypo(t *testing.T) {
-	tr := New()
-	tr.Insert("author", 10, 1)
-	tr.Insert("title", 5, 2)
-	tr.Insert("auction", 3, 3)
+	tr := Build([]Entry{{"author", 10, 1}, {"title", 5, 2}, {"auction", 3, 3}})
 
 	got := tr.FuzzyComplete("athor", 1, 5) // missing 'u'
 	if len(got) == 0 || got[0].Word != "author" {
@@ -198,9 +191,7 @@ func TestFuzzyCompleteTypo(t *testing.T) {
 }
 
 func TestFuzzyPrefersExactPrefix(t *testing.T) {
-	tr := New()
-	tr.Insert("cat", 1, -1)
-	tr.Insert("car", 100, -1)
+	tr := Build([]Entry{{"cat", 1, -1}, {"car", 100, -1}})
 	got := tr.FuzzyComplete("cat", 1, 5)
 	if len(got) != 2 {
 		t.Fatalf("got %v", got)
@@ -212,8 +203,7 @@ func TestFuzzyPrefersExactPrefix(t *testing.T) {
 }
 
 func TestFuzzyRespectsBudget(t *testing.T) {
-	tr := New()
-	tr.Insert("abcdef", 1, -1)
+	tr := Build([]Entry{{"abcdef", 1, -1}})
 	if got := tr.FuzzyComplete("xyzdef", 2, 5); len(got) != 0 {
 		t.Fatalf("distance-3 prefix matched: %v", got)
 	}
@@ -223,8 +213,7 @@ func TestFuzzyRespectsBudget(t *testing.T) {
 }
 
 func TestFuzzyKZero(t *testing.T) {
-	tr := New()
-	tr.Insert("a", 1, -1)
+	tr := Build([]Entry{{"a", 1, -1}})
 	if got := tr.FuzzyComplete("a", 1, 0); got != nil {
 		t.Fatal("k=0 should return nil")
 	}
@@ -233,9 +222,7 @@ func TestFuzzyKZero(t *testing.T) {
 func TestFuzzyPrefixExtension(t *testing.T) {
 	// A query that is a prefix of stored words within distance: the whole
 	// subtree completes.
-	tr := New()
-	tr.Insert("person", 4, -1)
-	tr.Insert("personalize", 2, -1)
+	tr := Build([]Entry{{"person", 4, -1}, {"personalize", 2, -1}})
 	got := tr.FuzzyComplete("persn", 1, 5)
 	if len(got) != 2 {
 		t.Fatalf("got %v", got)
@@ -243,49 +230,12 @@ func TestFuzzyPrefixExtension(t *testing.T) {
 }
 
 func TestUnicodeWords(t *testing.T) {
-	tr := New()
-	tr.Insert("日本語", 3, -1)
-	tr.Insert("日本", 5, -1)
+	tr := Build([]Entry{{"日本語", 3, -1}, {"日本", 5, -1}})
 	got := tr.Complete("日", 5)
 	if len(got) != 2 || got[0].Word != "日本" {
 		t.Fatalf("unicode completion = %v", got)
 	}
 	if !tr.Contains("日本語") {
 		t.Fatal("unicode word missing")
-	}
-}
-
-// TestLeafAllocatesNoChildrenMap pins the lazy children maps: a node gets
-// its map with its first child, so the last node of every word — most of a
-// value trie's nodes sit on unshared tails — carries none, and every reader
-// still works on the nil map.
-func TestLeafAllocatesNoChildrenMap(t *testing.T) {
-	tr := New()
-	tr.Insert("ab", 2, 7)
-	leaf := tr.descend("ab")
-	if leaf == nil || leaf.children != nil {
-		t.Fatalf("leaf = %+v, want a node with a nil children map", leaf)
-	}
-	if tr.descend("a").children == nil {
-		t.Fatal("inner node lost its children map")
-	}
-	want := []Entry{{Word: "ab", Weight: 2, Datum: 7}}
-	if got := tr.Complete("ab", 5); !reflect.DeepEqual(got, want) {
-		t.Errorf("Complete at the leaf = %v, want %v", got, want)
-	}
-	if got := tr.FuzzyComplete("abx", 1, 5); !reflect.DeepEqual(got, want) {
-		t.Errorf("FuzzyComplete past the leaf = %v, want %v", got, want)
-	}
-	if tr.Contains("abc") || tr.Weight("abc") != 0 {
-		t.Error("lookup below the leaf found a word")
-	}
-	var walked []Entry
-	tr.Walk(func(e Entry) bool { walked = append(walked, e); return true })
-	if !reflect.DeepEqual(walked, want) {
-		t.Errorf("Walk = %v, want %v", walked, want)
-	}
-	tr.Insert("abc", 1, 8) // growing below a former leaf allocates its map
-	if got := tr.Complete("abc", 5); len(got) != 1 || got[0].Word != "abc" {
-		t.Errorf("Complete after extending the leaf = %v", got)
 	}
 }

@@ -326,19 +326,28 @@ func (p *Parser) skipSpace(i int) int {
 // name reads the XML name at offset i and returns it interned, with the
 // offset just past it.
 func (p *Parser) name(i int) (string, int, error) {
+	j, err := p.nameEnd(i)
+	if err != nil {
+		return "", 0, err
+	}
+	return p.intern(p.buf[p.r+i : p.r+j]), j, nil
+}
+
+// nameEnd returns the offset just past the XML name at offset i.
+func (p *Parser) nameEnd(i int) (int, error) {
 	c, ok := p.at(i)
 	if !ok || class[c]&cNameStart == 0 {
-		return "", 0, p.fail(min(i, p.end()), "expected a name")
+		return 0, p.fail(min(i, p.end()), "expected a name")
 	}
 	j := i + 1
 	for {
 		for b := p.buf[p.r:p.w]; j < len(b); j++ {
 			if class[b[j]]&cName == 0 {
-				return p.intern(b[i:j]), j, nil
+				return j, nil
 			}
 		}
 		if !p.more() {
-			return p.intern(p.buf[p.r+i : p.w]), j, nil
+			return j, nil
 		}
 	}
 }

@@ -463,9 +463,17 @@ func (p *Parser) scanAttr(i int) (Attr, int, error) {
 }
 
 func (p *Parser) scanEndTag() (bool, error) {
-	name, i, err := p.name(len("</"))
+	i, err := p.nameEnd(len("</"))
 	if err != nil {
 		return false, err
+	}
+	// A well-formed end tag names the innermost open element, whose name is
+	// interned already: only a mismatch needs the lookup.
+	var name string
+	if b := p.buf[p.r+len("</") : p.r+i]; len(p.stack) > 0 && string(b) == p.stack[len(p.stack)-1] {
+		name = p.stack[len(p.stack)-1]
+	} else {
+		name = p.intern(b)
 	}
 	i = p.skipSpace(i)
 	c, ok := p.at(i)
