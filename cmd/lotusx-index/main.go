@@ -17,7 +17,6 @@ import (
 func main() {
 	in := flag.String("in", "", "input XML file (required)")
 	out := flag.String("out", "", "output index file (required)")
-	full := flag.Bool("full", false, "persist token postings too (larger file, faster open)")
 	flag.Parse()
 	if *in == "" || *out == "" {
 		flag.Usage()
@@ -36,12 +35,7 @@ func main() {
 		fatal(err)
 	}
 	defer f.Close()
-	if *full {
-		err = engine.SaveFull(f)
-	} else {
-		err = engine.Save(f)
-	}
-	if err != nil {
+	if err := engine.Save(f); err != nil {
 		fatal(err)
 	}
 

@@ -160,9 +160,8 @@ func TestParallelLoadEqualsSequential(t *testing.T) {
 					t.Errorf("%s shard names: parallel %v, sequential %v", name, pn, sn)
 				}
 
-				// Round trip: what persist wrote (SaveFull per shard, files
-				// written concurrently) reopens to the same answers.  SaveFull
-				// iterates a map, so files are compared by what they answer.
+				// Round trip: what persist wrote (one Save per shard, files
+				// written concurrently) reopens to the same answers.
 				if shards > 1 {
 					reopened, err := corpus.Open(filepath.Join(parDir, name), corpus.Config{})
 					if err != nil {
@@ -175,7 +174,7 @@ func TestParallelLoadEqualsSequential(t *testing.T) {
 				}
 				var file bytes.Buffer
 				engine := pb.(*core.Engine)
-				if err := engine.SaveFull(&file); err != nil {
+				if err := engine.Save(&file); err != nil {
 					t.Fatal(err)
 				}
 				reopened, err := core.Open(&file)

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -148,6 +149,49 @@ func TestE6PositionAwareBeatsNaive(t *testing.T) {
 	if aware.mrr() <= naive.mrr() {
 		t.Errorf("position-aware MRR %.3f should beat naive %.3f", aware.mrr(), naive.mrr())
 	}
+}
+
+// TestE6ScoresFeasibleProbesOnly: every probe E6 keeps names a tag that
+// occurs at its position, the TreeBank probes whose path the document never
+// has (an NP child of //NP, an NN child of //NP/NP) are dropped, and the
+// table reports the dropped count beside the scored one.
+func TestE6ScoresFeasibleProbesOnly(t *testing.T) {
+	r := runner(t)
+	kept, dropped, err := r.e6Probes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kept)+len(dropped) != len(completionProbes()) || len(dropped) == 0 {
+		t.Fatalf("kept %d, dropped %d of %d probes", len(kept), len(dropped), len(completionProbes()))
+	}
+	for _, p := range kept {
+		q, focus, err := probeQuery(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Engine(p.kind).Completer().ExplainTag(q, focus, p.axis, p.intended, 1)) == 0 {
+			t.Errorf("kept infeasible probe %+v", p)
+		}
+	}
+	for _, p := range dropped {
+		if p.kind != dataset.TreeBank {
+			t.Errorf("dropped probe %+v outside TreeBank", p)
+		}
+	}
+	buf := output(r)
+	if err := r.E6CompletionQuality(); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%d %d", len(kept), len(dropped))
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if fields := strings.Fields(line); len(fields) == 9 && fields[0] == "0" {
+			if got := strings.Join(fields[7:], " "); got != want {
+				t.Errorf("prefix-0 row reports probes/dropped %q, want %q", got, want)
+			}
+			return
+		}
+	}
+	t.Fatalf("no prefix-0 row in:\n%s", buf.String())
 }
 
 func TestE7RankingBeatsBaselines(t *testing.T) {

@@ -114,20 +114,52 @@ func probeQuery(p completionProbe) (*twig.Query, int, error) {
 	return q, q.OutputNode().ID, nil
 }
 
+// e6Probes splits the completion probes into those whose intended tag
+// occurs at the probe's position in its dataset and those whose tag never
+// does there.  The latter have no right answer to rank: the position-aware
+// engine is right to leave the tag out, and only a position-blind one
+// "finds" it.
+func (r *Runner) e6Probes() (kept, dropped []completionProbe, err error) {
+	for _, p := range completionProbes() {
+		q, focus, err := probeQuery(p)
+		if err != nil {
+			return nil, nil, err
+		}
+		if len(r.engines[p.kind].Completer().ExplainTag(q, focus, p.axis, p.intended, 1)) == 0 {
+			dropped = append(dropped, p)
+		} else {
+			kept = append(kept, p)
+		}
+	}
+	return kept, dropped, nil
+}
+
 // E6CompletionQuality reproduces the position-aware claim itself: knowing
 // the position ranks the intended tag higher than global frequency does.
+// It scores the feasible probes only (e6Probes) and reports, per prefix
+// length, how many it dropped.
 func (r *Runner) E6CompletionQuality() error {
-	probes := completionProbes()
+	probes, infeasible, err := r.e6Probes()
+	if err != nil {
+		return err
+	}
+	atLeast := func(ps []completionProbe, plen int) int {
+		n := 0
+		for _, p := range ps {
+			if len(p.intended) >= plen {
+				n++
+			}
+		}
+		return n
+	}
 	tw := r.table()
-	fmt.Fprintln(tw, "prefix len\taware s@1\taware s@5\taware MRR\tnaive s@1\tnaive s@5\tnaive MRR\tprobes")
+	fmt.Fprintln(tw, "prefix len\taware s@1\taware s@5\taware MRR\tnaive s@1\tnaive s@5\tnaive MRR\tprobes\tdropped")
 	for plen := 0; plen <= 2; plen++ {
 		var am, nm metrics
-		n := 0
 		for _, p := range probes {
 			if len(p.intended) < plen {
 				continue
 			}
-			n++
 			prefix := p.intended[:plen]
 			engine := r.engines[p.kind]
 			q, focus, err := probeQuery(p)
@@ -137,12 +169,12 @@ func (r *Runner) E6CompletionQuality() error {
 			am.observe(rankOf(p.intended, engine.Completer().SuggestTags(q, focus, p.axis, prefix, 10)))
 			nm.observe(rankOf(p.intended, engine.Completer().SuggestTagsNaive(prefix, 10)))
 		}
-		if n == 0 {
+		if am.n == 0 {
 			continue
 		}
-		fmt.Fprintf(tw, "%d\t%.2f\t%.2f\t%.3f\t%.2f\t%.2f\t%.3f\t%d\n",
+		fmt.Fprintf(tw, "%d\t%.2f\t%.2f\t%.3f\t%.2f\t%.2f\t%.3f\t%d\t%d\n",
 			plen, am.successAt1(), am.successAt5(), am.mrr(),
-			nm.successAt1(), nm.successAt5(), nm.mrr(), n)
+			nm.successAt1(), nm.successAt5(), nm.mrr(), am.n, atLeast(infeasible, plen))
 	}
 	return tw.Flush()
 }

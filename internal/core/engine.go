@@ -37,8 +37,8 @@ type Engine struct {
 // BuildTiming is where an engine's construction time went — what a start-up
 // banner shows so that a slow start can be placed without a profiler.
 type BuildTiming struct {
-	// Index is the index build (or, for Open, the load): streams, postings,
-	// exact map and completion tries.
+	// Index is the index build: streams, postings, exact map and
+	// completion tries.
 	Index time.Duration
 	// Guide is the DataGuide build and warm-up.
 	Guide time.Duration
@@ -50,7 +50,18 @@ func (e *Engine) BuildTiming() BuildTiming { return e.timing }
 // FromDocument builds an Engine over an already-parsed document.
 func FromDocument(d *doc.Document) *Engine {
 	start := time.Now()
-	return fromIndex(index.Build(d), start)
+	ix := index.Build(d)
+	indexed := time.Now()
+	guide := dataguide.Build(d)
+	guide.Warm()
+	return &Engine{
+		ix:        ix,
+		guide:     guide,
+		completer: complete.New(ix, guide),
+		ranker:    rank.New(ix),
+		rewriter:  rewrite.New(ix, guide),
+		timing:    BuildTiming{Index: indexed.Sub(start), Guide: time.Since(indexed)},
+	}
 }
 
 // FromReader parses XML from r and builds an Engine.
@@ -72,75 +83,31 @@ func FromFile(path string) (*Engine, error) {
 	return FromReader(path, f)
 }
 
-// Save persists the engine compactly (its document; derived structures
-// rebuild on Open).
-func (e *Engine) Save(w io.Writer) error { return e.ix.Save(w) }
+// Save persists the engine as an index file: its document, checksummed
+// (index.SaveDocument).  Open rebuilds everything else.
+func (e *Engine) Save(w io.Writer) error { return index.SaveDocument(w, e.Document()) }
 
-// SaveFull persists the engine with its token postings and a checksum
-// (larger file, faster open; see index.SaveFull).
-func (e *Engine) SaveFull(w io.Writer) error { return e.ix.SaveFull(w) }
-
-// Open loads an engine written by Save or SaveFull, detecting the format
-// from the file magic.
+// Open builds an engine over the document of a file written by Save (see
+// LoadDocument).
 func Open(r io.Reader) (*Engine, error) {
-	start := time.Now()
-	br, full, err := sniffFull(r)
-	if err != nil {
-		return nil, err
-	}
-	if full {
-		ix, err := index.LoadFull(br)
-		if err != nil {
-			return nil, err
-		}
-		return fromIndex(ix, start), nil
-	}
-	d, err := doc.Load(br)
+	d, err := LoadDocument(r)
 	if err != nil {
 		return nil, err
 	}
 	return FromDocument(d), nil
 }
 
-// LoadDocument reads only the document of a file written by Save or
-// SaveFull, building no engine — for a caller that serves the document
-// split into shards.
+// LoadDocument reads the document of a file written by Save, building no
+// engine — for a caller that serves the document split into shards.  A bare
+// document file (doc.Save, magic "LTXD"), which earlier builds' Save wrote,
+// loads too; anything else is read as an index file, so junk fails with
+// index.ErrCorrupt.
 func LoadDocument(r io.Reader) (*doc.Document, error) {
-	br, full, err := sniffFull(r)
-	if err != nil {
-		return nil, err
-	}
-	if full {
-		return index.LoadFullDocument(br)
-	}
-	return doc.Load(br)
-}
-
-// sniffFull reports whether r holds a SaveFull file (by its magic) rather
-// than a Save file, returning the buffered reader to decode it from.
-func sniffFull(r io.Reader) (*bufio.Reader, bool, error) {
 	br := bufio.NewReader(r)
-	magic, err := br.Peek(4)
-	if err != nil {
-		return nil, false, fmt.Errorf("core: reading magic: %w", err)
+	if magic, _ := br.Peek(4); string(magic) == "LTXD" {
+		return doc.Load(br)
 	}
-	return br, string(magic) == "LTXI", nil
-}
-
-// fromIndex assembles an engine around an index whose build began at start.
-func fromIndex(ix *index.Index, start time.Time) *Engine {
-	indexed := time.Now()
-	guide := dataguide.Build(ix.Document())
-	guide.Warm()
-	timing := BuildTiming{Index: indexed.Sub(start), Guide: time.Since(indexed)}
-	return &Engine{
-		ix:        ix,
-		guide:     guide,
-		completer: complete.New(ix, guide),
-		ranker:    rank.New(ix),
-		rewriter:  rewrite.New(ix, guide),
-		timing:    timing,
-	}
+	return index.LoadDocument(br)
 }
 
 // Document returns the underlying document.

@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"strings"
 	"testing"
 
 	"lotusx/internal/doc"
+	"lotusx/internal/index"
 	"lotusx/internal/join"
 	"lotusx/internal/twig"
 )
@@ -191,20 +195,31 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	if err := e.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := Open(&buf)
-	if err != nil {
+	if !bytes.HasPrefix(buf.Bytes(), []byte("LTXI\x03\x00\x00\x00")) {
+		t.Fatalf("Save wrote header % x, want an LTXI version-3 file", buf.Bytes()[:8])
+	}
+	// A bare document file, which earlier builds' Save wrote, opens too.
+	var bare bytes.Buffer
+	if err := e.Document().Save(&bare); err != nil {
 		t.Fatal(err)
 	}
-	r1, _ := e.SearchString(`//article/title`, SearchOptions{K: 100})
-	r2, _ := e2.SearchString(`//article/title`, SearchOptions{K: 100})
-	if len(r1.Answers) != len(r2.Answers) {
-		t.Fatal("reloaded engine answers differ")
+	for name, file := range map[string]*bytes.Buffer{"index file": &buf, "bare document": &bare} {
+		e2, err := Open(file)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		r1, _ := e.SearchString(`//article/title`, SearchOptions{K: 100})
+		r2, _ := e2.SearchString(`//article/title`, SearchOptions{K: 100})
+		if len(r1.Answers) != len(r2.Answers) {
+			t.Fatalf("%s: reloaded engine answers differ", name)
+		}
 	}
 }
 
 func TestOpenGarbage(t *testing.T) {
-	if _, err := Open(strings.NewReader("garbage")); err == nil {
-		t.Fatal("expected error")
+	// Neither magic: read as an index file, so the error is typed.
+	if _, err := Open(strings.NewReader("garbage")); !errors.Is(err, index.ErrCorrupt) {
+		t.Fatalf("err = %v, want index.ErrCorrupt", err)
 	}
 }
 
@@ -237,20 +252,30 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestSaveFullOpenRoundTrip: a version-1 index file, which the former
+// SaveFull wrote with the token postings after the document, opens to the
+// same answers.  Its postings section here is empty, so a value predicate
+// answers only if Open indexes the document afresh.
 func TestSaveFullOpenRoundTrip(t *testing.T) {
 	e := mustEngine(t)
-	var buf bytes.Buffer
-	if err := e.SaveFull(&buf); err != nil {
+	var docBuf bytes.Buffer
+	if err := e.Document().Save(&docBuf); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := Open(&buf) // Open auto-detects the full format
+	payload := binary.LittleEndian.AppendUint64(nil, uint64(docBuf.Len()))
+	payload = append(payload, docBuf.Bytes()...)
+	payload = append(payload, 0, 0, 0, 0, 0, 0, 0, 0) // valued, zero tokens
+	file := binary.LittleEndian.AppendUint32([]byte("LTXI"), 1)
+	file = binary.LittleEndian.AppendUint64(file, uint64(len(payload)))
+	file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(payload))
+	e2, err := Open(bytes.NewReader(append(file, payload...)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r1, _ := e.SearchString(`//article[title contains "twig"]`, SearchOptions{K: 10})
 	r2, _ := e2.SearchString(`//article[title contains "twig"]`, SearchOptions{K: 10})
 	if len(r1.Answers) != len(r2.Answers) || len(r1.Answers) == 0 {
-		t.Fatalf("full-format reload differs: %d vs %d", len(r1.Answers), len(r2.Answers))
+		t.Fatalf("version-1 reload differs: %d vs %d", len(r1.Answers), len(r2.Answers))
 	}
 	// Completion works over the reloaded engine too.
 	s := e2.NewSession()

@@ -25,3 +25,27 @@ func BenchmarkSplitDocument(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkOpen measures reopening a persisted 4-shard corpus of each
+// dataset at the live benchmark's scale: read every shard file, check it,
+// load its document and rebuild its engine.
+func BenchmarkOpen(b *testing.B) {
+	for _, k := range dataset.Kinds {
+		d, err := dataset.Build(k, 20, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dir := b.TempDir()
+		if _, err := FromDocument(string(k), d, 4, Config{Dir: dir}); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(string(k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Open(dir, Config{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -273,9 +273,9 @@ func TestDeltaFlagPersists(t *testing.T) {
 	}
 }
 
-// TestReindexPreservesDeltaFlag: a full reindex rebuilds every shard but
-// keeps the delta markers.
-func TestReindexPreservesDeltaFlag(t *testing.T) {
+// TestRepublishPreservesDeltaFlag: publishes that leave a delta shard in
+// place — adding and removing other shards — keep its delta marker.
+func TestRepublishPreservesDeltaFlag(t *testing.T) {
 	c, err := FromDocument("bib", mustDoc(t, "bib", bibXML), 1, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -283,10 +283,16 @@ func TestReindexPreservesDeltaFlag(t *testing.T) {
 	if err := c.AddDeltaSplit("d1", mustDoc(t, "d", deltaXML(1)), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Reindex(""); err != nil {
+	if err := c.Add("other", mustDoc(t, "other", bibXML)); err != nil {
 		t.Fatal(err)
 	}
 	if n := c.DeltaShards(); n != 1 {
-		t.Fatalf("reindex dropped the delta flag: %d deltas", n)
+		t.Fatalf("adding a shard dropped the delta flag: %d deltas", n)
+	}
+	if err := c.Remove("other"); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.DeltaShards(); n != 1 {
+		t.Fatalf("removing a shard dropped the delta flag: %d deltas", n)
 	}
 }

@@ -4,13 +4,14 @@
 // search merges per-shard ranked matches into a single globally ranked page,
 // completion merges candidates by summed weight.
 //
-// The shard set is mutable while serving: Add/Remove/Reindex build new
-// shards off the hot path and publish them with an atomic copy-on-write
-// snapshot swap.  Readers pin a snapshot (one atomic pointer load) for the
-// life of a request, so the query path takes no locks and every request
-// sees a consistent shard set; writers serialize on a mutation mutex.  With
+// The shard set is mutable while serving: Add/Remove build new shards off
+// the hot path and publish them with an atomic copy-on-write snapshot swap.
+// Readers pin a snapshot (one atomic pointer load) for the life of a
+// request, so the query path takes no locks and every request sees a
+// consistent shard set; writers serialize on a mutation mutex.  With
 // a directory configured, every publish persists a versioned manifest plus
-// per-shard full-index files, so a corpus reopens without reparsing XML.
+// one index file per shard (its document, checksummed), so a corpus reopens
+// without reparsing XML.
 //
 // corpus.Corpus implements core.Backend, so the HTTP server, the REPL and
 // the CLI serve a sharded corpus exactly as they serve one engine.
@@ -44,7 +45,7 @@ type shard struct {
 	// internal/remote).  Local shards leave it nil and evaluate through the
 	// zero-allocation localShard view.
 	backend ShardBackend
-	// file is the persisted full-index file (base name), "" while unsaved.
+	// file is the persisted index file (base name), "" while unsaved.
 	file string
 	// delta marks a shard produced by async ingest that the background
 	// compactor may merge into a base shard (see compact.go).  Base shards
@@ -141,8 +142,8 @@ type Tuning struct {
 
 // Config tunes a Corpus.
 type Config struct {
-	// Dir, when non-empty, persists the corpus there (manifest + per-shard
-	// full-index files) on every publish.
+	// Dir, when non-empty, persists the corpus there (manifest + one index
+	// file per shard) on every publish.
 	Dir string
 	// Metrics, when non-nil, receives shard-count, swap, fan-out and merge
 	// observations.
@@ -176,15 +177,15 @@ type Corpus struct {
 	// mutators refuse — the data belongs to the shard servers.
 	remote bool
 
-	// mu serializes mutations (Add/Remove/Reindex and their persistence);
-	// the query path never takes it.
+	// mu serializes mutations (Add/Remove and their persistence); the query
+	// path never takes it.
 	mu   sync.Mutex
 	snap atomic.Pointer[Snapshot]
 	// mutating counts publishes in flight — nonzero while a snapshot swap
-	// (ingest, remove, reindex rebuild, persistence) is underway.  Readiness
+	// (ingest, remove, compaction, persistence) is underway.  Readiness
 	// probes read it: queries still serve the old snapshot during a mutation,
 	// but a load balancer should stop steering fresh traffic at an instance
-	// that is mid-reindex.
+	// that is mid-publish.
 	mutating atomic.Int32
 }
 
@@ -215,8 +216,8 @@ func New(name string, cfg Config) *Corpus {
 }
 
 // Open loads a persisted corpus from cfg.Dir (or dir when cfg.Dir is "")
-// without reparsing any XML: the manifest names per-shard full-index files
-// that rebuild in one pass each.
+// without reparsing any XML: the manifest names one index file per shard,
+// and each shard's document loads and rebuilds its engine on its own core.
 //
 // Shard files that fail to load with damage confined to the file itself —
 // corruption (a torn write), version skew, or the file missing — are
@@ -237,32 +238,39 @@ func Open(dir string, cfg Config) (*Corpus, error) {
 		name = filepath.Base(cfg.Dir)
 	}
 	c := New(name, cfg)
-	shards := make([]*shard, 0, len(m.Shards))
-	type badShard struct {
-		ms  manifestShard
-		err error
+	// Shard files load and rebuild independently, one slot each; a
+	// quarantineable failure stays in its slot so the rest still load.
+	engines := make([]*core.Engine, len(m.Shards))
+	errs := make([]error, len(m.Shards))
+	err = fanout.Do(len(m.Shards), func(i int) error {
+		e, err := openShardFile(cfg.Dir, m.Shards[i].File, c.faults)
+		if err != nil && !quarantineable(err) {
+			return err
+		}
+		engines[i], errs[i] = e, err
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	var bad []badShard
-	for _, ms := range m.Shards {
-		e, err := openShardFile(cfg.Dir, ms.File, c.faults)
-		if err != nil {
-			if !quarantineable(err) {
-				return nil, err
-			}
-			bad = append(bad, badShard{ms: ms, err: err})
+	shards := make([]*shard, 0, len(m.Shards))
+	var bad []int
+	for i, ms := range m.Shards {
+		if errs[i] != nil {
+			bad = append(bad, i)
 			continue
 		}
-		shards = append(shards, &shard{name: ms.Name, engine: e, file: ms.File, delta: ms.Delta})
+		shards = append(shards, &shard{name: ms.Name, engine: engines[i], file: ms.File, delta: ms.Delta})
 	}
 	if len(shards) == 0 && len(m.Shards) > 0 {
 		// Nothing survived: refuse the corpus (and leave the files where they
 		// are — an all-corrupt directory is an operator problem, not a
 		// degradation) with the first cause in the chain.
-		return nil, fmt.Errorf("corpus: every shard of %s failed to load: %w", cfg.Dir, bad[0].err)
+		return nil, fmt.Errorf("corpus: every shard of %s failed to load: %w", cfg.Dir, errs[bad[0]])
 	}
-	for _, b := range bad {
-		quarantineShardFile(cfg.Dir, b.ms.File, b.err, c.log)
-		c.loadQuarantined = append(c.loadQuarantined, b.ms.Name)
+	for _, i := range bad {
+		quarantineShardFile(cfg.Dir, m.Shards[i].File, errs[i], c.log)
+		c.loadQuarantined = append(c.loadQuarantined, m.Shards[i].Name)
 	}
 	sort.Strings(c.loadQuarantined)
 	sortShards(shards)
@@ -341,8 +349,8 @@ func (c *Corpus) Seq() uint64 { return c.Snapshot().seq }
 // backlog the ingest pipeline watches.
 func (c *Corpus) DeltaShards() int { return c.Snapshot().DeltaCount() }
 
-// Generation implements core.Backend: every publish (Add, Remove, Reindex,
-// AddSplit) bumps the snapshot sequence, so generation-keyed cache entries
+// Generation implements core.Backend: every publish (Add, AddSplit, Remove,
+// compaction) bumps the snapshot sequence, so generation-keyed cache entries
 // from before a mutation become unreachable the instant it lands.
 func (c *Corpus) Generation() uint64 { return c.Seq() }
 
@@ -471,30 +479,6 @@ func (c *Corpus) Remove(name string) error {
 			return nil, fmt.Errorf("corpus: no shard %q in %s", name, c.name)
 		}
 		return next, nil
-	})
-}
-
-// Reindex rebuilds the named shard (or split group; "" means every shard)
-// from its in-memory document — fresh index, guide, tries — and publishes
-// the rebuilt engines in one swap.  Persisted corpora rewrite the shard
-// files, which is how a version-skewed corpus heals after an upgrade.
-func (c *Corpus) Reindex(name string) error {
-	return c.publish(func(shards []*shard) ([]*shard, error) {
-		var hits []int
-		for i, sh := range shards {
-			if name == "" || sh.name == name || strings.HasPrefix(sh.name, name+"/") {
-				hits = append(hits, i)
-			}
-		}
-		if len(hits) == 0 && name != "" {
-			return nil, fmt.Errorf("corpus: no shard %q in %s", name, c.name)
-		}
-		err := fanout.Do(len(hits), func(h int) error {
-			old := shards[hits[h]]
-			shards[hits[h]] = &shard{name: old.name, engine: core.FromDocument(old.engine.Document()), delta: old.delta}
-			return nil
-		})
-		return shards, err
 	})
 }
 

@@ -1,7 +1,9 @@
 package corpus
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -244,7 +246,7 @@ func TestSearchHitsGlobalOrderAndPaging(t *testing.T) {
 	}
 }
 
-func TestCorpusAddRemoveReindex(t *testing.T) {
+func TestCorpusAddReplaceRemove(t *testing.T) {
 	c := New("lib", Config{})
 	if _, err := c.SearchHits(context.Background(), nil, core.SearchOptions{}); err == nil {
 		t.Fatal("empty corpus should refuse to search")
@@ -275,15 +277,13 @@ func TestCorpusAddRemoveReindex(t *testing.T) {
 		t.Fatalf("hits not attributed to both shards: %v", shardsSeen)
 	}
 
+	// Re-adding a shard under its name replaces it in one publish.
 	seqBefore := c.Seq()
-	if err := c.Reindex("tiny"); err != nil {
+	if err := c.Add("tiny", mustDoc(t, "tiny", "<dblp><article><title>Extra</title></article></dblp>")); err != nil {
 		t.Fatal(err)
 	}
-	if c.Seq() != seqBefore+1 {
-		t.Fatalf("reindex did not publish: seq %d -> %d", seqBefore, c.Seq())
-	}
-	if err := c.Reindex("missing"); err == nil {
-		t.Fatal("reindex of unknown shard should error")
+	if c.Seq() != seqBefore+1 || c.Snapshot().Len() != 2 {
+		t.Fatalf("replacing a shard: seq %d -> %d, %d shards, want one publish over 2", seqBefore, c.Seq(), c.Snapshot().Len())
 	}
 
 	if err := c.Remove("tiny"); err != nil {
@@ -542,6 +542,21 @@ func TestCorpusPersistenceRoundTrip(t *testing.T) {
 	}
 	if met := reg.Snapshot().Corpora["lib"]; met.Shards != 3 || met.Swaps != 2 {
 		t.Fatalf("metrics: shards=%d swaps=%d", met.Shards, met.Swaps)
+	}
+	// Every shard file is an index file of version 3 whose whole payload is
+	// the shard's document.
+	for _, sh := range c.Snapshot().shards {
+		data, err := os.ReadFile(filepath.Join(dir, sh.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var d bytes.Buffer
+		if err := sh.engine.Document().Save(&d); err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < 20 || string(data[:4]) != "LTXI" || binary.LittleEndian.Uint32(data[4:8]) != 3 || !bytes.Equal(data[20:], d.Bytes()) {
+			t.Errorf("shard %s: file %s is not a version-3 index file of its document", sh.name, sh.file)
+		}
 	}
 
 	// Reopen from disk and compare search results: as written, then as a

@@ -30,7 +30,8 @@ const quarantineSuffix = ".quarantined"
 // On-disk layout of a corpus directory:
 //
 //	<dir>/MANIFEST.json          the versioned shard table (below)
-//	<dir>/shard-<seq>-<i>.ltx    one full index file per shard (index.SaveFull)
+//	<dir>/shard-<seq>-<i>.ltx    one index file per shard: its document,
+//	                             checksummed (core.Engine.Save)
 //
 // The manifest is the single source of truth: shard files are immutable once
 // written (copy-on-write — a republish writes new files rather than
@@ -158,10 +159,10 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// openShardFile loads one persisted shard, translating the index package's
-// typed failures into actionable corpus errors: corruption names the file
-// so the operator can drop or re-ingest it, version skew tells them the
-// shard only needs a reindex with the current binary.
+// openShardFile loads one persisted shard and rebuilds its engine,
+// translating the index package's typed failures into actionable corpus
+// errors that name the file: both corruption and version skew are healed by
+// re-ingesting the shard's data.
 func openShardFile(dir, file string, reg *faults.Registry) (*core.Engine, error) {
 	f, err := os.Open(filepath.Join(dir, file))
 	if err != nil {
@@ -177,7 +178,7 @@ func openShardFile(dir, file string, reg *faults.Registry) (*core.Engine, error)
 	case err == nil:
 		return e, nil
 	case errors.Is(err, index.ErrBadVersion):
-		return nil, fmt.Errorf("corpus: shard file %s was written by an incompatible version — re-ingest or reindex the corpus: %w", file, err)
+		return nil, fmt.Errorf("corpus: shard file %s was written by an incompatible version — re-ingest the corpus: %w", file, err)
 	case errors.Is(err, index.ErrCorrupt):
 		return nil, fmt.Errorf("corpus: shard file %s is corrupt — remove it from the manifest or re-ingest: %w", file, err)
 	default:
@@ -193,7 +194,7 @@ func writeShardFile(dir string, seq uint64, i int, e *core.Engine) (string, erro
 	if err != nil {
 		return "", err
 	}
-	if err := e.SaveFull(f); err != nil {
+	if err := e.Save(f); err != nil {
 		f.Close()
 		os.Remove(f.Name())
 		return "", err

@@ -103,8 +103,8 @@ func TestOpenRefusesManifestEscape(t *testing.T) {
 }
 
 // rewriteAsCompressed leaves a persisted corpus the way a build with index
-// compression wrote it: every shard file in the version-2 layout with
-// flagCompressed (a flags word, then the length-prefixed document and no
+// compression wrote it: every shard file in the version-2 layout with the
+// compressed flag (a flags word, then the length-prefixed document and no
 // postings), and every manifest entry marked "compressed": true.
 func rewriteAsCompressed(t *testing.T, dir string) {
 	t.Helper()
@@ -124,7 +124,7 @@ func rewriteAsCompressed(t *testing.T, dir string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := index.LoadFullDocument(f)
+		d, err := index.LoadDocument(f)
 		f.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -133,7 +133,7 @@ func rewriteAsCompressed(t *testing.T, dir string) {
 		if err := d.Save(&docBuf); err != nil {
 			t.Fatal(err)
 		}
-		payload := binary.LittleEndian.AppendUint32(nil, 1) // flagCompressed
+		payload := binary.LittleEndian.AppendUint32(nil, 1) // the compressed flag
 		payload = binary.LittleEndian.AppendUint64(payload, uint64(docBuf.Len()))
 		payload = append(payload, docBuf.Bytes()...)
 		file := binary.LittleEndian.AppendUint32([]byte("LTXI"), 2)

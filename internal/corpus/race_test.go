@@ -28,7 +28,7 @@ func mkGenDoc(t testing.TB, gen int) *doc.Document {
 }
 
 // TestConcurrentIngestAndQuery hammers one corpus with searches and
-// completions while a writer adds, removes and reindexes shards — the
+// completions while a writer adds, replaces and removes shards — the
 // scenario the atomic snapshot swap exists for; run it under -race.
 // Correctness invariant: every shard holds exactly 3 titles, so every
 // query must see a multiple of 3 hits whatever interleaving it races with;
@@ -44,7 +44,8 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 
-	// Writer: churn a rotating shard through add/replace/reindex/remove.
+	// Writer: churn a rotating shard through add/replace/remove, and
+	// republish the base shard unchanged.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -53,7 +54,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 			name := fmt.Sprintf("churn%d", gen%3)
 			switch gen % 4 {
 			case 0:
-				if err := c.Reindex("base"); err != nil {
+				if err := c.Add("base", mkGenDoc(t, 0)); err != nil {
 					t.Error(err)
 					return
 				}

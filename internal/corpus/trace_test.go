@@ -160,7 +160,7 @@ func TestSearchHitsTraceShape(t *testing.T) {
 }
 
 // TestCorpusReady exercises the readiness contract: ready once shards are
-// loaded, not ready while a publish (ingest/reindex) is in flight, not ready
+// loaded, not ready while a publish (ingest/remove) is in flight, not ready
 // when empty.
 func TestCorpusReady(t *testing.T) {
 	t.Parallel()
@@ -190,10 +190,10 @@ func TestCorpusReady(t *testing.T) {
 	}
 
 	// A real publish leaves the corpus ready again afterwards.
-	if err := c.Reindex(""); err != nil {
+	if err := c.AddSplit("bib", d, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Ready(); err != nil {
-		t.Fatalf("post-reindex Ready() = %v", err)
+		t.Fatalf("post-publish Ready() = %v", err)
 	}
 }

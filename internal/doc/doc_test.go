@@ -2,6 +2,8 @@ package doc
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -215,6 +217,29 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			d.Kind(n) != d2.Kind(n) ||
 			d.Dewey(n).Compare(d2.Dewey(n)) != 0 {
 			t.Fatalf("node %d differs after round trip", i)
+		}
+	}
+}
+
+// TestSaveAllocationsAreConstant: Save allocates its buffered writer and
+// nothing per node, value or integer — the same few allocations for a
+// document of a handful of nodes as for one of thousands.
+func TestSaveAllocationsAreConstant(t *testing.T) {
+	var big strings.Builder
+	big.WriteString("<dblp>")
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&big, `<article key="a%d"><title>Title %d</title><year>%d</year></article>`, i, i, 1990+i%30)
+	}
+	big.WriteString("</dblp>")
+	for _, src := range []string{bibXML, big.String()} {
+		d := mustDoc(t, src)
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := d.Save(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 4 {
+			t.Errorf("Save of %d nodes: %.0f allocations, want at most 4", d.Len(), allocs)
 		}
 	}
 }

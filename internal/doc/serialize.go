@@ -21,18 +21,21 @@ const (
 	docVersion = 1
 )
 
+// countingWriter and reader keep their integer buffer in the struct: a
+// local array whose slice reaches an io.Writer or io.Reader escapes, one
+// heap allocation per integer.
 type countingWriter struct {
 	w   *bufio.Writer
 	err error
+	b   [4]byte
 }
 
 func (cw *countingWriter) u32(v uint32) {
 	if cw.err != nil {
 		return
 	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, cw.err = cw.w.Write(b[:])
+	binary.LittleEndian.PutUint32(cw.b[:], v)
+	_, cw.err = cw.w.Write(cw.b[:])
 }
 
 func (cw *countingWriter) i32(v int32) { cw.u32(uint32(v)) }
@@ -48,18 +51,18 @@ func (cw *countingWriter) str(s string) {
 type reader struct {
 	r   *bufio.Reader
 	err error
+	b   [4]byte
 }
 
 func (rd *reader) u32() uint32 {
 	if rd.err != nil {
 		return 0
 	}
-	var b [4]byte
-	if _, err := io.ReadFull(rd.r, b[:]); err != nil {
+	if _, err := io.ReadFull(rd.r, rd.b[:]); err != nil {
 		rd.err = err
 		return 0
 	}
-	return binary.LittleEndian.Uint32(b[:])
+	return binary.LittleEndian.Uint32(rd.b[:])
 }
 
 func (rd *reader) i32() int32 { return int32(rd.u32()) }
@@ -73,7 +76,19 @@ func (rd *reader) str() string {
 		rd.err = fmt.Errorf("doc: corrupt string length %d", n)
 		return ""
 	}
-	// Past 64 KiB the string grows as its bytes arrive: a corrupt length
+	// A string that fits the read buffer is copied out of it: one
+	// allocation, and none for an empty string.
+	if int(n) <= rd.r.Size() {
+		p, err := rd.r.Peek(int(n))
+		if err != nil {
+			rd.err = err
+			return ""
+		}
+		s := string(p)
+		_, _ = rd.r.Discard(len(p)) // cannot fail: Peek buffered the bytes
+		return s
+	}
+	// Past the buffer the string grows as its bytes arrive: a corrupt length
 	// must not claim memory the input does not hold.
 	var b strings.Builder
 	b.Grow(int(min(n, 1<<16)))

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -91,6 +92,45 @@ func BenchmarkBuild(b *testing.B) {
 		b.Run(string(k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				Build(d)
+			}
+		})
+	}
+}
+
+// BenchmarkPersist measures both sides of an index file per dataset at the
+// live benchmark's scale: save writes the file (SaveDocument), open reads
+// it back and builds the index (LoadDocument, then Build).  file-MB is the
+// file's size.
+func BenchmarkPersist(b *testing.B) {
+	for _, k := range dataset.Kinds {
+		d, err := dataset.Build(k, 20, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var file bytes.Buffer
+		if err := SaveDocument(&file, d); err != nil {
+			b.Fatal(err)
+		}
+		size := float64(file.Len()) / (1 << 20)
+		b.Run("save/"+string(k), func(b *testing.B) {
+			b.ReportAllocs()
+			var buf bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := SaveDocument(&buf, d); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(size, "file-MB")
+		})
+		b.Run("open/"+string(k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d, err := LoadDocument(bytes.NewReader(file.Bytes()))
+				if err != nil {
+					b.Fatal(err)
+				}
 				Build(d)
 			}
 		})

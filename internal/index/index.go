@@ -5,13 +5,12 @@
 // per-tag values.
 //
 // An Index is immutable after Build and safe for concurrent readers.  It is
-// derived deterministically from its Document, so persistence stores the
-// document and rebuilds the derived structures on load (rebuild is a single
-// O(n) pass; see Save/Load).
+// derived deterministically from its Document, so an index file stores the
+// document alone and the reader rebuilds the rest with Build (see
+// SaveDocument and LoadDocument).
 package index
 
 import (
-	"io"
 	"slices"
 	"sort"
 	"strings"
@@ -369,18 +368,4 @@ func (ix *Index) ResidentBytes() int64 {
 	}
 	b += int64(len(ix.allElems)) * nodeIDBytes
 	return b
-}
-
-// Save persists the index by writing its document; Load rebuilds the
-// derived structures.
-func (ix *Index) Save(w io.Writer) error { return ix.document.Save(w) }
-
-// Load reads a document written by Save (or doc.Save) and rebuilds the
-// index.
-func Load(r io.Reader) (*Index, error) {
-	d, err := doc.Load(r)
-	if err != nil {
-		return nil, err
-	}
-	return Build(d), nil
 }

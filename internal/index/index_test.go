@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -283,13 +284,14 @@ func TestWildcardStream(t *testing.T) {
 func TestSaveLoadRebuilds(t *testing.T) {
 	ix := mustIndex(t, bibXML)
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if err := SaveDocument(&buf, ix.Document()); err != nil {
 		t.Fatal(err)
 	}
-	ix2, err := Load(&buf)
+	d, err := LoadDocument(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix2 := Build(d)
 	if ix2.ValuedNodes() != ix.ValuedNodes() {
 		t.Error("ValuedNodes differ after reload")
 	}
@@ -303,7 +305,7 @@ func TestSaveLoadRebuilds(t *testing.T) {
 }
 
 func TestLoadError(t *testing.T) {
-	if _, err := Load(strings.NewReader("junk")); err == nil {
-		t.Fatal("expected error")
+	if _, err := LoadDocument(strings.NewReader("junk")); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }

@@ -14,74 +14,48 @@ import (
 // Typed load failures.  Callers (the corpus manifest loader, the server's
 // index opener) branch on these with errors.Is: a corrupt file is dropped or
 // rebuilt from source, while a version-skewed file is structurally sound and
-// only needs re-saving with the current writer.
+// only needs re-writing by a build that reads it.
 var (
-	// ErrCorrupt marks a file SaveFull never wrote: bad magic, truncation,
-	// checksum mismatch, or an internally inconsistent payload.
-	ErrCorrupt = errors.New("index: corrupt full-index file")
-	// ErrBadVersion marks a well-formed file written by an incompatible
-	// SaveFull version.
-	ErrBadVersion = errors.New("index: unsupported full-index version")
+	// ErrCorrupt marks a file SaveDocument never wrote: bad magic,
+	// truncation, checksum mismatch, or an internally inconsistent payload.
+	ErrCorrupt = errors.New("index: corrupt index file")
+	// ErrBadVersion marks a well-formed file of a version this build cannot
+	// read.
+	ErrBadVersion = errors.New("index: unsupported index file version")
 )
 
-// Full index persistence.  Save/Load (index.go) store only the document and
-// rebuild everything on open; SaveFull/LoadFull additionally persist the
-// token postings — the one derived structure whose reconstruction
-// (tokenizing every value) dominates rebuild time — and protect the whole
-// payload with a CRC32 so a truncated or corrupted file is rejected rather
-// than silently misread.
+// An index file is its document.  Every structure an Index holds is a pure
+// function of the document and Build derives it at about parse speed, so the
+// file stores nothing else, and the CRC32 over the payload makes a truncated
+// or corrupted file fail to load rather than be misread.
 //
 // Layout: magic "LTXI" | version u32 | payload len u64 | crc32 u32 | payload
-// where payload = document | valued u32 | postings section.
+// where the version-3 payload is the document (doc.Save).
 //
-// Version 2 prefixes the payload with a flags word.  Earlier builds wrote it
-// for an index on the DAG-compressed substrate (flagCompressed), with the
-// document alone after the flags; that substrate is gone, so LoadFull
-// rebuilds such a file as a plain index.  SaveFull writes only version 1.
+// Earlier builds wrote two more versions, which still load.  Version 1's
+// payload is a length-prefixed document followed by the token postings, and
+// version 2 puts a flags word before the same document.  The reader skips
+// the flags and ignores the postings.
 const (
-	fullMagic        = "LTXI"
-	fullVersion      = 1
-	fullVersionFlags = 2
+	fileMagic   = "LTXI"
+	fileVersion = 3
 
-	// flagCompressed marks a version-2 payload that stores no postings.
-	flagCompressed = 1 << 0
+	// versionPostings and versionFlags are the older payloads: a u64
+	// length-prefixed document, then stored postings (ignored), after a
+	// flags word (skipped) in version 2.
+	versionPostings = 1
+	versionFlags    = 2
 )
 
-// SaveFull writes the index with its postings, checksummed.
-func (ix *Index) SaveFull(w io.Writer) error {
+// SaveDocument writes d as an index file.
+func SaveDocument(w io.Writer, d *doc.Document) error {
 	var payload bytes.Buffer
-	var scratch [8]byte
-	u32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		payload.Write(scratch[:4])
-	}
-	// The document section is length-prefixed because doc.Load buffers its
-	// reader and would otherwise consume bytes of the following sections.
-	var docBuf bytes.Buffer
-	if err := ix.document.Save(&docBuf); err != nil {
+	if err := d.Save(&payload); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint64(scratch[:], uint64(docBuf.Len()))
-	payload.Write(scratch[:])
-	payload.Write(docBuf.Bytes())
-
-	u32(uint32(ix.valued))
-	u32(uint32(len(ix.postings)))
-	// Map order makes saves of one index differ byte for byte; the CRC
-	// covers content and tests compare semantics, so sorting large token
-	// maps would cost more than it gives.
-	for tok, nodes := range ix.postings {
-		u32(uint32(len(tok)))
-		payload.WriteString(tok)
-		u32(uint32(len(nodes)))
-		for _, n := range nodes {
-			u32(uint32(n))
-		}
-	}
-
 	var hdr [20]byte
-	copy(hdr[:], fullMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], fullVersion)
+	copy(hdr[:], fileMagic)
+	binary.LittleEndian.PutUint32(hdr[4:8], fileVersion)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(payload.Len()))
 	binary.LittleEndian.PutUint32(hdr[16:20], crc32.ChecksumIEEE(payload.Bytes()))
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -91,48 +65,26 @@ func (ix *Index) SaveFull(w io.Writer) error {
 	return err
 }
 
-// LoadFull reads an index written by SaveFull, verifying the checksum.
-func LoadFull(r io.Reader) (*Index, error) {
-	d, flags, rest, err := readFull(r)
-	if err != nil {
-		return nil, err
+// LoadDocument reads the document of an index file of any version,
+// verifying the checksum; the caller indexes it (Build).
+func LoadDocument(r io.Reader) (*doc.Document, error) {
+	var hdr [20]byte
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+		return nil, fmt.Errorf("%w: reading magic: %v", ErrCorrupt, err)
 	}
-	if flags&flagCompressed != 0 {
-		// No postings were stored: derive everything from the document.
-		return Build(d), nil
+	if string(hdr[:4]) != fileMagic {
+		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:4])
 	}
-	return loadPostings(d, rest)
-}
-
-// LoadFullDocument reads only the document of a file written by SaveFull,
-// verifying the checksum — for callers that will index it differently (as
-// shards) and so have no use for the stored postings.
-func LoadFullDocument(r io.Reader) (*doc.Document, error) {
-	d, _, _, err := readFull(r)
-	return d, err
-}
-
-// readFull verifies a SaveFull file and decodes its document, returning the
-// payload flags and the postings section that follows the document.
-func readFull(r io.Reader) (d *doc.Document, flags uint32, rest []byte, err error) {
-	magic := make([]byte, len(fullMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, 0, nil, fmt.Errorf("%w: reading magic: %v", ErrCorrupt, err)
+	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
+		return nil, fmt.Errorf("%w: reading header: %v", ErrCorrupt, err)
 	}
-	if string(magic) != fullMagic {
-		return nil, 0, nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic)
+	version := binary.LittleEndian.Uint32(hdr[4:8])
+	if version < versionPostings || version > fileVersion {
+		return nil, fmt.Errorf("%w: got %d, want 1 to %d", ErrBadVersion, version, fileVersion)
 	}
-	var hdr [16]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, nil, fmt.Errorf("%w: reading header: %v", ErrCorrupt, err)
-	}
-	version := binary.LittleEndian.Uint32(hdr[0:4])
-	if version != fullVersion && version != fullVersionFlags {
-		return nil, 0, nil, fmt.Errorf("%w: got %d, want %d or %d", ErrBadVersion, version, fullVersion, fullVersionFlags)
-	}
-	plen := binary.LittleEndian.Uint64(hdr[4:12])
+	plen := binary.LittleEndian.Uint64(hdr[8:16])
 	if plen > 1<<34 {
-		return nil, 0, nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, plen)
+		return nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, plen)
 	}
 	// The buffer grows as the payload arrives: a corrupt length must not
 	// claim memory the file does not hold.
@@ -141,106 +93,31 @@ func readFull(r io.Reader) (d *doc.Document, flags uint32, rest []byte, err erro
 		err = io.ErrUnexpectedEOF
 	}
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("%w: truncated payload: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: truncated payload: %v", ErrCorrupt, err)
 	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(hdr[12:16]); got != want {
-		return nil, 0, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-
-	if version == fullVersionFlags {
-		if len(payload) < 4 {
-			return nil, 0, nil, fmt.Errorf("%w: payload too short", ErrCorrupt)
-		}
-		flags = binary.LittleEndian.Uint32(payload[:4])
-		payload = payload[4:]
-	}
-	if len(payload) < 8 {
-		return nil, 0, nil, fmt.Errorf("%w: payload too short", ErrCorrupt)
-	}
-	docLen := binary.LittleEndian.Uint64(payload[:8])
-	if docLen > uint64(len(payload)-8) {
-		return nil, 0, nil, fmt.Errorf("%w: document length %d", ErrCorrupt, docLen)
-	}
-	d, err = doc.Load(bytes.NewReader(payload[8 : 8+docLen]))
-	if err != nil {
-		return nil, 0, nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-	return d, flags, payload[8+docLen:], nil
-}
-
-// loadPostings decodes the postings section of a SaveFull payload and
-// assembles the index around it.
-func loadPostings(d *doc.Document, section []byte) (*Index, error) {
-	br := bytes.NewReader(section)
-	var scratch [4]byte
-	u32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(scratch[:]), nil
-	}
-	str := func() (string, error) {
-		n, err := u32()
-		if err != nil {
-			return "", err
-		}
-		if int(n) > br.Len() {
-			return "", fmt.Errorf("%w: string length %d", ErrCorrupt, n)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[16:20]) {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 
-	valued, err := u32()
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading valued count: %v", ErrCorrupt, err)
-	}
-	ntoks, err := u32()
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading postings count: %v", ErrCorrupt, err)
-	}
-	// A token takes at least 8 bytes (its length and its count), a posting 4:
-	// no count may size an allocation beyond what the section holds.
-	postings := make(map[string][]doc.NodeID, min(int(ntoks), br.Len()/8))
-	for i := uint32(0); i < ntoks; i++ {
-		tok, err := str()
-		if err != nil {
-			return nil, fmt.Errorf("%w: reading token: %v", ErrCorrupt, err)
-		}
-		cnt, err := u32()
-		if err != nil {
-			return nil, fmt.Errorf("%w: reading posting count: %v", ErrCorrupt, err)
-		}
-		if int(cnt) > d.Len() || int(cnt) > br.Len()/4 {
-			return nil, fmt.Errorf("%w: posting list of %d nodes", ErrCorrupt, cnt)
-		}
-		nodes := make([]doc.NodeID, cnt)
-		for j := range nodes {
-			v, err := u32()
-			if err != nil {
-				return nil, fmt.Errorf("%w: reading posting: %v", ErrCorrupt, err)
+	if version < fileVersion {
+		if version == versionFlags {
+			if len(payload) < 4 {
+				return nil, fmt.Errorf("%w: payload too short", ErrCorrupt)
 			}
-			if int(v) >= d.Len() {
-				return nil, fmt.Errorf("%w: posting references node %d of %d", ErrCorrupt, v, d.Len())
-			}
-			nodes[j] = doc.NodeID(v)
+			payload = payload[4:]
 		}
-		postings[tok] = nodes
+		if len(payload) < 8 {
+			return nil, fmt.Errorf("%w: payload too short", ErrCorrupt)
+		}
+		docLen := binary.LittleEndian.Uint64(payload[:8])
+		if docLen > uint64(len(payload)-8) {
+			return nil, fmt.Errorf("%w: document length %d", ErrCorrupt, docLen)
+		}
+		payload = payload[8 : 8+docLen]
 	}
-
-	return rebuildFromParts(d, postings, int(valued)), nil
-}
-
-// rebuildFromParts reconstructs the cheap derived structures (streams, the
-// exact map, tries) from the document, reusing the persisted postings so no
-// value is re-tokenized.
-func rebuildFromParts(d *doc.Document, postings map[string][]doc.NodeID, valued int) *Index {
-	ix := newRaw(d)
-	ix.postings = postings
-	ix.valued = valued
-	ix.scanValues(func(doc.NodeID, string) {})
-	return ix
+	d, err := doc.Load(bytes.NewReader(payload))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	return d, nil
 }

@@ -119,8 +119,8 @@ func TestQuickIndexInvariants(t *testing.T) {
 	}
 }
 
-// TestQuickFullPersistenceRoundTrip: SaveFull/LoadFull round-trips arbitrary
-// documents' postings exactly.
+// TestQuickFullPersistenceRoundTrip: SaveDocument/LoadDocument round-trips
+// arbitrary documents, and the rebuilt postings are exactly the original's.
 func TestQuickFullPersistenceRoundTrip(t *testing.T) {
 	f := func(rd randomDoc) bool {
 		d, err := doc.FromString("gen", rd.src)
@@ -129,13 +129,14 @@ func TestQuickFullPersistenceRoundTrip(t *testing.T) {
 		}
 		ix := Build(d)
 		var buf strings.Builder
-		if err := ix.SaveFull(&nopWriter{&buf}); err != nil {
+		if err := SaveDocument(&buf, d); err != nil {
 			return false
 		}
-		ix2, err := LoadFull(strings.NewReader(buf.String()))
+		d2, err := LoadDocument(strings.NewReader(buf.String()))
 		if err != nil {
 			return false
 		}
+		ix2 := Build(d2)
 		for _, tok := range []string{"alpha", "beta", "gamma"} {
 			a, b := ix.TokenPostings(tok), ix2.TokenPostings(tok)
 			if len(a) != len(b) {
@@ -153,9 +154,3 @@ func TestQuickFullPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// nopWriter adapts a strings.Builder to io.Writer (Builder already is one;
-// kept for clarity of intent with binary data in a string).
-type nopWriter struct{ b *strings.Builder }
-
-func (w *nopWriter) Write(p []byte) (int, error) { return w.b.Write(p) }

@@ -101,48 +101,55 @@ func TestBuildMatchesReference(t *testing.T) {
 	docs["tricky"] = d
 
 	for name, d := range docs {
-		ix, ref := Build(d), referenceBuild(d)
-		if !reflect.DeepEqual(ix.streams, ref.streams) {
-			t.Errorf("%s: tag streams differ from the reference", name)
+		checkReference(t, name, Build(d), d)
+	}
+}
+
+// checkReference compares every structure of ix with the reference build
+// over d, entry for entry.
+func checkReference(t *testing.T, name string, ix *Index, d *doc.Document) {
+	t.Helper()
+	ref := referenceBuild(d)
+	if !reflect.DeepEqual(ix.streams, ref.streams) {
+		t.Errorf("%s: tag streams differ from the reference", name)
+	}
+	if !reflect.DeepEqual(ix.postings, ref.postings) {
+		t.Errorf("%s: postings differ from the reference", name)
+	}
+	if !reflect.DeepEqual(ix.exact, ref.exact) {
+		t.Errorf("%s: exact map differs from the reference", name)
+	}
+	if ix.valued != ref.valued {
+		t.Errorf("%s: valued = %d, want %d", name, ix.valued, ref.valued)
+	}
+	if len(ix.valueTries) != len(ref.valueWords) {
+		t.Errorf("%s: %d value tries, want %d", name, len(ix.valueTries), len(ref.valueWords))
+	}
+	for tag, want := range ref.valueWords {
+		if got := trieWords(ix.valueTries[tag]); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: value trie of %s differs from the reference", name, d.Tags().Name(tag))
 		}
-		if !reflect.DeepEqual(ix.postings, ref.postings) {
-			t.Errorf("%s: postings differ from the reference", name)
+	}
+	// The tag trie is over lowercased names: tags that differ only in
+	// case share one entry, the first one's datum and the sum of counts.
+	wantTags := map[string]trie.Entry{}
+	for id := doc.TagID(0); int(id) < d.Tags().Len(); id++ {
+		folded := strings.ToLower(d.Tags().Name(id))
+		e, ok := wantTags[folded]
+		if !ok {
+			e = trie.Entry{Word: folded, Datum: int32(id)}
 		}
-		if !reflect.DeepEqual(ix.exact, ref.exact) {
-			t.Errorf("%s: exact map differs from the reference", name)
-		}
-		if ix.valued != ref.valued {
-			t.Errorf("%s: valued = %d, want %d", name, ix.valued, ref.valued)
-		}
-		if len(ix.valueTries) != len(ref.valueWords) {
-			t.Errorf("%s: %d value tries, want %d", name, len(ix.valueTries), len(ref.valueWords))
-		}
-		for tag, want := range ref.valueWords {
-			if got := trieWords(ix.valueTries[tag]); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: value trie of %s differs from the reference", name, d.Tags().Name(tag))
-			}
-		}
-		// The tag trie is over lowercased names: tags that differ only in
-		// case share one entry, the first one's datum and the sum of counts.
-		wantTags := map[string]trie.Entry{}
-		for id := doc.TagID(0); int(id) < d.Tags().Len(); id++ {
-			folded := strings.ToLower(d.Tags().Name(id))
-			e, ok := wantTags[folded]
-			if !ok {
-				e = trie.Entry{Word: folded, Datum: int32(id)}
-			}
-			e.Weight += int64(len(ref.streams[id]))
-			wantTags[folded] = e
-		}
-		if got := trieWords(ix.tagTrie); !reflect.DeepEqual(got, wantTags) {
-			t.Errorf("%s: tag trie %v, want %v", name, got, wantTags)
-		}
-		// A stream may not be able to grow into its neighbour's region of
-		// the shared backing array.
-		for tag, s := range ix.streams {
-			if cap(s) != len(s) {
-				t.Errorf("%s: stream %d has cap %d beyond len %d", name, tag, cap(s), len(s))
-			}
+		e.Weight += int64(len(ref.streams[id]))
+		wantTags[folded] = e
+	}
+	if got := trieWords(ix.tagTrie); !reflect.DeepEqual(got, wantTags) {
+		t.Errorf("%s: tag trie %v, want %v", name, got, wantTags)
+	}
+	// A stream may not be able to grow into its neighbour's region of
+	// the shared backing array.
+	for tag, s := range ix.streams {
+		if cap(s) != len(s) {
+			t.Errorf("%s: stream %d has cap %d beyond len %d", name, tag, cap(s), len(s))
 		}
 	}
 }

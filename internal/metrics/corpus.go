@@ -18,7 +18,7 @@ type CorpusMetrics struct {
 	// residentBytes is what the snapshot's local shard indexes hold
 	// (index.ResidentBytes, summed).
 	residentBytes atomic.Int64
-	Swaps         atomic.Int64 // snapshot publishes (Add/Remove/Reindex)
+	Swaps         atomic.Int64 // snapshot publishes (Add/Remove/compaction)
 	Searches      atomic.Int64 // fan-out searches served
 	Fanout        Histogram    // wall-clock of the parallel per-shard phase
 	Merge         Histogram    // wall-clock of the global merge + render phase
@@ -82,7 +82,7 @@ type CorpusSnapshot struct {
 	Shards int64 `json:"shards" prom:"lotusx_corpus_shards,gauge" help:"Shard count of the current corpus snapshot."`
 	// DeltaShards counts async-ingested delta shards awaiting compaction.
 	DeltaShards int64           `json:"deltaShards,omitempty" prom:"lotusx_corpus_delta_shards,gauge" help:"Async-ingested delta shards awaiting compaction."`
-	Swaps       int64           `json:"swaps" prom:"lotusx_corpus_swaps_total,counter" help:"Snapshot publishes (ingest, remove, reindex)."`
+	Swaps       int64           `json:"swaps" prom:"lotusx_corpus_swaps_total,counter" help:"Snapshot publishes (ingest, remove, compaction)."`
 	Searches    int64           `json:"searches" prom:"lotusx_corpus_searches_total,counter" help:"Fan-out searches served."`
 	Fanout      LatencySnapshot `json:"fanout" prom:"lotusx_corpus_fanout_latency_seconds,histogram" help:"Wall-clock of the parallel per-shard fan-out phase."`
 	Merge       LatencySnapshot `json:"merge" prom:"lotusx_corpus_merge_latency_seconds,histogram" help:"Wall-clock of the global merge and render phase."`

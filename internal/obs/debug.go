@@ -11,7 +11,7 @@ import (
 type DebugOptions struct {
 	// Ready reports whether the process can serve traffic; nil means always
 	// ready.  A non-nil error answers /readyz with 503 and the error text —
-	// e.g. a corpus mid-reindex or a catalog with an empty snapshot.
+	// e.g. a corpus mid-publish or a catalog with an empty snapshot.
 	Ready func() error
 	// Degraded, when non-nil and returning non-empty, marks a ready instance
 	// as impaired (e.g. quarantined shards): /readyz still answers 200 — the

@@ -14,7 +14,7 @@ func TestDebugMuxHealthAndReady(t *testing.T) {
 	var notReady atomic.Bool
 	mux := DebugMux(DebugOptions{Ready: func() error {
 		if notReady.Load() {
-			return errors.New("corpus x: reindex in progress")
+			return errors.New("corpus x: publish in progress")
 		}
 		return nil
 	}})
@@ -49,7 +49,7 @@ func TestDebugMuxHealthAndReady(t *testing.T) {
 
 	// Readiness flips while the ready hook reports a mutation in flight.
 	notReady.Store(true)
-	if code, body := get("/readyz"); code != 503 || !strings.Contains(body, "reindex in progress") {
+	if code, body := get("/readyz"); code != 503 || !strings.Contains(body, "publish in progress") {
 		t.Fatalf("/readyz (not ready): %d %q", code, body)
 	}
 	notReady.Store(false)

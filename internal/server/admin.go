@@ -15,22 +15,20 @@ import (
 	"lotusx/internal/core"
 	"lotusx/internal/corpus"
 	"lotusx/internal/doc"
-	"lotusx/internal/httpmw"
 	"lotusx/internal/ingest"
 	"lotusx/internal/metrics"
 )
 
 // The admin surface (mounted only with Config.EnableAdmin) manages served
 // datasets without a restart.  Admin-created datasets are corpus-backed, so
-// shards can be added, dropped and reindexed while queries keep flowing —
-// every mutation publishes an atomic snapshot, in-flight requests finish on
-// the snapshot they pinned.
+// shards can be added and dropped while queries keep flowing — every
+// mutation publishes an atomic snapshot, in-flight requests finish on the
+// snapshot they pinned.
 //
 //	POST   /api/v1/datasets/{name}?shards=N      ingest body XML as a new dataset
 //	DELETE /api/v1/datasets/{name}               drop a dataset
 //	POST   /api/v1/datasets/{name}/shards/{shard}?shards=N   ingest body XML as shard(s)
 //	DELETE /api/v1/datasets/{name}/shards/{shard}            drop one shard (or split group)
-//	POST   /api/v1/datasets/{name}/reindex?shard=S           rebuild all (or one) shard
 //	POST   /api/v1/datasets/{name}/compact                   fold delta shards into base shards
 //
 // Ingest bodies are raw XML documents.  ?shards=N > 1 splits the document at
@@ -359,7 +357,7 @@ func (s *Server) handleShardAdd(w http.ResponseWriter, r *http.Request) {
 	name, shard := r.PathValue("name"), r.PathValue("shard")
 	// Shard names never touch the filesystem (shard files are named by
 	// sequence), but the same strict shape keeps them addressable in the
-	// delete/reindex routes and unambiguous in the "name/NNN" group scheme.
+	// delete and health routes and unambiguous in the "name/NNN" group scheme.
 	if err := validSegment("shard", shard); err != nil {
 		badQuery(w, r, err)
 		return
@@ -441,20 +439,4 @@ func (s *Server) handleShardHealthReset(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	writeJSON(w, http.StatusOK, shardHealthStatus{Dataset: name, Shard: shard, Health: h, Reset: true})
-}
-
-// handleReindex rebuilds every shard of a corpus-backed dataset — or just
-// ?shard=S — publishing the rebuilt engines in one snapshot swap.
-func (s *Server) handleReindex(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	c, err := s.corpusFor(name)
-	if err != nil {
-		notFound(w, r, err)
-		return
-	}
-	if err := c.Reindex(r.URL.Query().Get("shard")); err != nil {
-		httpmw.WriteErrorCtx(r.Context(), w, http.StatusNotFound, httpmw.CodeNotFound, err.Error())
-		return
-	}
-	writeStatus(w, http.StatusOK, "", statusOf(name, c))
 }

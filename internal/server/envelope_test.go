@@ -43,7 +43,7 @@ func TestAdminErrorEnvelopes(t *testing.T) {
 
 		{name: "delete missing dataset", method: "DELETE", path: "/api/v1/datasets/missing",
 			status: http.StatusNotFound, code: "not_found"},
-		{name: "reindex missing dataset", method: "POST", path: "/api/v1/datasets/missing/reindex",
+		{name: "shard add missing dataset", method: "POST", path: "/api/v1/datasets/missing/shards/x", body: smallXML,
 			status: http.StatusNotFound, code: "not_found"},
 		{name: "compact missing dataset", method: "POST", path: "/api/v1/datasets/missing/compact",
 			status: http.StatusNotFound, code: "not_found"},

@@ -347,7 +347,6 @@ func routeTable(s *Server) []route {
 		{method: "DELETE", path: "/api/v1/datasets/{name}/shards/{shard}", name: "admin", h: s.handleShardDelete, admin: true},
 		{method: "GET", path: "/api/v1/datasets/{name}/shards/{shard}/health", name: "admin", h: s.handleShardHealth, admin: true},
 		{method: "POST", path: "/api/v1/datasets/{name}/shards/{shard}/health", name: "admin", h: s.handleShardHealthReset, admin: true},
-		{method: "POST", path: "/api/v1/datasets/{name}/reindex", name: "admin", h: s.handleReindex, admin: true},
 		{method: "POST", path: "/api/v1/datasets/{name}/compact", name: "admin", h: s.handleCompact, admin: true},
 	}
 }

@@ -4,9 +4,9 @@
 // — into a document, an engine, the engine of one slice, or a backend of N
 // shards.
 //
-// Each form is built at its own cost and no more: a full-index file opens
-// with the postings it stores, and a slice or a sharded backend parses the
-// document once without building the whole-document engine.
+// Each form is built at its own cost and no more: an index file is read for
+// its document, and a slice or a sharded backend parses the document once
+// without building the whole-document engine.
 package source
 
 import (
@@ -25,7 +25,7 @@ import (
 // Kind is set; Scale and Seed apply to Kind.
 type Source struct {
 	In    string // XML file
-	Index string // persisted index file, written by Save or SaveFull
+	Index string // persisted index file, written by core.Engine.Save
 	Kind  string // synthetic dataset kind: dblp, xmark or treebank
 	Scale int
 	Seed  int64
@@ -78,26 +78,13 @@ func (s Source) Document() (*doc.Document, error) {
 	}
 }
 
-// Engine builds the whole-document engine once.  An index file opens as
-// stored: a full-index file brings its postings along, so nothing is
-// tokenized again.
+// Engine builds the whole-document engine once.
 func (s Source) Engine() (*core.Engine, error) {
-	if err := s.check(); err != nil {
-		return nil, err
-	}
-	if s.Index == "" {
-		d, err := s.Document()
-		if err != nil {
-			return nil, err
-		}
-		return core.FromDocument(d), nil
-	}
-	f, err := os.Open(s.Index)
+	d, err := s.Document()
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return core.Open(f)
+	return core.FromDocument(d), nil
 }
 
 // Slice builds the engine of slice i of n — part i of the record partition

@@ -58,10 +58,10 @@ func TestBuildEngineFromIndexFile(t *testing.T) {
 	}
 }
 
-// TestBuildEngineOnceOnTheFinalSubstrate: every kind of input — XML, a
-// document-only index file, a full-index file — builds one engine over the
-// same document, and a full-index file is served with the postings it
-// stores rather than re-tokenized.
+// TestBuildEngineOnceOnTheFinalSubstrate: every kind of input — XML, a bare
+// document file, an index file — builds one engine over the same document,
+// and an index file of version 1 is indexed from its document: the postings
+// it stores are ignored.
 func TestBuildEngineOnceOnTheFinalSubstrate(t *testing.T) {
 	dir := t.TempDir()
 	xmlPath := filepath.Join(dir, "rep.xml")
@@ -78,6 +78,9 @@ func TestBuildEngineOnceOnTheFinalSubstrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := len(raw.Index().TokenPostings("jiaheng")); n != 400 {
+		t.Fatalf("built index: %d postings for jiaheng, want 400", n)
+	}
 	save := func(name string, write func(io.Writer) error) string {
 		path := filepath.Join(dir, name)
 		f, err := os.Create(path)
@@ -92,16 +95,36 @@ func TestBuildEngineOnceOnTheFinalSubstrate(t *testing.T) {
 		}
 		return path
 	}
-	docOnly := save("doc.ltx", raw.Save)
-	full := save("full.ltx", raw.SaveFull)
+	bare := save("doc.ltxd", raw.Document().Save)
+	indexFile := save("index.ltx", raw.Save)
 
-	for _, in := range []struct{ xml, index string }{{xml: xmlPath}, {index: docOnly}, {index: full}} {
+	// Version 1 stored a length-prefixed document, then the valued count and
+	// the postings: here a section of zero tokens.
+	var docBuf bytes.Buffer
+	if err := raw.Document().Save(&docBuf); err != nil {
+		t.Fatal(err)
+	}
+	payload := binary.LittleEndian.AppendUint64(nil, uint64(docBuf.Len()))
+	payload = append(payload, docBuf.Bytes()...)
+	payload = append(payload, 0, 0, 0, 0, 0, 0, 0, 0) // valued, zero tokens
+	hdr := binary.LittleEndian.AppendUint32([]byte("LTXI"), 1)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(payload)))
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(payload))
+	v1 := filepath.Join(dir, "v1.ltx")
+	if err := os.WriteFile(v1, append(hdr, payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, in := range []struct{ xml, index string }{{xml: xmlPath}, {index: bare}, {index: indexFile}, {index: v1}} {
 		e, err := Source{In: in.xml, Index: in.index}.Engine()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if e.Stats() != raw.Stats() {
 			t.Errorf("%+v: stats=%+v, want %+v", in, e.Stats(), raw.Stats())
+		}
+		if n := len(e.Index().TokenPostings("jiaheng")); n != 400 {
+			t.Errorf("%+v: %d postings for jiaheng, want 400", in, n)
 		}
 		d, err := Source{In: in.xml, Index: in.index}.Document()
 		if err != nil {
@@ -110,33 +133,6 @@ func TestBuildEngineOnceOnTheFinalSubstrate(t *testing.T) {
 		if d.Len() != raw.Stats().Nodes {
 			t.Errorf("%+v: Document has %d nodes, want %d", in, d.Len(), raw.Stats().Nodes)
 		}
-	}
-
-	// A full-index file whose stored postings section is empty: served as
-	// stored, "jiaheng" has no postings; re-tokenized, it would have 400.
-	data, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := data[20:]
-	docEnd := 8 + binary.LittleEndian.Uint64(payload[:8])
-	stripped := append(append([]byte(nil), payload[:docEnd+4]...), 0, 0, 0, 0) // valued, zero tokens
-	hdr := append([]byte(nil), data[:20]...)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(stripped)))
-	binary.LittleEndian.PutUint32(hdr[16:20], crc32.ChecksumIEEE(stripped))
-	noPostings := filepath.Join(dir, "noposts.ltx")
-	if err := os.WriteFile(noPostings, append(hdr, stripped...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(raw.Index().TokenPostings("jiaheng")); n != 400 {
-		t.Fatalf("built index: %d postings for jiaheng, want 400", n)
-	}
-	e, err := Source{Index: noPostings}.Engine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(e.Index().TokenPostings("jiaheng")); n != 0 {
-		t.Errorf("full-index file re-tokenized on open: %d postings for jiaheng, want the stored 0", n)
 	}
 }
 

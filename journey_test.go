@@ -122,9 +122,9 @@ func TestUserJourney(t *testing.T) {
 		t.Fatalf("unexpected rewrite %+v", broken.Answers[0].Rewrite)
 	}
 
-	// Act 5: persistence.  Save full, reopen, same answers.
+	// Act 5: persistence.  Save, reopen, same answers.
 	var saved bytes.Buffer
-	if err := engine.SaveFull(&saved); err != nil {
+	if err := engine.Save(&saved); err != nil {
 		t.Fatal(err)
 	}
 	engine2, err := lotusx.Open(&saved)
