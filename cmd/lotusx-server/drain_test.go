@@ -30,8 +30,8 @@ const drainXML = `<dblp>
 </dblp>`
 
 // startDraining runs serveListener on an ephemeral port with an injected
-// signal channel — the seam every serving mode's drain rides through.
-func startDraining(t *testing.T, srv *server.Server, budget time.Duration, onStop func()) (base string, sig chan os.Signal, done chan error) {
+// signal channel — the seam every serving role's drain rides through.
+func startDraining(t *testing.T, srv *server.Server, budget time.Duration) (base string, sig chan os.Signal, done chan error) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -39,7 +39,7 @@ func startDraining(t *testing.T, srv *server.Server, budget time.Duration, onSto
 	}
 	sig = make(chan os.Signal, 1)
 	done = make(chan error, 1)
-	go func() { done <- serveListener(ln, srv, budget, onStop, sig) }()
+	go func() { done <- serveListener(ln, srv, budget, sig) }()
 	return "http://" + ln.Addr().String(), sig, done
 }
 
@@ -75,7 +75,7 @@ func blockOnce(entered, release chan struct{}) func(context.Context, string) err
 	}
 }
 
-// TestDrainCompletesInFlightQuery is the standalone catalog mode: a query
+// TestDrainCompletesInFlightQuery is the standalone serve role: a query
 // held mid-evaluation when SIGTERM lands still answers 200, and the process
 // exits clean.
 func TestDrainCompletesInFlightQuery(t *testing.T) {
@@ -95,7 +95,7 @@ func TestDrainCompletesInFlightQuery(t *testing.T) {
 	catalog := core.NewCatalog()
 	catalog.AddBackend("lib", c)
 	srv := server.NewCatalogConfig(catalog, server.Config{Metrics: metrics.New()})
-	base, sig, done := startDraining(t, srv, 10*time.Second, nil)
+	base, sig, done := startDraining(t, srv, 10*time.Second)
 
 	type result struct {
 		code int
@@ -135,21 +135,26 @@ func TestDrainCompletesInFlightQuery(t *testing.T) {
 }
 
 // buildArgs builds a server from a command line through parse and build —
-// the production start-up, minus the listener.
-func buildArgs(t *testing.T, args ...string) (*server.Server, func()) {
+// the production start-up, minus the listener — and checks the role its
+// flags derive.
+func buildArgs(t *testing.T, role string, args ...string) *server.Server {
 	t.Helper()
-	srv, onStop, err := mustParse(t, args...).build(io.Discard)
+	c := mustParse(t, args...)
+	if c.role != role {
+		t.Fatalf("%v: role %s, want %s", args, c.role, role)
+	}
+	srv, err := c.build(io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srv, onStop
+	return srv
 }
 
-// TestDrainShardMode: the slim shard-server shape (single engine, no admin)
-// exits clean on SIGINT with zero in-flight work.
+// TestDrainShardMode: the slim shard-server shape (single engine, no admin,
+// the role -slice sets) exits clean on SIGINT with zero in-flight work.
 func TestDrainShardMode(t *testing.T) {
-	srv, onStop := buildArgs(t, "-mode=shard", "-dataset", "dblp", "-seed", "7", "-slice", "0/2", "-quiet")
-	base, sig, done := startDraining(t, srv, 5*time.Second, onStop)
+	srv := buildArgs(t, roleShard, "-dataset", "dblp", "-seed", "7", "-slice", "0/2", "-quiet")
+	base, sig, done := startDraining(t, srv, 5*time.Second)
 
 	res, err := http.Get(base + "/api/v1/stats")
 	if err != nil {
@@ -165,15 +170,14 @@ func TestDrainShardMode(t *testing.T) {
 	}
 }
 
-// TestDrainRouterMode: the router shape — remote corpus over a shard server,
-// federator running — finishes an in-flight fan-out query held at the RPC
-// layer, stops the federator, and exits clean.
+// TestDrainRouterMode: the router shape — the role -shard-servers sets, a
+// remote corpus over a shard server — finishes an in-flight fan-out query
+// held at the RPC layer and exits clean.
 func TestDrainRouterMode(t *testing.T) {
-	shard, _ := buildArgs(t, "-mode=shard", "-dataset", "dblp", "-seed", "7", "-quiet")
+	shard := buildArgs(t, roleShard, "-dataset", "dblp", "-seed", "7", "-slice", "1/2", "-quiet")
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	// Hold the first query the shard server receives; the federator's
-	// metrics polls pass.
+	// Hold the first query the shard server receives.
 	hold := blockOnce(entered, release)
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/api/v1/query" {
@@ -185,8 +189,8 @@ func TestDrainRouterMode(t *testing.T) {
 	}))
 	defer backend.Close()
 
-	srv, onStop := buildArgs(t, "-mode=router", "-shard-servers", backend.URL, "-federate-interval", "10ms", "-quiet")
-	base, sig, done := startDraining(t, srv, 10*time.Second, onStop)
+	srv := buildArgs(t, roleRouter, "-shard-servers", backend.URL, "-quiet")
+	base, sig, done := startDraining(t, srv, 10*time.Second)
 
 	res := make(chan error, 1)
 	go func() {
@@ -236,7 +240,7 @@ func TestDrainFinishesQueuedIngest(t *testing.T) {
 		CorpusDir:   corpusDir,
 		Faults:      freg,
 	})
-	base, sig, done := startDraining(t, srv, 10*time.Second, nil)
+	base, sig, done := startDraining(t, srv, 10*time.Second)
 
 	res, err := http.Post(base+"/api/v1/datasets/lib?shards=2", "application/xml", strings.NewReader(drainXML))
 	if err != nil {
@@ -277,7 +281,7 @@ func TestDrainBudgetExpiryReportsError(t *testing.T) {
 		CorpusDir:   filepath.Join(t.TempDir(), "corpora"),
 		Faults:      freg,
 	})
-	base, sig, done := startDraining(t, srv, 100*time.Millisecond, nil)
+	base, sig, done := startDraining(t, srv, 100*time.Millisecond)
 
 	res, err := http.Post(base+"/api/v1/datasets/lib?shards=2", "application/xml", strings.NewReader(drainXML))
 	if err != nil {

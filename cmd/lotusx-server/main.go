@@ -7,16 +7,17 @@
 //	lotusx-server -in dblp.xml -shards 4       # sharded corpus with fan-out
 //	lotusx-server -admin -corpus-dir ./data    # live ingestion, persisted
 //
-// Beyond the default serve mode, -mode selects the distributed roles (see
-// docs/CLUSTER.md):
+// The flags also derive the distributed roles (see docs/CLUSTER.md): a
+// -slice other than 0/1 makes a shard server, and -shard-servers, an input
+// in place of -in, -index or -dataset, makes a router:
 //
-//	lotusx-server -mode=shard -dataset xmark -slice 0/2 -addr :9001
-//	lotusx-server -mode=shard -dataset xmark -slice 1/2 -addr :9002
-//	lotusx-server -mode=router \
+//	lotusx-server -dataset xmark -slice 0/2 -addr :9001
+//	lotusx-server -dataset xmark -slice 1/2 -addr :9002
+//	lotusx-server \
 //	    -shard-servers "http://h1:9001,http://h2:9001;http://h1:9002,http://h2:9002"
 //
-// Every mode starts the same way: parse and validate the flags, build the
-// server, serve until a signal.  A flag set for a mode that never reads it
+// Every role starts the same way: parse and validate the flags, build the
+// server, serve until a signal.  A flag set for a role that never reads it
 // is an error, not silently ignored.
 package main
 
@@ -50,43 +51,55 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	srv, onStop, err := c.build(os.Stdout)
+	srv, err := c.build(os.Stdout)
 	if err != nil {
 		fatal(err)
 	}
-	if err := serveUntilSignal(c.addr, srv, c.drainTimeout, onStop); err != nil {
+	if err := serveUntilSignal(c.addr, srv, c.drainTimeout); err != nil {
 		fatal(err)
 	}
 }
 
-// modeFlags names the modes that read each mode-specific flag, space
-// separated; a flag not listed applies to every mode.  parse rejects a
-// listed flag set in any other mode.
+// The roles a server can take, derived from its flags: a router iff
+// -shard-servers is set, else a shard server iff -slice is not 0/1, else a
+// standalone server.
+const (
+	roleServe  = "serve"
+	roleShard  = "shard"
+	roleRouter = "router"
+)
+
+// roleSetBy says which flag gave a role, for the errors that name it.
+var roleSetBy = map[string]string{
+	roleServe:  "no -shard-servers or -slice",
+	roleShard:  "set by -slice",
+	roleRouter: "set by -shard-servers",
+}
+
+// modeFlags names the roles that read each role-specific flag, space
+// separated; a flag not listed applies to every role.  parse rejects a
+// listed flag set in any other role.
 var modeFlags = map[string]string{
-	"in": "serve shard", "index": "serve shard", "dataset": "serve shard",
-	"scale": "serve shard", "seed": "serve shard",
 	"shards": "serve", "admin": "serve", "corpus-dir": "serve", "ingest-workers": "serve",
 	"ingest-queue": "serve", "compact-threshold": "serve", "max-ingest-bytes": "serve",
 	"shard-policy": "serve router", "shard-timeout": "serve router",
 	"breaker-failures": "serve router", "breaker-cooldown": "serve router",
-	"slice": "shard", "shard-servers": "router", "replication": "router",
-	"remote-dataset": "router", "hedge-delay": "router", "cluster-name": "router",
-	"federate-interval": "router", "retry-budget": "router",
+	"slice": "serve shard", "remote-dataset": "router", "hedge-delay": "router",
+	"cluster-name": "router",
 }
 
 // config is a validated command line: everything build needs, with the
 // flags bound straight into the server, corpus and cluster configurations.
 type config struct {
-	mode             string
-	addr, debugAddr  string
-	drainTimeout     time.Duration
-	quiet            bool
-	src              source.Source
-	shards           int
-	slice, parts     int // -slice i/n; the serve mode reads 0/1
-	federateInterval time.Duration
-	server           server.Config
-	cluster          remote.ClusterConfig
+	role            string // roleServe, roleShard or roleRouter
+	addr, debugAddr string
+	drainTimeout    time.Duration
+	quiet           bool
+	src             source.Source
+	shards          int
+	slice, parts    int // -slice i/n; the serve role reads 0/1
+	server          server.Config
+	cluster         remote.ClusterConfig
 	// explicit holds the flags set on the command line.
 	explicit map[string]bool
 }
@@ -145,20 +158,16 @@ func parse(fs *flag.FlagSet, args []string) (*config, error) {
 		"delta shards per dataset before a background compaction is scheduled; 0 means the default (4), negative disables auto-compaction")
 	fs.Int64Var(&s.MaxIngestBytes, "max-ingest-bytes", 0,
 		"largest accepted ingest body; 0 means the default (256 MiB)")
-	fs.StringVar(&c.mode, "mode", "serve",
-		"role: \"serve\" (standalone), \"shard\" (serve one document slice to a router), \"router\" (fan out over -shard-servers)")
 	slice := fs.String("slice", "0/1",
-		"with -mode=shard: serve slice i of n (\"i/n\") of the input document")
+		"serve slice i of n (\"i/n\") of the input document; any slice but 0/1 makes this a shard server for a router")
 	shardServers := fs.String("shard-servers", "",
-		"with -mode=router: replica groups of shard base URLs — \",\" separates replicas of one shard, \";\" separates shards")
-	replication := fs.Int("replication", 1,
-		"with -mode=router and a flat (no \";\") -shard-servers list: group every R consecutive URLs into one shard's replica set")
+		"route over shard servers instead of serving an input, making this a router: replica groups of shard base URLs — \",\" separates replicas of one shard, \";\" separates shards")
 	fs.StringVar(&cl.Dataset, "remote-dataset", "",
-		"with -mode=router: dataset requested of shard servers (\"{shard}\" expands to the shard index; empty uses each server's default)")
+		"with -shard-servers: dataset requested of shard servers (\"{shard}\" expands to the shard index; empty uses each server's default)")
 	fs.DurationVar(&cl.HedgeDelay, "hedge-delay", 0,
-		"with -mode=router: delay before a search hedges to a second replica; 0 adapts to observed p95, negative disables hedging")
+		"with -shard-servers: delay before a search hedges to a second replica; 0 adapts to observed p95, negative disables hedging")
 	fs.StringVar(&cl.Name, "cluster-name", "cluster",
-		"with -mode=router: the router-side dataset name for the remote corpus")
+		"with -shard-servers: the router-side dataset name for the remote corpus")
 	fs.IntVar(&s.TraceCapacity, "trace-capacity", 0,
 		"tail-sampled trace store size behind GET /api/v1/traces; 0 means the default (512), negative disables the store")
 	fs.IntVar(&s.TraceSampleEvery, "trace-sample-every", 0,
@@ -167,50 +176,53 @@ func parse(fs *flag.FlagSet, args []string) (*config, error) {
 		"latency objective: 99% of /api/v1/query responses faster than this (0 disables)")
 	sloAvailability := fs.Float64("slo-availability", 0,
 		"availability objective as a percentage, e.g. 99.9: that fraction of all responses non-5xx (0 disables)")
-	fs.DurationVar(&c.federateInterval, "federate-interval", 0,
-		"with -mode=router: period between shard-server metrics pulls feeding /api/v1/cluster/metrics; 0 means the default (10s), negative disables federation")
-	fs.Float64Var(&cl.RetryBudget, "retry-budget", 0.2,
-		"with -mode=router: cap hedges+failovers at this fraction of primary traffic (brownout containment); negative disables the cap")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
 
-	if c.mode != "serve" && c.mode != "shard" && c.mode != "router" {
-		return nil, fmt.Errorf("bad -mode %q: want serve, shard or router", c.mode)
+	c.explicit = map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { c.explicit[f.Name] = true })
+	var err error
+	if c.slice, c.parts, err = parseSlice(*slice); err != nil {
+		return nil, err
+	}
+	inputs := c.src.Inputs()
+	switch {
+	case c.explicit["shard-servers"]:
+		c.role = roleRouter
+		inputs++
+	case c.parts > 1:
+		c.role = roleShard
+	default:
+		c.role = roleServe
+	}
+	if inputs > 1 {
+		return nil, fmt.Errorf("-in, -index, -dataset and -shard-servers are exclusive: name one input")
 	}
 	var misapplied error
-	c.explicit = map[string]bool{}
 	fs.Visit(func(f *flag.Flag) {
-		c.explicit[f.Name] = true
-		if modes, ok := modeFlags[f.Name]; ok && !slices.Contains(strings.Fields(modes), c.mode) && misapplied == nil {
-			misapplied = fmt.Errorf("-%s does not apply to -mode=%s", f.Name, c.mode)
+		if roles, ok := modeFlags[f.Name]; ok && !slices.Contains(strings.Fields(roles), c.role) && misapplied == nil {
+			misapplied = fmt.Errorf("-%s does not apply to the %s role (%s)", f.Name, c.role, roleSetBy[c.role])
 		}
 	})
-	if misapplied != nil {
-		return nil, misapplied
-	}
 	switch {
-	case c.src.Inputs() > 1:
-		return nil, fmt.Errorf("-in, -index and -dataset are exclusive: name one input")
+	case misapplied != nil:
+		return nil, misapplied
 	case (c.explicit["scale"] || c.explicit["seed"]) && c.src.Kind == "":
 		return nil, fmt.Errorf("-scale and -seed apply only with -dataset")
-	case c.mode == "shard" && c.src.Kind == "all":
-		return nil, fmt.Errorf("-dataset all does not apply to -mode=shard: serve one dataset's slice")
+	case c.role == roleShard && c.src.Kind == "all":
+		return nil, fmt.Errorf("-dataset all does not apply to the shard role (set by -slice): serve one dataset's slice")
 	case c.shards < 1:
 		return nil, fmt.Errorf("bad -shards %d: want >= 1", c.shards)
 	}
-	var err error
 	if t.Policy, err = corpus.ParsePolicy(string(t.Policy)); err != nil {
 		return nil, err
 	}
 	if s.SLO, err = buildSLO(*sloSearchP99, *sloAvailability); err != nil {
 		return nil, err
 	}
-	if c.slice, c.parts, err = parseSlice(*slice); err != nil {
-		return nil, err
-	}
-	if c.mode == "router" {
-		if cl.Groups, err = parseShardServers(*shardServers, *replication); err != nil {
+	if c.role == roleRouter {
+		if cl.Groups, err = parseShardServers(*shardServers); err != nil {
 			return nil, err
 		}
 	}
@@ -226,41 +238,34 @@ func parse(fs *flag.FlagSet, args []string) (*config, error) {
 
 // build assembles the server the config describes — a catalog of loaded
 // datasets, or for a router one remote corpus — starts the debug listener
-// and prints the start-up banner to out.  onStop, when non-nil, runs after
-// the drain.
-func (c *config) build(out io.Writer) (*server.Server, func(), error) {
+// and prints the start-up banner to out.
+func (c *config) build(out io.Writer) (*server.Server, error) {
 	started := time.Now()
 	catalog := core.NewCatalog()
-	var onStop func()
 	var banner string
-	if c.mode == "router" {
+	if c.role == roleRouter {
 		// The hot-path caches key on the corpus snapshot generation, which a
 		// remote corpus freezes at 1 — it cannot see shard-server re-ingests.
-		// Default them off in router mode; an explicit -cache-* flag wins (a
+		// Default them off in a router; an explicit -cache-* flag wins (a
 		// static cluster is a legitimate reason to turn them back on).
 		c.server.DisableResultCache = c.server.DisableResultCache || !c.explicit["cache-results"]
 		c.server.DisableCompletionCache = c.server.DisableCompletionCache || !c.explicit["cache-completions"]
 		c.cluster.Metrics, c.cluster.Tuning = c.server.Metrics, c.server.Corpus
 		cl, err := remote.NewCluster(c.cluster)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		catalog.AddBackend(c.cluster.Name, cl.Corpus)
 		c.server.ClusterStatus = cl.Status
-		if c.federateInterval >= 0 {
-			fed := remote.NewFederator(remote.FederatorConfig{
-				Clients:  cl.Clients,
-				Cluster:  c.server.Metrics.Cluster(),
-				Interval: c.federateInterval,
-			})
-			fed.Start()
-			onStop = fed.Stop
+		replicas := 0
+		for _, g := range c.cluster.Groups {
+			replicas += len(g)
 		}
 		banner = fmt.Sprintf("routing %s over %d shard(s), %d replica endpoint(s) on %s%s",
-			c.cluster.Name, len(c.cluster.Groups), len(cl.Clients), c.addr, servingNote(c.server))
+			c.cluster.Name, len(c.cluster.Groups), replicas, c.addr, servingNote(c.server))
 	} else {
 		if err := c.load(catalog, out); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if !c.quiet {
 			fmt.Fprintf(out, "start-up took %v\n", time.Since(started).Round(time.Millisecond))
@@ -273,10 +278,10 @@ func (c *config) build(out io.Writer) (*server.Server, func(), error) {
 	srv := server.NewCatalogConfig(catalog, c.server)
 	startDebug(c.debugAddr, srv, out)
 	fmt.Fprintln(out, banner)
-	return srv, onStop, nil
+	return srv, nil
 }
 
-// load fills the catalog of the serve and shard modes: the corpora
+// load fills the catalog of the serve and shard roles: the corpora
 // persisted under -corpus-dir, then the datasets the flags name.
 func (c *config) load(catalog *core.Catalog, out io.Writer) error {
 	if c.server.CorpusDir != "" {
@@ -292,7 +297,7 @@ func (c *config) load(catalog *core.Catalog, out io.Writer) error {
 		for _, k := range dataset.Kinds {
 			list = append(list, served{name: string(k), src: source.Source{Kind: string(k), Scale: c.src.Scale, Seed: c.src.Seed}})
 		}
-	case c.src.Inputs() > 0 || c.mode == "shard":
+	case c.src.Inputs() > 0 || c.role == roleShard:
 		list = []served{{src: c.src}}
 	case catalog.Len() == 0 && !c.server.EnableAdmin:
 		return fmt.Errorf("one of -in, -index or -dataset is required (or -admin to ingest over HTTP)")
@@ -493,39 +498,18 @@ func parseSlice(s string) (idx, parts int, err error) {
 }
 
 // parseShardServers splits the -shard-servers value into replica groups:
-// ";" separates logical shards and "," separates replicas within one.  A
-// flat list (no ";") with -replication R > 1 instead groups every R
-// consecutive URLs into one shard.
-func parseShardServers(s string, replication int) ([][]string, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("-mode=router requires -shard-servers")
-	}
-	if replication < 1 {
-		return nil, fmt.Errorf("bad -replication %d: want >= 1", replication)
-	}
-	split := func(s, sep string) []string {
-		var out []string
-		for _, p := range strings.Split(s, sep) {
-			if p = strings.TrimSpace(p); p != "" {
-				out = append(out, p)
-			}
-		}
-		return out
-	}
+// ";" separates logical shards and "," separates replicas within one.
+func parseShardServers(s string) ([][]string, error) {
 	var groups [][]string
-	if strings.Contains(s, ";") {
-		for _, g := range split(s, ";") {
-			if rs := split(g, ","); len(rs) > 0 {
-				groups = append(groups, rs)
+	for _, g := range strings.Split(s, ";") {
+		var replicas []string
+		for _, u := range strings.Split(g, ",") {
+			if u = strings.TrimSpace(u); u != "" {
+				replicas = append(replicas, u)
 			}
 		}
-	} else {
-		flat := split(s, ",")
-		if len(flat)%replication != 0 {
-			return nil, fmt.Errorf("-shard-servers lists %d URL(s), not a multiple of -replication %d", len(flat), replication)
-		}
-		for i := 0; i < len(flat); i += replication {
-			groups = append(groups, flat[i:i+replication])
+		if len(replicas) > 0 {
+			groups = append(groups, replicas)
 		}
 	}
 	if len(groups) == 0 {

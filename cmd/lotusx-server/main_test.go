@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -55,58 +56,85 @@ func TestFlagsGolden(t *testing.T) {
 	}
 }
 
-// TestMisappliedFlags: every mode-specific flag parses in the modes that
-// read it and is refused, naming itself, in every other mode.
+// TestMisappliedFlags: the flags derive the role — router with
+// -shard-servers, shard with a -slice other than 0/1, serve otherwise — and
+// every role-specific flag parses in the roles that read it and is refused,
+// naming itself and what set the role, in every other role.
 func TestMisappliedFlags(t *testing.T) {
 	values := map[string]string{
-		"in": "x.xml", "index": "x.ltx", "dataset": "xmark", "scale": "2", "seed": "7",
 		"shards": "2", "admin": "true", "corpus-dir": "d", "ingest-workers": "1",
 		"ingest-queue": "1", "compact-threshold": "1", "max-ingest-bytes": "1",
 		"shard-policy": "failfast", "shard-timeout": "1s", "breaker-failures": "1",
-		"breaker-cooldown": "1s", "slice": "0/2", "shard-servers": "http://b:1",
-		"replication": "1", "remote-dataset": "x", "hedge-delay": "1ms",
-		"cluster-name": "c", "federate-interval": "1s", "retry-budget": "0.5",
+		"breaker-cooldown": "1s", "slice": "0/2", "remote-dataset": "x",
+		"hedge-delay": "1ms", "cluster-name": "c",
 	}
 	if len(values) != len(modeFlags) {
-		t.Fatalf("%d test values for %d mode-specific flags", len(values), len(modeFlags))
+		t.Fatalf("%d test values for %d role-specific flags", len(values), len(modeFlags))
 	}
-	for name, modes := range modeFlags {
+	roles := map[string][]string{
+		roleServe:  {"-dataset", "xmark"},
+		roleShard:  {"-dataset", "xmark", "-slice", "1/2"},
+		roleRouter: {"-shard-servers", "http://a:1;http://b:1"},
+	}
+	for name, readers := range modeFlags {
 		v, ok := values[name]
 		if !ok {
 			t.Fatalf("no test value for -%s", name)
 		}
-		for _, mode := range []string{"serve", "shard", "router"} {
-			args := []string{"-mode=" + mode, "-" + name + "=" + v}
-			applies := strings.Contains(" "+modes+" ", " "+mode+" ")
-			if applies && (name == "scale" || name == "seed") {
-				args = append(args, "-dataset", "xmark")
-			}
-			if mode == "router" && name != "shard-servers" {
-				args = append(args, "-shard-servers", "http://a:1")
-			}
-			_, err := parse(flag.NewFlagSet("lotusx-server", flag.ContinueOnError), args)
-			want := fmt.Sprintf("-%s does not apply to -mode=%s", name, mode)
+		for role, base := range roles {
+			args := append(append([]string{}, base...), "-"+name+"="+v)
+			applies := slices.Contains(strings.Fields(readers), role)
+			c, err := parse(flag.NewFlagSet("lotusx-server", flag.ContinueOnError), args)
+			want := fmt.Sprintf("-%s does not apply to the %s role (%s)", name, role, roleSetBy[role])
 			switch {
 			case applies && err != nil:
 				t.Errorf("%v: %v, want it parsed", args, err)
+			case applies && name != "slice" && c.role != role:
+				t.Errorf("%v: role %s, want %s", args, c.role, role)
 			case !applies && (err == nil || err.Error() != want):
 				t.Errorf("%v: err = %v, want %q", args, err, want)
 			}
 		}
 	}
-	for _, args := range [][]string{
-		{"-dataset", "xmark", "-slice", "1/2"},
-		{"-in", "data/dblp.xml", "-dataset", "xmark"},
-		{"-in", "a.xml", "-index", "a.ltx"},
-		{"-scale", "2"},
-		{"-in", "a.xml", "-seed", "7"},
-		{"-mode=router", "-shards", "4", "-corpus-dir", "x"},
-		{"-mode=shard", "-dataset", "all"},
-		{"-mode=proxy"},
-		{"-shards", "0"},
+	for _, tc := range []struct {
+		args []string
+		role string
+	}{
+		{[]string{"-dataset", "xmark"}, roleServe},
+		{[]string{"-dataset", "xmark", "-slice", "0/1"}, roleServe},
+		{[]string{"-dataset", "xmark", "-slice", "0/2"}, roleShard},
+		{[]string{"-shard-servers", "http://a:1"}, roleRouter},
+		{[]string{"-admin"}, roleServe},
 	} {
-		if _, err := parse(flag.NewFlagSet("lotusx-server", flag.ContinueOnError), args); err == nil {
-			t.Errorf("%v parsed, want an error", args)
+		if c := mustParse(t, tc.args...); c.role != tc.role {
+			t.Errorf("%v: role %s, want %s", tc.args, c.role, tc.role)
+		}
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-in", "data/dblp.xml", "-dataset", "xmark"}, "exclusive"},
+		{[]string{"-in", "a.xml", "-index", "a.ltx"}, "exclusive"},
+		{[]string{"-dataset", "xmark", "-shard-servers", "http://a:1"}, "exclusive"},
+		{[]string{"-in", "a.xml", "-shard-servers", "http://a:1"}, "exclusive"},
+		{[]string{"-index", "a.ltx", "-shard-servers", "http://a:1"}, "exclusive"},
+		{[]string{"-shard-servers", "http://a:1", "-slice", "1/2"}, "-slice does not apply to the router role (set by -shard-servers)"},
+		{[]string{"-shard-servers", "http://a:1", "-scale", "2"}, "-scale and -seed apply only with -dataset"},
+		{[]string{"-shard-servers", " ; "}, "names no servers"},
+		{[]string{"-scale", "2"}, "-scale and -seed apply only with -dataset"},
+		{[]string{"-in", "a.xml", "-seed", "7"}, "-scale and -seed apply only with -dataset"},
+		{[]string{"-shard-servers", "http://a:1", "-shards", "4", "-corpus-dir", "x"}, "-corpus-dir does not apply to the router role"},
+		{[]string{"-dataset", "all", "-slice", "0/2"}, "-dataset all does not apply to the shard role (set by -slice)"},
+		{[]string{"-dataset", "xmark", "-slice", "2/2"}, "bad -slice"},
+		{[]string{"-shards", "0"}, "bad -shards"},
+		// The role flag is gone: the flags above derive the role.
+		{[]string{"-mode=router", "-shard-servers", "http://a:1"}, "flag provided but not defined: -mode"},
+	} {
+		fs := flag.NewFlagSet("lotusx-server", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		if _, err := parse(fs, tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want one containing %q", tc.args, err, tc.want)
 		}
 	}
 }
@@ -183,30 +211,36 @@ func TestParseSlice(t *testing.T) {
 
 func TestParseShardServers(t *testing.T) {
 	t.Parallel()
+	// The flat-r* cases are the lists the removed -replication flag used to
+	// chunk (R=1: one shard per URL; R=2: pairs): with only the grouped
+	// spelling left, a list with no ";" is one shard's replica set.
 	cases := []struct {
-		name        string
-		in          string
-		replication int
-		want        [][]string
+		name string
+		in   string
+		want [][]string
 	}{
 		{
-			"flat-r1", "http://a:1,http://b:1", 1,
+			"flat-r1", "http://a:1,http://b:1",
+			[][]string{{"http://a:1", "http://b:1"}},
+		},
+		{
+			"flat-r2", "http://a:1,http://a:2,http://b:1,http://b:2",
+			[][]string{{"http://a:1", "http://a:2", "http://b:1", "http://b:2"}},
+		},
+		{
+			"semicolons-are-shards", "http://a:1;http://b:1",
 			[][]string{{"http://a:1"}, {"http://b:1"}},
 		},
 		{
-			"flat-r2", "http://a:1,http://a:2,http://b:1,http://b:2", 2,
-			[][]string{{"http://a:1", "http://a:2"}, {"http://b:1", "http://b:2"}},
-		},
-		{
-			"grouped", "http://a:1,http://a:2;http://b:1", 1,
+			"grouped", "http://a:1,http://a:2;http://b:1",
 			[][]string{{"http://a:1", "http://a:2"}, {"http://b:1"}},
 		},
 		{
-			"grouped-whitespace", " http://a:1 , http://a:2 ; http://b:1 ", 2,
+			"grouped-whitespace", " http://a:1 , http://a:2 ; http://b:1 ;",
 			[][]string{{"http://a:1", "http://a:2"}, {"http://b:1"}},
 		},
 		{
-			"single", "http://a:1", 1,
+			"single", "http://a:1",
 			[][]string{{"http://a:1"}},
 		},
 	}
@@ -214,7 +248,7 @@ func TestParseShardServers(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			got, err := parseShardServers(tc.in, tc.replication)
+			got, err := parseShardServers(tc.in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,20 +257,9 @@ func TestParseShardServers(t *testing.T) {
 			}
 		})
 	}
-
-	bad := []struct {
-		in          string
-		replication int
-	}{
-		{"", 1},
-		{"   ", 2},
-		{"http://a:1,http://b:1,http://c:1", 2}, // 3 URLs not divisible by R=2
-		{"http://a:1", 0},                       // replication < 1
-		{";;", 1},                               // groups name no servers
-	}
-	for _, tc := range bad {
-		if _, err := parseShardServers(tc.in, tc.replication); err == nil {
-			t.Errorf("parseShardServers(%q, %d) accepted, want error", tc.in, tc.replication)
+	for _, in := range []string{"", "   ", ";;", " , ; , "} {
+		if _, err := parseShardServers(in); err == nil {
+			t.Errorf("parseShardServers(%q) accepted, want error", in)
 		}
 	}
 }

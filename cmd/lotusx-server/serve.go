@@ -14,7 +14,7 @@ import (
 	"lotusx/internal/server"
 )
 
-// Graceful shutdown, shared by every serving mode.  SIGTERM (the rolling
+// Graceful shutdown, shared by every serving role.  SIGTERM (the rolling
 // restart) or SIGINT (the operator's ^C) starts a drain instead of killing
 // the process: /readyz flips to draining, the drain gate answers new
 // non-exempt requests 503 + Retry-After, http.Server.Shutdown waits for
@@ -23,21 +23,20 @@ import (
 // budget cuts off is not lost: journaled ingests replay on the next start.
 
 // serveUntilSignal listens on addr and serves srv until a shutdown signal,
-// then drains.  onStop, when non-nil, runs after the drain (mode-specific
-// teardown like stopping the router's federator).  A nil return is a clean
-// exit: every in-flight request finished inside the budget.
-func serveUntilSignal(addr string, srv *server.Server, drainTimeout time.Duration, onStop func()) error {
+// then drains.  A nil return is a clean exit: every in-flight request
+// finished inside the budget.
+func serveUntilSignal(addr string, srv *server.Server, drainTimeout time.Duration) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	return serveListener(ln, srv, drainTimeout, onStop, nil)
+	return serveListener(ln, srv, drainTimeout, nil)
 }
 
 // serveListener is serveUntilSignal over an existing listener with an
 // injectable signal channel (nil installs the real SIGTERM/SIGINT handler) —
 // the seam the drain tests drive.
-func serveListener(ln net.Listener, srv *server.Server, drainTimeout time.Duration, onStop func(), sig <-chan os.Signal) error {
+func serveListener(ln net.Listener, srv *server.Server, drainTimeout time.Duration, sig <-chan os.Signal) error {
 	if drainTimeout <= 0 {
 		drainTimeout = 30 * time.Second
 	}
@@ -64,9 +63,6 @@ func serveListener(ln net.Listener, srv *server.Server, drainTimeout time.Durati
 	// the drain gate already refuses new work on kept-alive connections.
 	shutdownErr := hs.Shutdown(ctx)
 	drainErr := srv.Drain(ctx)
-	if onStop != nil {
-		onStop()
-	}
 	srv.Close()
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err

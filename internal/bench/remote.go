@@ -39,7 +39,7 @@ func (b *benchCluster) close() {
 
 // newBenchCluster splits d into parts slices, serves each from replication
 // loopback servers, and assembles the router's remote corpus over them as
-// lotusx-server -mode=router does.  Breakers stay disabled so an injected
+// a lotusx-server router does.  Breakers stay disabled so an injected
 // failure rate is measured, not quarantined away.
 func newBenchCluster(d *doc.Document, parts, replication int, hedge time.Duration) (*benchCluster, error) {
 	docs, err := corpus.SplitDocument(d, parts)

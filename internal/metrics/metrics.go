@@ -224,7 +224,6 @@ type Registry struct {
 	ingest    map[string]*IngestMetrics
 	lifecycle map[string]*LifecycleMetrics
 	admission map[string]*AdmissionMetrics
-	cluster   map[string]*ClusterMetrics
 	start     time.Time
 }
 
@@ -306,11 +305,6 @@ func (r *Registry) Lifecycle() *LifecycleMetrics { return lazy(&r.mu, &r.lifecyc
 // on first use.
 func (r *Registry) Admission() *AdmissionMetrics { return lazy(&r.mu, &r.admission, "") }
 
-// Cluster returns the registry's federation aggregate, creating it on first
-// use (routers only; a registry that never calls this exports no cluster
-// rollup).
-func (r *Registry) Cluster() *ClusterMetrics { return lazy(&r.mu, &r.cluster, "") }
-
 // Snapshot is the JSON payload of GET /api/v1/metrics and, through
 // WritePrometheus, the source of GET /metrics.  See the package comment for
 // its consistency semantics under concurrent load and for the prom tags.
@@ -337,8 +331,7 @@ type Snapshot struct {
 	// Lifecycle appears on servers with the lifecycle tier wired: the drain
 	// state machine and the durable ingest journal.
 	Lifecycle *LifecycleSnapshot `json:"lifecycle,omitempty"`
-	// Admission appears once per-client rate limiting or the router retry
-	// budget is active.
+	// Admission appears once per-client rate limiting is active.
 	Admission *AdmissionSnapshot `json:"admission,omitempty"`
 	// Process reports the Go runtime's view of the serving process:
 	// goroutines, heap bytes, GC totals, and the build identity.
@@ -347,16 +340,13 @@ type Snapshot struct {
 	// opaque value here so the metrics package needs no slo import; its own
 	// prom tags render it; see internal/server and internal/slo).
 	SLO any `json:"slo,omitempty"`
-	// cluster is the router's per-shard-server rollup; its JSON view is
-	// GET /api/v1/cluster/metrics.
-	cluster map[string]clusterRow `prom:",label=server"`
 }
 
 // Snapshot materializes a view of every registered metric.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	s := Snapshot{
+	return Snapshot{
 		UptimeSeconds: time.Since(r.start).Seconds(),
 		Endpoints:     snapshotAll(r.endpoints, (*Endpoint).snapshot),
 		Algorithms:    snapshotAll(r.algos, (*Histogram).Snapshot),
@@ -369,10 +359,6 @@ func (r *Registry) Snapshot() Snapshot {
 		Admission:     snapshotOne(r.admission, (*AdmissionMetrics).snapshot),
 		Process:       processSnapshot(),
 	}
-	if c := r.cluster[""]; c != nil {
-		s.cluster = c.rows()
-	}
-	return s
 }
 
 // snapshotAll snapshots every entry of a named set (an empty map, never

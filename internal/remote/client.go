@@ -1,11 +1,12 @@
 // Package remote lets one corpus span machines: it implements
-// corpus.ShardBackend over HTTP against a lotusx-server running in shard
-// mode, speaking the same v1 JSON contract the public API serves.  A router
-// process builds one Shard per logical shard — each backed by R replica
-// Clients — and hands them to corpus.NewRemote; everything above the
-// ShardBackend seam (degrade/failfast policy, per-shard circuit breakers,
-// time budgets with one transparent retry, partial-result envelopes) applies
-// to remote shards exactly as it does to local ones.
+// corpus.ShardBackend over HTTP against a lotusx-server shard server (one
+// started with -slice i/n), speaking the same v1 JSON contract the public
+// API serves.  A router process builds one Shard per logical shard — each
+// backed by R replica Clients — and hands them to corpus.NewRemote;
+// everything above the ShardBackend seam (degrade/failfast policy,
+// per-shard circuit breakers, time budgets with one transparent retry,
+// partial-result envelopes) applies to remote shards exactly as it does to
+// local ones.
 //
 // Within a Shard, replicas are raced, not pooled: searches go to a
 // round-robin primary, a hedge request fires on the next replica once the
@@ -48,10 +49,12 @@ const (
 )
 
 // Server-side validation bounds the client must stay within (see
-// internal/server): the per-request k cap and the explain max cap.
+// internal/server): the per-request k cap, the explain max cap and the
+// snippetMax cap.
 const (
-	maxWireK   = 1000
-	maxWireMax = 100
+	maxWireK       = 1000
+	maxWireMax     = 100
+	maxWireSnippet = 1 << 16
 )
 
 // ClientConfig configures one replica endpoint.
@@ -197,14 +200,6 @@ func (c *Client) Search(ctx context.Context, req SearchRequest, mode TraceMode) 
 	return &out, nil
 }
 
-// MetricsSnapshot fetches the replica's /api/v1/metrics snapshot — the
-// federation poll (see Federator).
-func (c *Client) MetricsSnapshot(ctx context.Context) (metrics.Snapshot, error) {
-	var snap metrics.Snapshot
-	err := c.do(ctx, http.MethodGet, "/api/v1/metrics", url.Values{}, nil, &snap)
-	return snap, err
-}
-
 // Complete runs one completion RPC.  kind is "tag" or "value"; path is the
 // root-to-anchor chain in the XPath subset ("" completes root tags).
 func (c *Client) Complete(ctx context.Context, kind, path string, axis twig.Axis, prefix string, k int) ([]complete.Candidate, error) {
@@ -312,14 +307,7 @@ func (c *Client) doHeader(ctx context.Context, method, path string, qv url.Value
 		return err
 	}
 	defer resp.Body.Close()
-	rdr := c.faults.Reader(FaultBody, c.name, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp, rdr, c.name)
-	}
-	if err := json.NewDecoder(rdr).Decode(out); err != nil {
-		return fmt.Errorf("remote %s: decode %s: %w", c.name, path, err)
-	}
-	return nil
+	return decodeResponse(resp.StatusCode, resp.Header, c.faults.Reader(FaultBody, c.name, resp.Body), c.name, path, out)
 }
 
 func axisParam(axis twig.Axis) string {

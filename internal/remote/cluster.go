@@ -12,7 +12,7 @@ import (
 )
 
 // ClusterConfig describes a router's remote corpus: which shard servers
-// serve which slice, and how the router races and budgets them.
+// serve which slice, and how the router races them.
 type ClusterConfig struct {
 	Name string // router-side dataset name; shard i is "<Name>-<ii>"
 	// Groups lists each shard's replica base URLs.  A replica is named by
@@ -20,33 +20,29 @@ type ClusterConfig struct {
 	Groups [][]string
 	// Dataset is requested of the shard servers ("{shard}" expands to the
 	// shard index); "" uses each server's default dataset.
-	Dataset     string
-	HedgeDelay  time.Duration // see ShardOptions.HedgeDelay
-	RetryBudget float64       // see NewRetryBudget; shared by every shard
-	Tuning      corpus.Tuning
-	Metrics     *metrics.Registry // nil uses a private registry
-	Faults      *faults.Registry  // arms every client and the corpus
+	Dataset    string
+	HedgeDelay time.Duration // see ShardOptions.HedgeDelay
+	Tuning     corpus.Tuning
+	Metrics    *metrics.Registry // nil uses a private registry
+	Faults     *faults.Registry  // arms every client and the corpus
 }
 
 // Cluster is an assembled remote corpus: one Client per replica, one Shard
 // per replica group and the corpus fanning out over them.
 type Cluster struct {
 	Corpus  *corpus.Corpus
-	Clients []*Client // every replica, shard by shard: what federation polls
 	Metrics *metrics.RemoteMetrics
 	shards  []*Shard
 }
 
-// NewCluster builds a client per replica, one retry budget shared by all
-// shards (the cluster-wide amplification bound is what contains a
-// brownout), a Shard per group and the remote corpus over them.
+// NewCluster builds a client per replica, a Shard per group and the remote
+// corpus over them.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.New()
 	}
 	cl := &Cluster{Metrics: reg.Remote(cfg.Name)}
-	budget := NewRetryBudget(cfg.RetryBudget, reg.Admission())
 	backends := make([]corpus.ShardBackend, len(cfg.Groups))
 	for i, g := range cfg.Groups {
 		clients := make([]*Client, len(g))
@@ -62,11 +58,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			}
 			clients[j] = c
 		}
-		cl.Clients = append(cl.Clients, clients...)
 		sh, err := NewShard(fmt.Sprintf("%s-%02d", cfg.Name, i), clients, ShardOptions{
 			HedgeDelay: cfg.HedgeDelay,
 			Metrics:    cl.Metrics,
-			Budget:     budget,
 		})
 		if err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -37,25 +38,49 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("remote %s: %d %s: %s", e.Replica, e.Status, e.Code, e.Message)
 }
 
+// maxWireBody caps a 200 response body: maxWireK answers, each with a
+// snippet of at most the server's snippetMax bound (maxWireSnippet bytes),
+// plus slack for the envelope, paths, highlights and JSON escapes.  A
+// replica that streams past it fails the call with a decode error instead
+// of growing the router's heap without bound.
+const maxWireBody = maxWireK*maxWireSnippet + 16<<20
+
+// decodeResponse decodes one response into out: a 200 body as JSON of at
+// most maxWireBody bytes, any other status as an *Error.  A failed decode
+// names the replica and the path.
+func decodeResponse(status int, header http.Header, body io.Reader, replica, path string, out any) error {
+	if status != http.StatusOK {
+		return decodeError(status, header, body, replica)
+	}
+	lr := &io.LimitedReader{R: body, N: maxWireBody + 1}
+	if err := json.NewDecoder(lr).Decode(out); err != nil {
+		if lr.N <= 0 {
+			err = fmt.Errorf("body exceeds %d bytes", maxWireBody)
+		}
+		return fmt.Errorf("remote %s: decode %s: %w", replica, path, err)
+	}
+	return nil
+}
+
 // decodeError turns a non-200 response into an *Error, reading at most a
 // small bounded prefix of the body.  Envelope decoding is best-effort: a
 // proxy's HTML error page still yields a typed Error with the code inferred
 // from the status.
-func decodeError(resp *http.Response, body io.Reader, replica string) error {
+func decodeError(status int, header http.Header, body io.Reader, replica string) error {
 	data, _ := io.ReadAll(io.LimitReader(body, 8<<10))
-	e := &Error{Status: resp.StatusCode, Replica: replica}
+	e := &Error{Status: status, Replica: replica}
 	var env httpmw.ErrorBody
 	if json.Unmarshal(data, &env) == nil && env.Error.Code != "" {
 		e.Code, e.Message = env.Error.Code, env.Error.Message
 	} else {
-		e.Code = httpmw.CodeForStatus(resp.StatusCode)
+		e.Code = httpmw.CodeForStatus(status)
 		e.Message = strings.TrimSpace(string(data))
 		if e.Message == "" {
-			e.Message = http.StatusText(resp.StatusCode)
+			e.Message = http.StatusText(status)
 		}
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {
+	if ra := header.Get("Retry-After"); ra != "" {
+		if secs, err := strconv.Atoi(ra); err == nil && secs > 0 && secs <= math.MaxInt64/int(time.Second) {
 			e.RetryAfter = time.Duration(secs) * time.Second
 		}
 	}

@@ -5,164 +5,19 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
-	"net/http/httptest"
-
 	"lotusx/internal/corpus"
 	"lotusx/internal/faults"
-	"lotusx/internal/metrics"
 	"lotusx/internal/obs"
 	"lotusx/internal/remote"
 	"lotusx/internal/server"
 	"lotusx/internal/slo"
 )
-
-// federationClients builds one metrics-poll client per shard server.
-func federationClients(t *testing.T, servers ...*httptest.Server) []*remote.Client {
-	t.Helper()
-	clients := make([]*remote.Client, len(servers))
-	for i, ts := range servers {
-		cl, err := remote.NewClient(remote.ClientConfig{
-			BaseURL: ts.URL,
-			Name:    fmt.Sprintf("shard-%d", i),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients[i] = cl
-	}
-	return clients
-}
-
-// TestMetricsFederation: the federator pulls each shard server's snapshot
-// into the cluster rollup; a dead server is marked down but its last-known
-// snapshot survives, and the merged view renders as lotusx_cluster_*.
-func TestMetricsFederation(t *testing.T) {
-	t.Parallel()
-	docs := slices(t, 2)
-	ts0, ts1 := shardServer(t, docs[0]), shardServer(t, docs[1])
-
-	// Traffic on shard 0 so its snapshot carries non-zero request counts.
-	body, _ := json.Marshal(map[string]any{"query": "//item/name", "k": 3})
-	resp, err := http.Post(ts0.URL+"/api/v1/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	reg := metrics.New()
-	fed := remote.NewFederator(remote.FederatorConfig{
-		Clients: federationClients(t, ts0, ts1),
-		Cluster: reg.Cluster(),
-	})
-	fed.PollOnce(context.Background())
-
-	snap := reg.Cluster().Snapshot()
-	if len(snap.Servers) != 2 {
-		t.Fatalf("federated %d servers, want 2", len(snap.Servers))
-	}
-	s0 := snap.Servers["shard-0"]
-	if !s0.Up || s0.Metrics == nil || s0.AgeSeconds < 0 {
-		t.Fatalf("shard-0 = %+v, want up with a snapshot", s0)
-	}
-	if s0.Metrics.Endpoints["query"].Requests == 0 {
-		t.Fatal("shard-0 snapshot lost the query traffic")
-	}
-
-	// Kill shard 1: next poll marks it down, last snapshot kept.
-	ts1.Close()
-	fed.PollOnce(context.Background())
-	snap = reg.Cluster().Snapshot()
-	s1 := snap.Servers["shard-1"]
-	if s1.Up || s1.Error == "" {
-		t.Fatalf("shard-1 = %+v, want down with an error", s1)
-	}
-	if s1.Metrics == nil {
-		t.Fatal("shard-1's last-known snapshot was discarded on failure")
-	}
-
-	var buf bytes.Buffer
-	reg.WritePrometheus(&buf)
-	out := buf.String()
-	for _, want := range []string{
-		`lotusx_cluster_server_up{server="shard-0"} 1`,
-		`lotusx_cluster_server_up{server="shard-1"} 0`,
-		`lotusx_cluster_server_requests_total{server="shard-0"}`,
-		"# TYPE lotusx_cluster_server_error_ratio gauge",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("cluster exposition missing %q", want)
-		}
-	}
-}
-
-// TestFederatorLoop: Start polls immediately and keeps polling; Stop is
-// idempotent and safe on a never-started federator.
-func TestFederatorLoop(t *testing.T) {
-	t.Parallel()
-	docs := slices(t, 1)
-	ts := shardServer(t, docs[0])
-	reg := metrics.New()
-	fed := remote.NewFederator(remote.FederatorConfig{
-		Clients:  federationClients(t, ts),
-		Cluster:  reg.Cluster(),
-		Interval: 5 * time.Millisecond,
-	})
-	fed.Start()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if s := reg.Cluster().Snapshot().Servers["shard-0"]; s.Up {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("federator never polled")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	fed.Stop()
-	fed.Stop() // idempotent
-
-	empty := remote.NewFederator(remote.FederatorConfig{})
-	empty.Start()
-	empty.Stop() // no-op start must not wedge Stop
-}
-
-// TestRouterClusterMetricsEndpoint: the router serves the merged rollup at
-// GET /api/v1/cluster/metrics.
-func TestRouterClusterMetricsEndpoint(t *testing.T) {
-	t.Parallel()
-	docs := slices(t, 1)
-	ts := shardServer(t, docs[0])
-	cl := newCluster(t, [][]*httptest.Server{{ts}}, -1, corpus.Tuning{})
-	reg := metrics.New()
-	fed := remote.NewFederator(remote.FederatorConfig{
-		Clients: federationClients(t, ts),
-		Cluster: reg.Cluster(),
-	})
-	fed.PollOnce(context.Background())
-	rt := routerServer(t, cl, server.Config{Metrics: reg})
-
-	resp, err := http.Get(rt.URL + "/api/v1/cluster/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cluster metrics status = %d", resp.StatusCode)
-	}
-	var got metrics.ClusterSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if s := got.Servers["shard-0"]; !s.Up || s.Metrics == nil {
-		t.Fatalf("rollup = %+v, want shard-0 up with metrics", got.Servers)
-	}
-}
 
 // walkNames flattens a rendered span tree into its span names.
 func walkNames(n *obs.Node) []string {

@@ -8,11 +8,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"lotusx/internal/bench"
 	"lotusx/internal/complete"
 	"lotusx/internal/core"
 	"lotusx/internal/corpus"
@@ -103,88 +105,112 @@ func parse(t *testing.T, qs string) *twig.Query {
 	return q
 }
 
-// TestRouterMatchesLocalCorpus is the core contract test: a remote corpus
-// over N shard servers answers searches, completions and explains exactly
-// like a local corpus over the same N-way split.
+// servePage answers one query request on h and returns the response body
+// with its timing zeroed: the bytes a client would see, minus the clock.
+func servePage(t *testing.T, h http.Handler, body string) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/query", strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", body, rec.Code, rec.Body)
+	}
+	return elapsedRE.ReplaceAllString(rec.Body.String(), `"elapsedMs":0`)
+}
+
+var elapsedRE = regexp.MustCompile(`"elapsedMs":[-+.0-9e]+`)
+
+// marshal renders v as JSON for a byte comparison.
+func marshal(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestRouterMatchesLocalCorpus is the core contract test: for every
+// workload template over its own dataset, a router over 2 shard servers
+// serves the same pages — at offset 0 and at offset K — as a local corpus
+// over the same 2-way split, byte for byte once the shard names are mapped
+// ("cluster-00" remote, "cluster/000" local), and the same tag and value
+// completions and explains at the template's output node.
 func TestRouterMatchesLocalCorpus(t *testing.T) {
 	t.Parallel()
-	docs := slices(t, 2)
-	cl := newCluster(t, [][]*httptest.Server{
-		{shardServer(t, docs[0])},
-		{shardServer(t, docs[1])},
-	}, -1, corpus.Tuning{})
-
-	d, err := dataset.Build(dataset.XMark, 1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := corpus.FromDocument("local", d, 2, corpus.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	const k = 10
 	ctx := context.Background()
-	for _, qs := range []string{"//item/name", "//person[//city=\"berlin\"]", "//listitem"} {
-		opts := core.SearchOptions{K: 10, Rewrite: true, SnippetMax: 200}
-		want, err := local.SearchHits(ctx, parse(t, qs), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := cl.Corpus.SearchHits(ctx, parse(t, qs), opts)
-		if err != nil {
-			t.Fatalf("%s: remote search: %v", qs, err)
-		}
-		if got.Exact != want.Exact || got.Total != want.Total || len(got.Hits) != len(want.Hits) {
-			t.Fatalf("%s: got exact=%d total=%d hits=%d, want exact=%d total=%d hits=%d",
-				qs, got.Exact, got.Total, len(got.Hits), want.Exact, want.Total, len(want.Hits))
-		}
-		if got.Partial {
-			t.Fatalf("%s: healthy cluster answered partial", qs)
-		}
-		for i := range want.Hits {
-			w, g := want.Hits[i], got.Hits[i]
-			if g.Path != w.Path || g.Score != w.Score || g.Snippet != w.Snippet || g.Node != w.Node {
-				t.Fatalf("%s: hit %d differs:\n got %+v\nwant %+v", qs, i, g, w)
+	for _, kind := range dataset.Kinds {
+		kind := kind
+		t.Run(string(kind), func(t *testing.T) {
+			t.Parallel()
+			d, err := dataset.Build(kind, 1, 42)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
+			docs, err := corpus.SplitDocument(d, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl := newCluster(t, [][]*httptest.Server{
+				{shardServer(t, docs[0])},
+				{shardServer(t, docs[1])},
+			}, -1, corpus.Tuning{})
+			local, err := corpus.FromDocument("cluster", d, 2, corpus.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			serve := func(b core.Backend) http.Handler {
+				catalog := core.NewCatalog()
+				catalog.AddBackend("cluster", b)
+				return server.NewCatalogConfig(catalog, server.Config{DisableResultCache: true, DisableCompletionCache: true})
+			}
+			router, want := serve(cl.Corpus), serve(local)
+			shardNames := strings.NewReplacer(`"shard":"cluster-00"`, `"shard":"cluster/000"`, `"shard":"cluster-01"`, `"shard":"cluster/001"`)
 
-	// Completion merges by summed count, identically to the local merge.
-	q := parse(t, "//item")
-	anchor := q.OutputNode().ID
-	want, err := local.CompleteTags(ctx, q, anchor, twig.Child, "", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := cl.Corpus.CompleteTags(ctx, parse(t, "//item"), anchor, twig.Child, "", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("completion: got %d candidates, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("completion candidate %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
+			templates := 0
+			for _, wq := range bench.Workload() {
+				if wq.Kind != kind {
+					continue
+				}
+				templates++
+				for _, offset := range []int{0, k} {
+					body := marshal(t, map[string]any{"query": wq.Text, "k": k, "offset": offset, "rewrite": true})
+					got, exp := shardNames.Replace(servePage(t, router, body)), servePage(t, want, body)
+					if got != exp {
+						t.Errorf("%s offset %d: router page\n%s\nlocal page\n%s", wq.ID, offset, got, exp)
+					}
+					if offset == 0 && !strings.Contains(exp, `"node"`) {
+						t.Errorf("%s: the local page has no answers; the comparison would be vacuous", wq.ID)
+					}
+				}
 
-	// Explain merges occurrence counts across shard servers.
-	wOccs, err := local.ExplainTags(ctx, q, anchor, twig.Child, "name", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gOccs, err := cl.Corpus.ExplainTags(ctx, parse(t, "//item"), anchor, twig.Child, "name", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gOccs) != len(wOccs) {
-		t.Fatalf("explain: got %d occurrences, want %d", len(gOccs), len(wOccs))
-	}
-	for i := range wOccs {
-		if gOccs[i] != wOccs[i] {
-			t.Fatalf("explain occurrence %d: got %+v, want %+v", i, gOccs[i], wOccs[i])
-		}
+				q := parse(t, wq.Text)
+				out := q.OutputNode().ID
+				completions := func(b core.Backend) string {
+					tags, err := b.CompleteTags(ctx, q, out, twig.Child, "", k)
+					if err != nil {
+						t.Fatalf("%s tags: %v", wq.ID, err)
+					}
+					values, err := b.CompleteValues(ctx, q, out, "", k)
+					if err != nil {
+						t.Fatalf("%s values: %v", wq.ID, err)
+					}
+					var occs []complete.Occurrence
+					if len(tags) > 0 {
+						if occs, err = b.ExplainTags(ctx, q, out, twig.Child, tags[0].Text, 3); err != nil {
+							t.Fatalf("%s explain: %v", wq.ID, err)
+						}
+					}
+					return marshal(t, map[string]any{"tags": tags, "values": values, "explain": occs})
+				}
+				if got, exp := completions(cl.Corpus), completions(local); got != exp {
+					t.Errorf("%s completions at the output node:\nrouter %s\nlocal  %s", wq.ID, got, exp)
+				}
+			}
+			if templates == 0 {
+				t.Fatalf("no workload template over %s", kind)
+			}
+		})
 	}
 }
 
@@ -447,6 +473,32 @@ func TestEnvelopeDecode(t *testing.T) {
 			t.Fatalf("RetryAfter = %v, want 7s", re.RetryAfter)
 		}
 	})
+}
+
+// TestEndlessBodyFailsDecode: a replica that answers 200 and never stops
+// streaming fails the call with a decode error naming the replica once the
+// body passes the wire cap, instead of growing the router's heap forever.
+func TestEndlessBodyFailsDecode(t *testing.T) {
+	t.Parallel()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"answers":[{"snippet":"`)
+		chunk := bytes.Repeat([]byte("x"), 64<<10)
+		for r.Context().Err() == nil {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}))
+	defer ts.Close()
+	cl, err := remote.NewClient(remote.ClientConfig{BaseURL: ts.URL, Name: "endless"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = cl.Search(context.Background(), remote.SearchRequest{Query: "//a", K: 1}, remote.TraceOff)
+	if err == nil || !strings.Contains(err.Error(), "remote endless: decode /api/v1/query: body exceeds") {
+		t.Fatalf("endless body: err = %v, want a decode error naming the replica and the cap", err)
+	}
 }
 
 // routerServer assembles the full HTTP router: shard servers -> remote

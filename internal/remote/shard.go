@@ -24,15 +24,13 @@ import (
 // Hedging parameters.  The adaptive delay tracks the p95 of recent
 // successful search latencies: hedging at p95 bounds the duplicate-work
 // rate at ~5% of searches while cutting the tail that sits above it (the
-// "tail at scale" recipe).  Until enough samples exist the bootstrap delay
-// applies; the clamp keeps a pathological sample window from hedging
-// never (ceiling) or in a busy loop (floor).
+// "tail at scale" recipe).  The clamp keeps a pathological sample window
+// from hedging never (ceiling) or in a busy loop (floor); an empty window
+// hedges at the floor.
 const (
-	hedgeSamples    = 64
-	hedgeMinSamples = 8
-	hedgeBootstrap  = 25 * time.Millisecond
-	hedgeFloor      = time.Millisecond
-	hedgeCeil       = 2 * time.Second
+	hedgeSamples = 64
+	hedgeFloor   = time.Millisecond
+	hedgeCeil    = 2 * time.Second
 )
 
 // latencyRing is a fixed window of recent successful search latencies.
@@ -49,14 +47,9 @@ func (r *latencyRing) observe(d time.Duration) {
 	r.mu.Unlock()
 }
 
-// p95 returns the window's 95th percentile; ok is false until the ring has
-// hedgeMinSamples observations.
-func (r *latencyRing) p95() (time.Duration, bool) {
+// p95 returns the window's 95th percentile, 0 while it is empty.
+func (r *latencyRing) p95() time.Duration {
 	r.mu.Lock()
-	if r.n < hedgeMinSamples {
-		r.mu.Unlock()
-		return 0, false
-	}
 	n := r.n
 	if n > hedgeSamples {
 		n = hedgeSamples
@@ -64,12 +57,11 @@ func (r *latencyRing) p95() (time.Duration, bool) {
 	s := make([]time.Duration, n)
 	copy(s, r.buf[:n])
 	r.mu.Unlock()
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := n * 95 / 100
-	if idx >= n {
-		idx = n - 1
+	if n == 0 {
+		return 0
 	}
-	return s[idx], true
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	return s[n*95/100]
 }
 
 // ShardOptions tunes one remote shard beyond its name and replicas.
@@ -82,9 +74,6 @@ type ShardOptions struct {
 	// one RemoteMetrics across the shards of a cluster — the per-replica
 	// histograms inside it are keyed by replica name.
 	Metrics *metrics.RemoteMetrics
-	// Budget, when non-nil, caps hedges and failovers as a fraction of
-	// primary traffic (shared across the router's shards); see RetryBudget.
-	Budget *RetryBudget
 }
 
 // Shard is one logical corpus shard served by R replica shard servers.  It
@@ -97,7 +86,6 @@ type Shard struct {
 	replicas []*Client
 	hedge    time.Duration
 	met      *metrics.RemoteMetrics
-	budget   *RetryBudget
 	rr       atomic.Uint64
 	lat      latencyRing
 }
@@ -122,7 +110,6 @@ func NewShard(name string, replicas []*Client, opts ShardOptions) (*Shard, error
 		replicas: replicas,
 		hedge:    opts.HedgeDelay,
 		met:      opts.Metrics,
-		budget:   opts.Budget,
 	}, nil
 }
 
@@ -138,10 +125,7 @@ func (s *Shard) hedgeDelay() (time.Duration, bool) {
 	case s.hedge > 0:
 		return s.hedge, true
 	}
-	p, ok := s.lat.p95()
-	if !ok {
-		return hedgeBootstrap, true
-	}
+	p := s.lat.p95()
 	if p < hedgeFloor {
 		p = hedgeFloor
 	}
@@ -226,7 +210,6 @@ func (s *Shard) SearchShard(ctx context.Context, q *twig.Query, opts core.Search
 		return true
 	}
 	launch(false)
-	s.budget.RecordPrimary()
 	inflight := 1
 	hedgeFired := false
 
@@ -242,10 +225,7 @@ func (s *Shard) SearchShard(ctx context.Context, q *twig.Query, opts core.Search
 		select {
 		case <-timerC:
 			timerC = nil // at most one hedge per search
-			// The retry budget gates the hedge: in a cluster-wide brownout
-			// every search's timer fires, and unbudgeted hedges would double
-			// the load on servers that are slow because of load.
-			if s.budget.Allow() && launch(true) {
+			if launch(true) {
 				inflight++
 				hedgeFired = true
 				if s.met != nil {
@@ -286,9 +266,9 @@ func (s *Shard) SearchShard(ctx context.Context, q *twig.Query, opts core.Search
 				s.met.RPCErrors.Add(1)
 			}
 			// Fast failover: don't wait for the hedge timer when a replica
-			// has already said no — if the budget covers it (a cascading
-			// outage must not turn into a retry storm).
-			if ctx.Err() == nil && s.budget.Allow() && launch(a.hedged) {
+			// has already said no.  Each replica is tried at most once per
+			// search, so a call makes at most R attempts.
+			if ctx.Err() == nil && launch(a.hedged) {
 				inflight++
 				if s.met != nil {
 					s.met.Failovers.Add(1)
@@ -352,13 +332,6 @@ func (s *Shard) failover(ctx context.Context, fn func(c *Client) error) error {
 	var errs []error
 	order := s.rotation()
 	for i, c := range order {
-		if i == 0 {
-			s.budget.RecordPrimary()
-		} else if !s.budget.Allow() {
-			// Retry budget spent: settle for the primary's failure rather
-			// than pile secondaries onto a struggling cluster.
-			break
-		}
 		err := fn(c)
 		if err == nil {
 			return nil

@@ -10,9 +10,9 @@ import (
 )
 
 // The cluster observability surface: the tail-sampled trace store behind
-// GET /api/v1/traces, the federated cluster rollup behind
-// GET /api/v1/cluster/metrics, and the SLO objectives the request envelope
-// feeds.  See docs/OBSERVABILITY.md, "The cluster tier".
+// GET /api/v1/traces and the SLO objectives the request envelope feeds.
+// See docs/OBSERVABILITY.md, "Tail-sampled trace store" and "SLO burn
+// rates".
 
 // tracesResponse is the payload of GET /api/v1/traces: summaries (no span
 // trees) newest-first, plus the store's retention counters.
@@ -88,12 +88,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, rec)
-}
-
-// handleClusterMetrics serves the federated rollup of shard-server metrics
-// snapshots (mounted only in router mode, next to GET /api/v1/cluster).
-func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.reg.Cluster().Snapshot())
 }
 
 // SLOBurning reports the objectives currently burning their fast window, ""

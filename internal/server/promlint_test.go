@@ -258,8 +258,8 @@ func scrape(t *testing.T, ts *httptest.Server) string {
 
 // TestPrometheusLint lints the exposition of every serving configuration —
 // a single engine, a sharded corpus, an admin server with per-client rate
-// limiting, and a router-shaped registry carrying cluster, remote and SLO
-// families — and diffs the families each one declares against
+// limiting, and a router-shaped registry carrying remote and SLO families —
+// and diffs the families each one declares against
 // testdata/prometheus_families.golden.  After an intentional family change,
 // regenerate with:
 //
@@ -288,12 +288,6 @@ func TestPrometheusLint(t *testing.T) {
 		}},
 		{"router", func(t *testing.T) *httptest.Server {
 			reg := metrics.New()
-			// Cluster rollup: one healthy server (snapshot from a scratch
-			// registry), one marked down.
-			peer := metrics.New()
-			peer.Endpoint("query").Record(200, 12*time.Millisecond)
-			reg.Cluster().Update("shard-0", peer.Snapshot())
-			reg.Cluster().MarkDown("shard-1", fmt.Errorf("connection refused"))
 			// Remote RPC families.
 			rem := reg.Remote("cluster")
 			rem.ObserveReplica("shard-0", 4*time.Millisecond)

@@ -118,7 +118,7 @@ type Config struct {
 	// ingest pipeline and in admin-created corpora (tests and fault drills).
 	Faults *faults.Registry
 	// ClusterStatus, when non-nil, mounts GET /api/v1/cluster answering the
-	// callback's value — the router mode's topology, replication and hedging
+	// callback's value — the router's topology, replication and hedging
 	// view (see docs/CLUSTER.md).  Nil (every non-router deployment) leaves
 	// the route unmounted.
 	ClusterStatus func() any
@@ -331,7 +331,6 @@ func routeTable(s *Server) []route {
 		{method: "GET", path: "/api/v1/guide", name: "guide", h: s.handleGuide},
 		// Observability; exempt from load shedding.
 		{method: "GET", path: "/api/v1/cluster", name: "cluster", h: s.handleCluster, router: true, exempt: true},
-		{method: "GET", path: "/api/v1/cluster/metrics", name: "cluster", h: s.handleClusterMetrics, router: true, exempt: true},
 		{method: "GET", path: "/api/v1/metrics", name: "metrics", h: s.handleMetrics, exempt: true},
 		{method: "GET", path: "/api/v1/traces", name: "traces", h: s.handleTraces, exempt: true},
 		{method: "GET", path: "/api/v1/traces/{id}", name: "traces", h: s.handleTrace, exempt: true},

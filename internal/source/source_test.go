@@ -136,7 +136,7 @@ func TestBuildEngineOnceOnTheFinalSubstrate(t *testing.T) {
 	}
 }
 
-// TestBuildSliceIndexesOnlyItsSlice: -mode=shard -slice i/n serves exactly
+// TestBuildSliceIndexesOnlyItsSlice: a shard server (-slice i/n) serves exactly
 // shard i of the local -shards n partition, and 0/1 the whole document.
 func TestBuildSliceIndexesOnlyItsSlice(t *testing.T) {
 	saved := func(d *doc.Document) []byte {
