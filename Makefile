@@ -4,7 +4,7 @@
 
 GO ?= go
 
-RACE_PKGS := ./internal/server/... ./internal/core/... ./internal/corpus/... ./internal/slo/... \
+RACE_PKGS := ./internal/server/... ./internal/core/... ./internal/corpus/... \
 	./internal/obs/... ./internal/metrics/... ./internal/cache/... \
 	./internal/join/... ./internal/index/... ./internal/ingest/... ./internal/remote/... \
 	./internal/httpmw/... ./internal/trie/... ./internal/fanout/... ./cmd/lotusx-server/...

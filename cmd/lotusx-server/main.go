@@ -42,7 +42,6 @@ import (
 	"lotusx/internal/obs"
 	"lotusx/internal/remote"
 	"lotusx/internal/server"
-	"lotusx/internal/slo"
 	"lotusx/internal/source"
 )
 
@@ -119,10 +118,6 @@ func parse(fs *flag.FlagSet, args []string) (*config, error) {
 		"per-request deadline; expired requests answer 504 (0 disables)")
 	fs.IntVar(&s.MaxInflight, "max-inflight", 0,
 		"max concurrent API requests; excess load is shed with 503 + Retry-After (0 disables)")
-	fs.Float64Var(&s.RateQPS, "rate-qps", 0,
-		"per-client request rate (token bucket keyed by X-Lotusx-Client, else the remote address); over-rate clients answer 429 + Retry-After (0 disables)")
-	fs.IntVar(&s.RateBurst, "rate-burst", 0,
-		"per-client burst depth for -rate-qps; 0 derives a default from the rate")
 	fs.DurationVar(&c.drainTimeout, "drain-timeout", 30*time.Second,
 		"graceful-shutdown budget after SIGTERM/SIGINT: in-flight requests and queued ingests get this long to finish before the process exits")
 	fs.BoolVar(&c.quiet, "quiet", false, "suppress per-request logs")
@@ -172,10 +167,6 @@ func parse(fs *flag.FlagSet, args []string) (*config, error) {
 		"tail-sampled trace store size behind GET /api/v1/traces; 0 means the default (512), negative disables the store")
 	fs.IntVar(&s.TraceSampleEvery, "trace-sample-every", 0,
 		"keep 1 of every N uninteresting traces as a uniform sample; 0 means the default (64), negative disables the sample")
-	sloSearchP99 := fs.Duration("slo-search-p99", 0,
-		"latency objective: 99% of /api/v1/query responses faster than this (0 disables)")
-	sloAvailability := fs.Float64("slo-availability", 0,
-		"availability objective as a percentage, e.g. 99.9: that fraction of all responses non-5xx (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -216,9 +207,6 @@ func parse(fs *flag.FlagSet, args []string) (*config, error) {
 		return nil, fmt.Errorf("bad -shards %d: want >= 1", c.shards)
 	}
 	if t.Policy, err = corpus.ParsePolicy(string(t.Policy)); err != nil {
-		return nil, err
-	}
-	if s.SLO, err = buildSLO(*sloSearchP99, *sloAvailability); err != nil {
 		return nil, err
 	}
 	if c.role == roleRouter {
@@ -313,35 +301,11 @@ func startDebug(addr string, srv *server.Server, out io.Writer) {
 	}
 	fmt.Fprintf(out, "debug endpoints (pprof, healthz, readyz, buildinfo) on %s\n", addr)
 	go func() {
-		mux := obs.DebugMux(obs.DebugOptions{Ready: srv.Ready, Degraded: srv.Degraded, Burning: srv.SLOBurning})
+		mux := obs.DebugMux(obs.DebugOptions{Ready: srv.Ready, Degraded: srv.Degraded})
 		if err := http.ListenAndServe(addr, mux); err != nil {
 			fmt.Fprintln(os.Stderr, "lotusx-server: debug listener:", err)
 		}
 	}()
-}
-
-// buildSLO translates the -slo-* flags into a tracker; both flags off
-// means no SLO engine at all (nil tracker, no lotusx_slo_* families).
-func buildSLO(searchP99 time.Duration, availability float64) (*slo.Tracker, error) {
-	var objectives []slo.Objective
-	if searchP99 > 0 {
-		objectives = append(objectives, slo.Objective{
-			Name:      "search-p99",
-			Endpoint:  "query",
-			Target:    0.99,
-			Threshold: searchP99,
-		})
-	}
-	if availability != 0 {
-		if availability <= 0 || availability >= 100 {
-			return nil, fmt.Errorf("bad -slo-availability %v: want a percentage in (0, 100), e.g. 99.9", availability)
-		}
-		objectives = append(objectives, slo.Objective{Name: "availability", Target: availability / 100})
-	}
-	if len(objectives) == 0 {
-		return nil, nil
-	}
-	return slo.New(slo.Config{Objectives: objectives})
 }
 
 // served is one dataset to load: where it comes from, and the catalog name

@@ -2,10 +2,10 @@
 // depend on the route table: the v1 error envelope —
 // {"error": {"code": ..., "message": ...}} — shared by the envelope and the
 // handlers so every failure path answers in one shape, the StatusWriter the
-// envelope observes a response through, the per-request Exchange (request ID,
-// matched route, access-log annotations) carried in the context, and the
-// per-client token buckets behind the rate limit.  Admission and observation
-// themselves are internal/server's envelope, which reads the route row.
+// envelope observes a response through, and the per-request Exchange (request
+// ID, matched route, access-log annotations) carried in the context.
+// Admission and observation themselves are internal/server's envelope, which
+// reads the route row.
 package httpmw
 
 import (
@@ -14,14 +14,11 @@ import (
 	"io"
 	"log/slog"
 	"math"
-	"net"
 	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"lotusx/internal/metrics"
 )
 
 // ---------------------------------------------------------------- envelope
@@ -225,127 +222,4 @@ func OrDiscard(l *slog.Logger) *slog.Logger {
 		return discard
 	}
 	return l
-}
-
-// ------------------------------------------------------------- rate limit
-
-// ClientID resolves the identity a request is rate-limited under: the
-// X-Lotusx-Client header when present (cooperating clients and forwarding
-// proxies name themselves), else the remote address host.  Deliberately not
-// X-Forwarded-For — an unauthenticated upstream header would let any client
-// mint fresh buckets at will.
-func ClientID(r *http.Request) string {
-	if id := r.Header.Get("X-Lotusx-Client"); id != "" {
-		return id
-	}
-	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-		return host
-	}
-	return r.RemoteAddr
-}
-
-// RateLimiter keeps one token bucket per client: each admitted request
-// spends one token, tokens refill continuously at qps up to burst, and an
-// empty bucket refuses until the next token accrues.  A nil RateLimiter
-// admits everything.
-type RateLimiter struct {
-	qps, burst float64
-	maxClients int // bound on the bucket table
-	metrics    *metrics.AdmissionMetrics
-	now        func() time.Time // the refill clock; tests replace it
-
-	mu      sync.Mutex
-	buckets map[string]*tokenBucket
-}
-
-// tokenBucket is one client's admission state.
-type tokenBucket struct {
-	tokens float64
-	last   time.Time // last refill
-}
-
-// NewRateLimiter returns a limiter refilling each client's bucket at qps up
-// to burst tokens (burst <= 0 derives max(1, 2*qps)), counting into m when
-// it is non-nil.  qps <= 0 returns nil: no limit.  The bucket table holds at
-// most 4096 clients; at the bound, idle buckets are evicted before a new
-// client is admitted.
-func NewRateLimiter(qps float64, burst int, m *metrics.AdmissionMetrics) *RateLimiter {
-	if qps <= 0 {
-		return nil
-	}
-	b := float64(burst)
-	if burst <= 0 {
-		b = max(1, 2*qps)
-	}
-	return &RateLimiter{
-		qps: qps, burst: b, maxClients: 4096, metrics: m, now: time.Now,
-		buckets: make(map[string]*tokenBucket),
-	}
-}
-
-// Allow spends one of client's tokens.  When the bucket is empty it refuses
-// and returns the time until the next token accrues.
-func (l *RateLimiter) Allow(client string) (ok bool, wait time.Duration) {
-	if l == nil {
-		return true, 0
-	}
-	t := l.now()
-	l.mu.Lock()
-	b := l.buckets[client]
-	if b == nil {
-		if len(l.buckets) >= l.maxClients {
-			l.evictIdle(t)
-		}
-		b = &tokenBucket{tokens: l.burst, last: t}
-		l.buckets[client] = b
-	}
-	if dt := t.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens = min(l.burst, b.tokens+dt*l.qps)
-	}
-	b.last = t
-	ok = b.tokens >= 1
-	if ok {
-		b.tokens--
-	} else {
-		wait = time.Duration((1 - b.tokens) / l.qps * float64(time.Second))
-	}
-	clients := len(l.buckets)
-	l.mu.Unlock()
-	if m := l.metrics; m != nil {
-		m.SetClients(clients)
-		if ok {
-			m.Allowed.Add(1)
-		} else {
-			m.Limited.Add(1)
-		}
-	}
-	return ok, wait
-}
-
-// evictIdle drops buckets idle long enough to have refilled completely (they
-// carry no state a fresh bucket wouldn't), then — if none were — the
-// longest-idle bucket, so one crawl over many client identities cannot pin
-// the table.  Called with l.mu held.
-func (l *RateLimiter) evictIdle(now time.Time) {
-	fullRefill := l.burst / l.qps
-	evicted := 0
-	var oldestKey string
-	var oldest time.Time
-	for k, b := range l.buckets {
-		if now.Sub(b.last).Seconds() >= fullRefill {
-			delete(l.buckets, k)
-			evicted++
-			continue
-		}
-		if oldestKey == "" || b.last.Before(oldest) {
-			oldestKey, oldest = k, b.last
-		}
-	}
-	if evicted == 0 && oldestKey != "" {
-		delete(l.buckets, oldestKey)
-		evicted++
-	}
-	if l.metrics != nil {
-		l.metrics.Evicted.Add(int64(evicted))
-	}
 }

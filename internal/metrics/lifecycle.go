@@ -48,32 +48,3 @@ func (m *LifecycleMetrics) snapshot() LifecycleSnapshot {
 		OrphansSwept:     m.OrphansSwept.Load(),
 	}
 }
-
-// AdmissionMetrics aggregates per-client admission control (the token-bucket
-// rate limiter in internal/httpmw).
-type AdmissionMetrics struct {
-	Allowed atomic.Int64 // requests that consumed a token and proceeded
-	Limited atomic.Int64 // requests refused with 429 + Retry-After
-	Evicted atomic.Int64 // idle client buckets evicted from the table
-	clients atomic.Int64 // live client buckets (gauge)
-}
-
-// SetClients records the live client-bucket count.
-func (m *AdmissionMetrics) SetClients(n int) { m.clients.Store(int64(n)) }
-
-// AdmissionSnapshot is the JSON shape of the admission-control metrics.
-type AdmissionSnapshot struct {
-	Allowed int64 `json:"allowed" prom:"lotusx_admission_allowed_total,counter" help:"Requests that passed the per-client rate limiter."`
-	Limited int64 `json:"limited" prom:"lotusx_admission_limited_total,counter" help:"Requests refused with 429 + Retry-After by the per-client rate limiter."`
-	Evicted int64 `json:"evicted,omitempty" prom:"lotusx_admission_evicted_total,counter" help:"Idle client token buckets evicted from the limiter table."`
-	Clients int64 `json:"clients" prom:"lotusx_admission_clients,gauge" help:"Live client token buckets in the limiter table."`
-}
-
-func (m *AdmissionMetrics) snapshot() AdmissionSnapshot {
-	return AdmissionSnapshot{
-		Allowed: m.Allowed.Load(),
-		Limited: m.Limited.Load(),
-		Evicted: m.Evicted.Load(),
-		Clients: m.clients.Load(),
-	}
-}

@@ -18,10 +18,10 @@
 // types are counter, gauge and histogram (a LatencySnapshot field).  Map
 // fields name the label their keys fill (`prom:",label=corpus"`, or
 // `prom:"<family>,histogram,label=stage"` for a map of leaves), and a string
-// field tagged `prom:",label=objective"` labels the other families of its
-// struct; untagged struct, pointer, interface and slice fields are walked
-// into.  A field with no prom tag is JSON-only.  The family then appears in
-// both views; list it in docs/OBSERVABILITY.md and refresh
+// field tagged `prom:",label=version"` labels the other families of its
+// struct; untagged struct and pointer fields are walked into.  A field with
+// no prom tag is JSON-only.  The family then appears in both views; list it
+// in docs/OBSERVABILITY.md and refresh
 // internal/server/testdata/prometheus_families.golden.
 //
 // # Snapshot consistency semantics
@@ -170,10 +170,14 @@ type Endpoint struct {
 	Requests atomic.Int64 // all requests routed to the endpoint
 	Errors   atomic.Int64 // responses with status >= 400 (including the two below)
 	Timeouts atomic.Int64 // responses that hit the per-request deadline (504)
-	// Shed counts requests refused by admission control: the drain and the
-	// in-flight limit (503) and the per-client rate limit (429).  The
-	// server's admission outcome tallies it, so handler-path 503s like shard
-	// quarantine are never conflated in.
+	// ServerErrors counts responses with status >= 500 — refusals, panics,
+	// timeouts and upstream failures alike: the bad events of an
+	// availability objective over the endpoint.
+	ServerErrors atomic.Int64
+	// Shed counts requests refused by admission control: the drain gate and
+	// the in-flight limit (both 503).  The server's admission outcome
+	// tallies it, so handler-path 503s like shard quarantine are never
+	// conflated in.
 	Shed    atomic.Int64
 	Latency Histogram
 }
@@ -185,6 +189,9 @@ func (e *Endpoint) Record(status int, d time.Duration) {
 	if status >= 400 {
 		e.Errors.Add(1)
 	}
+	if status >= 500 {
+		e.ServerErrors.Add(1)
+	}
 	if status == 504 {
 		e.Timeouts.Add(1)
 	}
@@ -192,20 +199,22 @@ func (e *Endpoint) Record(status int, d time.Duration) {
 
 // EndpointSnapshot is the JSON shape of one endpoint's metrics.
 type EndpointSnapshot struct {
-	Requests int64           `json:"requests" prom:"lotusx_endpoint_requests_total,counter" help:"Requests routed to the endpoint."`
-	Errors   int64           `json:"errors" prom:"lotusx_endpoint_errors_total,counter" help:"Responses with status >= 400."`
-	Timeouts int64           `json:"timeouts" prom:"lotusx_endpoint_timeouts_total,counter" help:"Responses that hit the per-request deadline (504)."`
-	Shed     int64           `json:"shed" prom:"lotusx_endpoint_shed_total,counter" help:"Requests refused by admission control: the per-client rate limiter (429), the in-flight limiter and the drain gate (503)."`
-	Latency  LatencySnapshot `json:"latency" prom:"lotusx_endpoint_latency_seconds,histogram" help:"Request latency by endpoint."`
+	Requests     int64           `json:"requests" prom:"lotusx_endpoint_requests_total,counter" help:"Requests routed to the endpoint."`
+	Errors       int64           `json:"errors" prom:"lotusx_endpoint_errors_total,counter" help:"Responses with status >= 400."`
+	ServerErrors int64           `json:"serverErrors" prom:"lotusx_endpoint_server_errors_total,counter" help:"Responses with status >= 500: the bad events of an availability objective."`
+	Timeouts     int64           `json:"timeouts" prom:"lotusx_endpoint_timeouts_total,counter" help:"Responses that hit the per-request deadline (504)."`
+	Shed         int64           `json:"shed" prom:"lotusx_endpoint_shed_total,counter" help:"Requests refused by admission control: the in-flight limiter and the drain gate (503)."`
+	Latency      LatencySnapshot `json:"latency" prom:"lotusx_endpoint_latency_seconds,histogram" help:"Request latency by endpoint."`
 }
 
 func (e *Endpoint) snapshot() EndpointSnapshot {
 	return EndpointSnapshot{
-		Requests: e.Requests.Load(),
-		Errors:   e.Errors.Load(),
-		Timeouts: e.Timeouts.Load(),
-		Shed:     e.Shed.Load(),
-		Latency:  e.Latency.Snapshot(),
+		Requests:     e.Requests.Load(),
+		Errors:       e.Errors.Load(),
+		ServerErrors: e.ServerErrors.Load(),
+		Timeouts:     e.Timeouts.Load(),
+		Shed:         e.Shed.Load(),
+		Latency:      e.Latency.Snapshot(),
 	}
 }
 
@@ -223,7 +232,6 @@ type Registry struct {
 	// share the named sets' create path.
 	ingest    map[string]*IngestMetrics
 	lifecycle map[string]*LifecycleMetrics
-	admission map[string]*AdmissionMetrics
 	start     time.Time
 }
 
@@ -301,10 +309,6 @@ func (r *Registry) Ingest() *IngestMetrics { return lazy(&r.mu, &r.ingest, "") }
 // on first use.
 func (r *Registry) Lifecycle() *LifecycleMetrics { return lazy(&r.mu, &r.lifecycle, "") }
 
-// Admission returns the registry's admission-control metrics, creating them
-// on first use.
-func (r *Registry) Admission() *AdmissionMetrics { return lazy(&r.mu, &r.admission, "") }
-
 // Snapshot is the JSON payload of GET /api/v1/metrics and, through
 // WritePrometheus, the source of GET /metrics.  See the package comment for
 // its consistency semantics under concurrent load and for the prom tags.
@@ -331,15 +335,9 @@ type Snapshot struct {
 	// Lifecycle appears on servers with the lifecycle tier wired: the drain
 	// state machine and the durable ingest journal.
 	Lifecycle *LifecycleSnapshot `json:"lifecycle,omitempty"`
-	// Admission appears once per-client rate limiting is active.
-	Admission *AdmissionSnapshot `json:"admission,omitempty"`
 	// Process reports the Go runtime's view of the serving process:
 	// goroutines, heap bytes, GC totals, and the build identity.
 	Process ProcessSnapshot `json:"process"`
-	// SLO carries the slo.Tracker snapshot when objectives are declared (an
-	// opaque value here so the metrics package needs no slo import; its own
-	// prom tags render it; see internal/server and internal/slo).
-	SLO any `json:"slo,omitempty"`
 }
 
 // Snapshot materializes a view of every registered metric.
@@ -356,7 +354,6 @@ func (r *Registry) Snapshot() Snapshot {
 		Remotes:       snapshotAll(r.remotes, (*RemoteMetrics).snapshot),
 		Ingest:        snapshotOne(r.ingest, (*IngestMetrics).snapshot),
 		Lifecycle:     snapshotOne(r.lifecycle, (*LifecycleMetrics).snapshot),
-		Admission:     snapshotOne(r.admission, (*AdmissionMetrics).snapshot),
 		Process:       processSnapshot(),
 	}
 }

@@ -53,12 +53,12 @@ func TestEndpointRecord(t *testing.T) {
 	var e Endpoint
 	e.Record(200, time.Millisecond)
 	e.Record(400, time.Millisecond)
-	e.Record(429, time.Millisecond)
+	e.Record(503, time.Millisecond)
 	e.Record(504, time.Millisecond)
-	// Shed is the admission outcome's to count, not Record's: a 429 is an
-	// error like any other here.
-	if e.Requests.Load() != 4 || e.Errors.Load() != 3 || e.Shed.Load() != 0 || e.Timeouts.Load() != 1 {
-		t.Fatalf("counters = %d/%d/%d/%d", e.Requests.Load(), e.Errors.Load(), e.Shed.Load(), e.Timeouts.Load())
+	// Shed is the admission outcome's to count, not Record's: a 503 is a
+	// server error like any other here.
+	if e.Requests.Load() != 4 || e.Errors.Load() != 3 || e.ServerErrors.Load() != 2 || e.Shed.Load() != 0 || e.Timeouts.Load() != 1 {
+		t.Fatalf("counters = %d/%d/%d/%d/%d", e.Requests.Load(), e.Errors.Load(), e.ServerErrors.Load(), e.Shed.Load(), e.Timeouts.Load())
 	}
 }
 
@@ -169,7 +169,7 @@ func TestExportCoherenceUnderLoad(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := New()
 	r.Endpoint("query").Record(200, 2*time.Millisecond)
-	r.Endpoint("query").Record(429, 55*time.Millisecond)
+	r.Endpoint("query").Record(503, 55*time.Millisecond)
 	r.Endpoint("query").Shed.Add(1)
 	r.Algorithm("twigstack").Observe(time.Millisecond)
 	r.Stage("parse").Observe(100 * time.Microsecond)
@@ -195,6 +195,7 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE lotusx_uptime_seconds gauge",
 		"# TYPE lotusx_endpoint_requests_total counter",
 		`lotusx_endpoint_requests_total{endpoint="query"} 2`,
+		`lotusx_endpoint_server_errors_total{endpoint="query"} 1`,
 		`lotusx_endpoint_shed_total{endpoint="query"} 1`,
 		"# TYPE lotusx_endpoint_latency_seconds histogram",
 		`lotusx_endpoint_latency_seconds_count{endpoint="query"} 2`,

@@ -77,13 +77,9 @@ func parsePromTag(f reflect.StructField) (promTag, bool) {
 // pairs the enclosing maps and label fields have set so far.
 func (e *exposition) walk(v reflect.Value, labels string) {
 	switch v.Kind() {
-	case reflect.Pointer, reflect.Interface:
+	case reflect.Pointer:
 		if !v.IsNil() {
 			e.walk(v.Elem(), labels)
-		}
-	case reflect.Slice:
-		for i := 0; i < v.Len(); i++ {
-			e.walk(v.Index(i), labels)
 		}
 	case reflect.Struct:
 		t := v.Type()

@@ -18,12 +18,6 @@ type DebugOptions struct {
 	// instance should keep taking traffic — but the body reads
 	// "ready (degraded): <reason>" so orchestration and humans can see it.
 	Degraded func() string
-	// Burning, when non-nil and returning non-empty, marks a ready instance
-	// as burning its error budget too fast (see internal/slo): /readyz
-	// answers 200 with "ready (slo-burning): <objectives>".  Degraded takes
-	// precedence when both fire — a quarantined shard usually explains the
-	// burn.
-	Burning func() string
 }
 
 // DebugMux builds the operational mux served on the -debug-addr listener:
@@ -60,12 +54,6 @@ func DebugMux(opts DebugOptions) *http.ServeMux {
 		if opts.Degraded != nil {
 			if msg := opts.Degraded(); msg != "" {
 				w.Write([]byte("ready (degraded): " + msg + "\n"))
-				return
-			}
-		}
-		if opts.Burning != nil {
-			if msg := opts.Burning(); msg != "" {
-				w.Write([]byte("ready (slo-burning): " + msg + "\n"))
 				return
 			}
 		}

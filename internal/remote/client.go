@@ -307,7 +307,7 @@ func (c *Client) doHeader(ctx context.Context, method, path string, qv url.Value
 		return err
 	}
 	defer resp.Body.Close()
-	return decodeResponse(resp.StatusCode, resp.Header, c.faults.Reader(FaultBody, c.name, resp.Body), c.name, path, out)
+	return decodeResponse(resp.StatusCode, c.faults.Reader(FaultBody, c.name, resp.Body), c.name, path, out)
 }
 
 func axisParam(axis twig.Axis) string {

@@ -4,11 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"strconv"
 	"strings"
-	"time"
 
 	"lotusx/internal/httpmw"
 )
@@ -29,9 +26,6 @@ type Error struct {
 	Message string
 	// Replica names the replica that answered, for logs and joined errors.
 	Replica string
-	// RetryAfter is the parsed Retry-After header when the replica sent one
-	// (quarantined corpus, shed load); 0 otherwise.
-	RetryAfter time.Duration
 }
 
 func (e *Error) Error() string {
@@ -48,9 +42,9 @@ const maxWireBody = maxWireK*maxWireSnippet + 16<<20
 // decodeResponse decodes one response into out: a 200 body as JSON of at
 // most maxWireBody bytes, any other status as an *Error.  A failed decode
 // names the replica and the path.
-func decodeResponse(status int, header http.Header, body io.Reader, replica, path string, out any) error {
+func decodeResponse(status int, body io.Reader, replica, path string, out any) error {
 	if status != http.StatusOK {
-		return decodeError(status, header, body, replica)
+		return decodeError(status, body, replica)
 	}
 	lr := &io.LimitedReader{R: body, N: maxWireBody + 1}
 	if err := json.NewDecoder(lr).Decode(out); err != nil {
@@ -65,8 +59,9 @@ func decodeResponse(status int, header http.Header, body io.Reader, replica, pat
 // decodeError turns a non-200 response into an *Error, reading at most a
 // small bounded prefix of the body.  Envelope decoding is best-effort: a
 // proxy's HTML error page still yields a typed Error with the code inferred
-// from the status.
-func decodeError(status int, header http.Header, body io.Reader, replica string) error {
+// from the status.  A Retry-After header is not read: the router's own
+// back-off comes from its breaker (corpus.QuarantineError).
+func decodeError(status int, body io.Reader, replica string) error {
 	data, _ := io.ReadAll(io.LimitReader(body, 8<<10))
 	e := &Error{Status: status, Replica: replica}
 	var env httpmw.ErrorBody
@@ -77,11 +72,6 @@ func decodeError(status int, header http.Header, body io.Reader, replica string)
 		e.Message = strings.TrimSpace(string(data))
 		if e.Message == "" {
 			e.Message = http.StatusText(status)
-		}
-	}
-	if ra := header.Get("Retry-After"); ra != "" {
-		if secs, err := strconv.Atoi(ra); err == nil && secs > 0 && secs <= math.MaxInt64/int(time.Second) {
-			e.RetryAfter = time.Duration(secs) * time.Second
 		}
 	}
 	return e

@@ -16,7 +16,6 @@ import (
 	"lotusx/internal/obs"
 	"lotusx/internal/remote"
 	"lotusx/internal/server"
-	"lotusx/internal/slo"
 )
 
 // walkNames flattens a rendered span tree into its span names.
@@ -192,24 +191,17 @@ func TestHedgedTraceRetained(t *testing.T) {
 	}
 }
 
-// TestSLOBurnUnderShardFailure: with every shard down and failfast policy,
-// query 5xxes burn the availability budget — the lotusx_slo_* families and
-// the burning signal must move.
-func TestSLOBurnUnderShardFailure(t *testing.T) {
+// TestServerErrorsUnderShardFailure: with every shard down and failfast
+// policy, each query answers 5xx, and the router's query endpoint counts
+// every one in lotusx_endpoint_server_errors_total — the bad events an
+// availability objective is computed from — in both metrics views.
+func TestServerErrorsUnderShardFailure(t *testing.T) {
 	t.Parallel()
 	docs := slices(t, 1)
 	ts := shardServer(t, docs[0])
 	cl := newCluster(t, [][]*httptest.Server{{ts}}, -1,
 		corpus.Tuning{Policy: corpus.PolicyFailFast})
-
-	tracker, err := slo.New(slo.Config{
-		Objectives: []slo.Objective{{Name: "availability", Target: 0.999}},
-		MinEvents:  5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := routerServer(t, cl, server.Config{SLO: tracker})
+	rt := routerServer(t, cl, server.Config{})
 
 	cl.faults.Enable(faults.Injection{
 		Site: remote.FaultRPC,
@@ -228,15 +220,6 @@ func TestSLOBurnUnderShardFailure(t *testing.T) {
 		}
 	}
 
-	st := tracker.Snapshot().Objectives[0]
-	if st.BadTotal < 10 || st.FastBurnRate < slo.DefaultFastBurnAlert || !st.Burning {
-		t.Fatalf("objective = %+v, want burning after 10 failures", st)
-	}
-	if tracker.Burning() == "" {
-		t.Fatal("Burning() empty during an outage")
-	}
-
-	// The signal rides the router's Prometheus exposition and JSON metrics.
 	mresp, err := http.Get(rt.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -244,14 +227,8 @@ func TestSLOBurnUnderShardFailure(t *testing.T) {
 	defer mresp.Body.Close()
 	var buf bytes.Buffer
 	buf.ReadFrom(mresp.Body)
-	out := buf.String()
-	for _, want := range []string{
-		`lotusx_slo_burning{objective="availability"} 1`,
-		"# TYPE lotusx_slo_burn_rate gauge",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("router exposition missing %q", want)
-		}
+	if want := `lotusx_endpoint_server_errors_total{endpoint="query"} 10`; !strings.Contains(buf.String(), want) {
+		t.Errorf("router exposition missing %q", want)
 	}
 
 	jresp, err := http.Get(rt.URL + "/api/v1/metrics")
@@ -260,12 +237,15 @@ func TestSLOBurnUnderShardFailure(t *testing.T) {
 	}
 	defer jresp.Body.Close()
 	var snap struct {
-		SLO *slo.Snapshot `json:"slo"`
+		Endpoints map[string]struct {
+			Requests     int64 `json:"requests"`
+			ServerErrors int64 `json:"serverErrors"`
+		} `json:"endpoints"`
 	}
 	if err := json.NewDecoder(jresp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.SLO == nil || len(snap.SLO.Objectives) != 1 || !snap.SLO.Objectives[0].Burning {
-		t.Fatalf("/api/v1/metrics slo = %+v, want burning objective", snap.SLO)
+	if q := snap.Endpoints["query"]; q.Requests != 10 || q.ServerErrors != 10 {
+		t.Fatalf("/api/v1/metrics query endpoint = %+v, want 10 requests, 10 server errors", q)
 	}
 }

@@ -469,8 +469,10 @@ func TestEnvelopeDecode(t *testing.T) {
 		if !errors.As(err, &re) {
 			t.Fatalf("error %v is not a *remote.Error", err)
 		}
-		if re.RetryAfter != 7*time.Second {
-			t.Fatalf("RetryAfter = %v, want 7s", re.RetryAfter)
+		// The hint is not decoded: the router's own Retry-After comes from
+		// its breaker cooldown.
+		if re.Status != http.StatusServiceUnavailable || re.Code != httpmw.CodeOverloaded || re.Message != "quarantined" {
+			t.Fatalf("got %+v, want 503 overloaded \"quarantined\"", re)
 		}
 	})
 }

@@ -18,13 +18,12 @@ import (
 	"lotusx/internal/core"
 	"lotusx/internal/httpmw"
 	"lotusx/internal/metrics"
-	"lotusx/internal/slo"
 	"lotusx/internal/twig"
 )
 
 // The request envelope, driven through Server.ServeHTTP: admission
-// (drain, in-flight slots, per-client rate), the deadline, panic recovery,
-// and the one observation every request gets.
+// (drain, in-flight slots), the deadline, panic recovery, and the one
+// observation every request gets.
 
 // explainBackend serves the bib engine, except that ExplainTags runs the
 // test's explain function — a panic, a block, a wait on the deadline — so a
@@ -81,17 +80,6 @@ func wantRefusal(t *testing.T, rr *httptest.ResponseRecorder, status int) {
 	}
 }
 
-// availability returns an SLO tracker with one availability objective over
-// every serving endpoint.
-func availability(t *testing.T) *slo.Tracker {
-	t.Helper()
-	tracker, err := slo.New(slo.Config{Objectives: []slo.Objective{{Name: "availability", Target: 0.999}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tracker
-}
-
 func seriesNames(reg *metrics.Registry) []string {
 	var names []string
 	for name := range reg.Snapshot().Endpoints {
@@ -104,17 +92,14 @@ func seriesNames(reg *metrics.Registry) []string {
 // TestRefusalsDoNotMintEndpoints: a refused request is recorded under the
 // endpoint of the route it matched — junk GET paths match GET / and count
 // as page sheds — so outside input adds no endpoint series, whether the
-// rate limit or a drain refuses it.
+// in-flight limit or a drain refuses it.
 func TestRefusalsDoNotMintEndpoints(t *testing.T) {
 	reg := metrics.New()
-	srv := explainServer(t, Config{Metrics: reg, RateQPS: 0.001, RateBurst: 1}, func(context.Context) {})
-	if rr := serve(srv, "GET", "/", "X-Lotusx-Client", "crawler"); rr.Code != http.StatusOK {
-		t.Fatalf("page: %d", rr.Code)
-	}
+	srv, release := blockingServer(t, reg)
+	defer release()
 	before := strings.Join(seriesNames(reg), ",")
 	for i := 0; i < 20; i++ {
-		rr := serve(srv, "GET", "/junk-"+strconv.Itoa(i), "X-Lotusx-Client", "crawler")
-		wantRefusal(t, rr, http.StatusTooManyRequests)
+		wantRefusal(t, serve(srv, "GET", "/junk-"+strconv.Itoa(i)), http.StatusServiceUnavailable)
 	}
 	srv.BeginDrain()
 	for i := 0; i < 20; i++ {
@@ -124,8 +109,8 @@ func TestRefusalsDoNotMintEndpoints(t *testing.T) {
 	if after := strings.Join(seriesNames(reg), ","); after != before {
 		t.Fatalf("refusals minted endpoints: before %s, after %s", before, after)
 	}
-	if page := reg.Snapshot().Endpoints["page"]; page.Shed != 40 || page.Requests != 41 || page.Errors != 40 {
-		t.Fatalf("page = requests %d errors %d shed %d, want 41/40/40", page.Requests, page.Errors, page.Shed)
+	if page := reg.Snapshot().Endpoints["page"]; page.Shed != 40 || page.Requests != 40 || page.Errors != 40 {
+		t.Fatalf("page = requests %d errors %d shed %d, want 40/40/40", page.Requests, page.Errors, page.Shed)
 	}
 
 	// A request no pattern matches gets the mux's 405 without passing
@@ -137,36 +122,74 @@ func TestRefusalsDoNotMintEndpoints(t *testing.T) {
 }
 
 // TestPanicIsObserved: a recovered panic is a 500 like any other — counted
-// on its endpoint and as bad by the SLO.
+// on its endpoint.
 func TestPanicIsObserved(t *testing.T) {
 	reg := metrics.New()
-	tracker := availability(t)
-	srv := explainServer(t, Config{Metrics: reg, SLO: tracker}, func(context.Context) { panic("boom") })
+	srv := explainServer(t, Config{Metrics: reg}, func(context.Context) { panic("boom") })
 	if rr := serve(srv, "GET", "/api/v1/explain?tag=author"); rr.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", rr.Code)
 	}
 	if ep := reg.Snapshot().Endpoints["explain"]; ep.Requests != 1 || ep.Errors != 1 || ep.Latency.Count != 1 {
 		t.Fatalf("explain = %+v", ep)
 	}
-	if o := tracker.Snapshot().Objectives[0]; o.BadTotal != 1 || o.GoodTotal != 0 {
-		t.Fatalf("slo = good %d bad %d, want 0/1", o.GoodTotal, o.BadTotal)
-	}
 }
 
-// TestSLOSeesRefusals: availability counts every non-5xx response as good,
-// so admission's 503s are bad events — enough of them burn the budget.
-func TestSLOSeesRefusals(t *testing.T) {
-	tracker := availability(t)
-	srv := explainServer(t, Config{SLO: tracker}, func(context.Context) {})
-	srv.BeginDrain()
-	for i := 0; i < 20; i++ {
-		wantRefusal(t, serve(srv, "GET", "/api/v1/stats"), http.StatusServiceUnavailable)
+// TestServerErrorsCounted: an endpoint's server errors are the bad events of
+// an availability objective, so they count every response the server owes
+// — a panic, both admission refusals, an expired deadline — and no client
+// error.
+func TestServerErrorsCounted(t *testing.T) {
+	nop := func(context.Context) {}
+	cases := []struct {
+		name     string
+		cfg      Config
+		explain  func(context.Context)
+		hold     bool // one explain request holds the only in-flight slot
+		drain    bool
+		target   string
+		endpoint string
+		status   int
+		counted  bool
+	}{
+		{name: "panic", explain: func(context.Context) { panic("boom") },
+			target: "/api/v1/explain?tag=author", endpoint: "explain", status: http.StatusInternalServerError, counted: true},
+		{name: "in-flight-refusal", hold: true,
+			target: "/api/v1/stats", endpoint: "stats", status: http.StatusServiceUnavailable, counted: true},
+		{name: "drain-refusal", explain: nop, drain: true,
+			target: "/api/v1/stats", endpoint: "stats", status: http.StatusServiceUnavailable, counted: true},
+		{name: "deadline", cfg: Config{QueryTimeout: time.Millisecond}, explain: func(ctx context.Context) { <-ctx.Done() },
+			target: "/api/v1/explain?tag=author", endpoint: "explain", status: http.StatusGatewayTimeout, counted: true},
+		{name: "bad-request", explain: nop,
+			target: "/api/v1/explain", endpoint: "explain", status: http.StatusBadRequest},
+		{name: "not-found", explain: nop,
+			target: "/api/v1/stats?dataset=nope", endpoint: "stats", status: http.StatusNotFound},
 	}
-	if o := tracker.Snapshot().Objectives[0]; o.BadTotal != 20 {
-		t.Fatalf("slo bad = %d, want 20", o.BadTotal)
-	}
-	if tracker.Burning() == "" {
-		t.Fatal("20 refusals in the fast window do not burn")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.New()
+			var srv *Server
+			if tc.hold {
+				var release func()
+				srv, release = blockingServer(t, reg)
+				defer release()
+			} else {
+				tc.cfg.Metrics = reg
+				srv = explainServer(t, tc.cfg, tc.explain)
+			}
+			if tc.drain {
+				srv.BeginDrain()
+			}
+			if rr := serve(srv, "GET", tc.target); rr.Code != tc.status {
+				t.Fatalf("status = %d, want %d: %s", rr.Code, tc.status, rr.Body)
+			}
+			want := int64(0)
+			if tc.counted {
+				want = 1
+			}
+			if ep := reg.Snapshot().Endpoints[tc.endpoint]; ep.ServerErrors != want {
+				t.Fatalf("%s server errors = %d, want %d (%+v)", tc.endpoint, ep.ServerErrors, want, ep)
+			}
+		})
 	}
 }
 

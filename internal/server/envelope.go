@@ -20,13 +20,12 @@ import (
 // its route row and runs the one admission decision.  Nothing here guesses
 // the endpoint from the raw path, so no outside input mints a metric label.
 
-// endpoint is one endpoint name's share of the route table: its metrics,
-// whether admission control lets it through untouched, and whether its
-// responses feed the SLO windows.  The rows sharing a name agree on both.
+// endpoint is one endpoint name's share of the route table: its metrics and
+// whether admission control lets it through untouched.  The rows sharing a
+// name agree on both.
 type endpoint struct {
 	name    string
 	exempt  bool
-	slo     bool
 	metrics *metrics.Endpoint
 }
 
@@ -41,8 +40,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // observe finishes every request, refused and panicking ones included: it
 // recovers a handler panic into the JSON 500, records the matched
-// endpoint's counters and latency, feeds the SLO windows for serving
-// routes, and writes the access-log line when the logger wants it.
+// endpoint's counters and latency, and writes the access-log line when the
+// logger wants it.
 func (s *Server) observe(sw *httpmw.StatusWriter, r *http.Request, x *httpmw.Exchange, start time.Time) {
 	if p := recover(); p != nil {
 		if p == http.ErrAbortHandler {
@@ -61,9 +60,6 @@ func (s *Server) observe(sw *httpmw.StatusWriter, r *http.Request, x *httpmw.Exc
 	d, status := time.Since(start), sw.Status()
 	if e := s.endpoints[x.Route]; e != nil {
 		e.metrics.Record(status, d)
-		if e.slo {
-			s.slo.Observe(e.name, status, d)
-		}
 	}
 	if !x.Logged {
 		return
@@ -104,46 +100,32 @@ func (s *Server) admitted(e *endpoint, h http.Handler) http.Handler {
 }
 
 // admit is the one admission decision, in order: a draining server refuses
-// new work (503), a saturated one sheds it (503, when -max-inflight is set),
-// and a client over its rate is told to slow down (429, when -rate-qps is
-// set).  503 says the server as a whole cannot take the request — retry
-// against another instance; 429 says this client specifically is over its
-// rate.  Admitted, the request holds one in-flight slot, which the caller
-// releases.  Refused, it has been answered.
+// new work, and a saturated one sheds it (when -max-inflight is set).  Both
+// answer 503 + Retry-After: the server as a whole cannot take the request —
+// retry later or against another instance.  Admitted, the request holds one
+// in-flight slot, which the caller releases.  Refused, it has been answered.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 	if s.draining.Load() {
 		s.reg.Lifecycle().DrainRejected.Add(1)
-		refuse(w, r, http.StatusServiceUnavailable, time.Second,
-			"server is draining for shutdown, retry against another instance")
+		refuse(w, r, time.Second, "server is draining for shutdown, retry against another instance")
 		return false
 	}
 	if s.slots != nil {
 		select {
 		case s.slots <- struct{}{}:
 		default:
-			refuse(w, r, http.StatusServiceUnavailable, time.Second, "server is at capacity, retry later")
+			refuse(w, r, time.Second, "server is at capacity, retry later")
 			return false
 		}
 	}
-	if s.rate == nil {
-		return true
-	}
-	client := httpmw.ClientID(r)
-	ok, wait := s.rate.Allow(client)
-	if !ok {
-		if s.slots != nil {
-			<-s.slots
-		}
-		refuse(w, r, http.StatusTooManyRequests, wait, "client "+client+" is over its request rate, slow down")
-	}
-	return ok
+	return true
 }
 
-// refuse answers a request the server will not serve now: status, a
+// refuse answers a request the server will not serve now: 503, a
 // Retry-After of wait rounded up to whole seconds (at least 1), and the
 // overloaded envelope.
-func refuse(w http.ResponseWriter, r *http.Request, status int, wait time.Duration, msg string) {
+func refuse(w http.ResponseWriter, r *http.Request, wait time.Duration, msg string) {
 	secs := max(1, int((wait+time.Second-1)/time.Second))
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	httpmw.WriteErrorCtx(r.Context(), w, status, httpmw.CodeOverloaded, msg)
+	httpmw.WriteErrorCtx(r.Context(), w, http.StatusServiceUnavailable, httpmw.CodeOverloaded, msg)
 }

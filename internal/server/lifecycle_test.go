@@ -268,60 +268,3 @@ func TestOrphanSpoolSweep(t *testing.T) {
 		t.Fatalf("OrphansSwept = %d, want 1", got)
 	}
 }
-
-// TestRateLimitOnServer: the per-client limiter is wired through Config and
-// visible in the endpoint metrics; exempt routes bypass it.
-func TestRateLimitOnServer(t *testing.T) {
-	reg := metrics.New()
-	e, err := core.FromReader("bib", strings.NewReader(bibXML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewConfig(e, Config{Metrics: reg, RateQPS: 0.001, RateBurst: 2})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-
-	client := &http.Client{}
-	get := func(path string) *http.Response {
-		req, err := http.NewRequest("GET", ts.URL+path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("X-Lotusx-Client", "tester")
-		res, err := client.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	for i := 0; i < 2; i++ {
-		res := get("/api/v1/stats")
-		res.Body.Close()
-		if res.StatusCode != http.StatusOK {
-			t.Fatalf("burst request %d: %d", i, res.StatusCode)
-		}
-	}
-	res := get("/api/v1/stats")
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-rate status = %d, want 429", res.StatusCode)
-	}
-	if res.Header.Get("Retry-After") == "" {
-		t.Error("Retry-After missing on 429")
-	}
-
-	// Exempt observability answers, and the snapshot carries the admission
-	// counters plus the 429 tallied into the endpoint's shed count.
-	mres := get("/api/v1/metrics")
-	defer mres.Body.Close()
-	if mres.StatusCode != http.StatusOK {
-		t.Fatalf("metrics while limited: %d", mres.StatusCode)
-	}
-	snap := reg.Snapshot()
-	if snap.Admission == nil || snap.Admission.Limited < 1 {
-		t.Fatalf("admission snapshot = %+v", snap.Admission)
-	}
-	if snap.Endpoints["stats"].Shed < 1 {
-		t.Errorf("stats shed = %d, want >= 1", snap.Endpoints["stats"].Shed)
-	}
-}

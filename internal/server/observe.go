@@ -10,9 +10,8 @@ import (
 )
 
 // The cluster observability surface: the tail-sampled trace store behind
-// GET /api/v1/traces and the SLO objectives the request envelope feeds.
-// See docs/OBSERVABILITY.md, "Tail-sampled trace store" and "SLO burn
-// rates".
+// GET /api/v1/traces.  See docs/OBSERVABILITY.md, "Tail-sampled trace
+// store".
 
 // tracesResponse is the payload of GET /api/v1/traces: summaries (no span
 // trees) newest-first, plus the store's retention counters.
@@ -88,14 +87,4 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, rec)
-}
-
-// SLOBurning reports the objectives currently burning their fast window, ""
-// when none (or no tracker) — /readyz on the debug listener renders it as
-// "ready (slo-burning): ...".
-func (s *Server) SLOBurning() string {
-	if s.slo == nil {
-		return ""
-	}
-	return s.slo.Burning()
 }

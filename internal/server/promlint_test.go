@@ -18,7 +18,6 @@ import (
 	"lotusx/internal/core"
 	"lotusx/internal/doc"
 	"lotusx/internal/metrics"
-	"lotusx/internal/slo"
 )
 
 // A minimal linter for Prometheus text exposition format 0.0.4, run over
@@ -257,8 +256,8 @@ func scrape(t *testing.T, ts *httptest.Server) string {
 }
 
 // TestPrometheusLint lints the exposition of every serving configuration —
-// a single engine, a sharded corpus, an admin server with per-client rate
-// limiting, and a router-shaped registry carrying remote and SLO families —
+// a single engine, a sharded corpus, an admin server, and a router-shaped
+// registry carrying remote families —
 // and diffs the families each one declares against
 // testdata/prometheus_families.golden.  After an intentional family change,
 // regenerate with:
@@ -283,7 +282,7 @@ func TestPrometheusLint(t *testing.T) {
 			return ts
 		}},
 		{"lifecycle", func(t *testing.T) *httptest.Server {
-			ts, _ := adminServer(t, Config{RateQPS: 1000, RateBurst: 2000})
+			ts, _ := adminServer(t, Config{})
 			return ts
 		}},
 		{"router", func(t *testing.T) *httptest.Server {
@@ -293,14 +292,7 @@ func TestPrometheusLint(t *testing.T) {
 			rem.ObserveReplica("shard-0", 4*time.Millisecond)
 			rem.HedgesFired.Add(1)
 			rem.HedgeWins.Add(1)
-			tracker, err := slo.New(slo.Config{Objectives: []slo.Objective{
-				{Name: "availability", Target: 0.999},
-				{Name: "search-p99", Endpoint: "query", Target: 0.99, Threshold: 50 * time.Millisecond},
-			}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, ts := shardedServer(t, Config{Metrics: reg, SLO: tracker})
+			_, ts := shardedServer(t, Config{Metrics: reg})
 			return ts
 		}},
 	}

@@ -34,7 +34,6 @@ import (
 	"lotusx/internal/join"
 	"lotusx/internal/metrics"
 	"lotusx/internal/obs"
-	"lotusx/internal/slo"
 	"lotusx/internal/twig"
 )
 
@@ -56,16 +55,6 @@ type Config struct {
 	// 503 + Retry-After (the server as a whole is saturated — retry against
 	// another instance).  0 disables the limiter.
 	MaxInflight int
-	// RateQPS enables per-client admission control: each client (the
-	// X-Lotusx-Client header, else the remote address) gets a token bucket
-	// refilled at this rate, and requests beyond it answer 429 + Retry-After
-	// (this client specifically is over its rate — slow down).  0 disables
-	// the limiter.  Health, metrics and job-poll routes are exempt, like the
-	// in-flight limiter's.
-	RateQPS float64
-	// RateBurst is the rate limiter's bucket depth — how far a client may
-	// burst above the sustained rate.  0 derives a default from RateQPS.
-	RateBurst int
 	// Logger receives structured request and panic logs; nil discards them.
 	Logger *slog.Logger
 	// Metrics is the registry backing /api/v1/metrics; nil allocates a
@@ -133,12 +122,6 @@ type Config struct {
 	// store's uniform sample; 0 means the store default (64), negative
 	// disables the sample (interesting traces are still retained).
 	TraceSampleEvery int
-	// SLO, when non-nil, tracks the declared service-level objectives over
-	// the serving routes: every non-admin, non-observability response feeds
-	// it, /api/v1/metrics and the Prometheus exposition report compliance
-	// and burn rates, and /readyz flips to "ready (slo-burning)" while the
-	// fast window burns (see internal/slo and docs/OBSERVABILITY.md).
-	SLO *slo.Tracker
 }
 
 // defaultCompactThreshold is the delta-shard backlog that triggers an
@@ -164,8 +147,6 @@ type Server struct {
 	// traces is the tail-sampled trace store behind GET /api/v1/traces; nil
 	// when Config.TraceCapacity is negative.
 	traces *obs.Store
-	// slo tracks the declared service-level objectives; nil when none are.
-	slo *slo.Tracker
 
 	// queue is the async ingestion pipeline (nil unless EnableAdmin): every
 	// admin write runs as a job here, ?sync=1 or not; see submit.
@@ -185,11 +166,10 @@ type Server struct {
 	// requests and /readyz reports not ready.
 	draining atomic.Bool
 	// The request envelope (envelope.go): the endpoints by name, the
-	// in-flight slots (nil without -max-inflight), the per-client rate
-	// limiter (nil without -rate-qps) and the per-request deadline.
+	// in-flight slots (nil without -max-inflight) and the per-request
+	// deadline.
 	endpoints map[string]*endpoint
 	slots     chan struct{}
-	rate      *httpmw.RateLimiter
 	timeout   time.Duration
 
 	// routes is the mounted route table — the single source of truth for the
@@ -262,14 +242,10 @@ func NewCatalogConfig(catalog *core.Catalog, cfg Config) *Server {
 		compactThreshold: compactThreshold,
 		maxIngest:        cfg.MaxIngestBytes,
 		clusterStatus:    cfg.ClusterStatus,
-		slo:              cfg.SLO,
 		timeout:          cfg.QueryTimeout,
 	}
 	if cfg.MaxInflight > 0 {
 		s.slots = make(chan struct{}, cfg.MaxInflight)
-	}
-	if cfg.RateQPS > 0 {
-		s.rate = httpmw.NewRateLimiter(cfg.RateQPS, cfg.RateBurst, reg.Admission())
 	}
 	if cfg.TraceCapacity >= 0 {
 		s.traces = obs.NewStore(obs.StoreConfig{
@@ -374,10 +350,7 @@ func (s *Server) mount(cfg Config) {
 		}
 		e := s.endpoints[rt.name]
 		if e == nil {
-			// The serving surface feeds the SLO engine; admin writes and the
-			// observability routes are operations, not the product.
-			e = &endpoint{name: rt.name, exempt: rt.exempt, slo: s.slo != nil && !rt.admin && !rt.exempt,
-				metrics: s.reg.Endpoint(rt.name)}
+			e = &endpoint{name: rt.name, exempt: rt.exempt, metrics: s.reg.Endpoint(rt.name)}
 			s.endpoints[rt.name] = e
 		}
 		s.mux.Handle(rt.method+" "+rt.path, s.admitted(e, rt.h))
@@ -490,18 +463,8 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"datasets": s.catalog.Names()})
 }
 
-// metricsSnapshot is the one read behind both metrics views: the registry's
-// snapshot with the SLO tracker's folded in.
-func (s *Server) metricsSnapshot() metrics.Snapshot {
-	snap := s.reg.Snapshot()
-	if s.slo != nil {
-		snap.SLO = s.slo.Snapshot()
-	}
-	return snap
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.metricsSnapshot())
+	writeJSON(w, http.StatusOK, s.reg.Snapshot())
 }
 
 // handleCluster serves the router's topology and hedging status (mounted
@@ -539,7 +502,7 @@ func tooLarge(w http.ResponseWriter, r *http.Request, err error) {
 
 // overloaded answers 503 for writes the ingest queue cannot absorb.
 func overloaded(w http.ResponseWriter, r *http.Request, err error) {
-	refuse(w, r, http.StatusServiceUnavailable, time.Second, err.Error())
+	refuse(w, r, time.Second, err.Error())
 }
 
 // writeBackendError maps a failed search, completion or explain to its
@@ -560,7 +523,7 @@ func writeBackendError(w http.ResponseWriter, r *http.Request, err error, fallba
 	case isCtxError(err):
 		writeCtxError(w, r, err)
 	case errors.As(err, &qe):
-		refuse(w, r, http.StatusServiceUnavailable, qe.RetryAfter, err.Error())
+		refuse(w, r, qe.RetryAfter, err.Error())
 	case errors.As(err, &se):
 		httpmw.WriteErrorCtx(r.Context(), w, http.StatusBadGateway, httpmw.CodeUpstream, err.Error())
 	default:

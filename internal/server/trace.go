@@ -257,7 +257,7 @@ func (s *Server) Degraded() string {
 // /api/v1/metrics.
 func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	metrics.WritePrometheus(w, s.metricsSnapshot())
+	metrics.WritePrometheus(w, s.reg.Snapshot())
 }
 
 // annotateSearch enriches the access log — and, for degraded answers, the
